@@ -10,6 +10,8 @@ The reference scenario's radio range (~55 m in a 500 x 500 m area) leaves the
 network far below the connectivity threshold, so expect low absolute PDR and
 balancing deltas near zero there; the dense variant shows the protocols in a
 connected, loaded regime.
+
+The confidence intervals need scipy: install the ``analysis`` extra.
 """
 
 import argparse

@@ -139,14 +139,31 @@ class Medium:
         self.active: list[list] = []
         self.control_tx = 0
         self.data_tx = 0
+        self.refresh_neighbors()
         engine.on(EventKind.TX_ATTEMPT, self._on_attempt)
         engine.on(EventKind.PACKET_ARRIVAL, self._on_arrival)
 
-    def _in_range(self, a: int, b: int) -> bool:
-        pa = self.positions[a]
-        pb = self.positions[b]
-        d2 = (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 + (pa[2] - pb[2]) ** 2
-        return d2 <= self.range2
+    def refresh_neighbors(self) -> None:
+        """Recompute every node's in-range neighbours from the current positions.
+
+        ``neighbors[n]`` lists the ids in range of node n in ascending order,
+        and ``neighbor_sets[n]`` holds the same ids. Carrier sense and receiver
+        sets read only these, so this must run after every position update.
+        The ascending order fixes the order in which receptions are
+        registered and delivered.
+        """
+        positions = self.positions
+        range2 = self.range2
+        neighbors: list[list[int]] = [[] for _ in positions]
+        for a, (ax, ay, az) in enumerate(positions):
+            near_a = neighbors[a]
+            for b in range(a + 1, len(positions)):
+                bx, by, bz = positions[b]
+                if (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2 <= range2:
+                    near_a.append(b)
+                    neighbors[b].append(a)
+        self.neighbors = neighbors
+        self.neighbor_sets = [set(near) for near in neighbors]
 
     def _jitter(self) -> int:
         return self.rng.randrange(self.mac.jitter_us + 1)
@@ -175,8 +192,9 @@ class Medium:
         now = self.engine.clock_us
         # Carrier sense: defer while any receivable transmission is in progress.
         busy_until = now
+        audible = self.neighbor_sets[node_id]
         for sender_id, t_end in self.active:
-            if t_end > now and self._in_range(node_id, sender_id):
+            if t_end > now and sender_id in audible:
                 busy_until = max(busy_until, t_end)
         if busy_until > now:
             st.attempt_scheduled = True
@@ -196,9 +214,7 @@ class Medium:
         # frames at that receiver. The receiver set is fixed at tx start
         # (node displacement within one airtime is sub-millimeter).
         recs: list[tuple[int, list]] = []
-        for other in range(len(self.positions)):
-            if other == node_id or not self._in_range(node_id, other):
-                continue
+        for other in self.neighbors[node_id]:
             rec = [frame, t_end, False]
             other_st = self.states[other]
             for old in other_st.active_recs:

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .channel import ChannelParams, MacParams
+from .engine import us_from_s
 from .mobility import Area
+from .traffic import send_interval_us
 
 PROTOCOLS = ("batman", "golsr", "batmobile")
 
@@ -203,6 +205,12 @@ def validate(config: ScenarioConfig) -> None:
                  "mac_rate_bps", "ranking_expiry_s"):
         if getattr(config, name) <= 0:
             fail(f"{name} must be positive, got {getattr(config, name)}")
+    # The engine clock counts whole microseconds: a period that rounds to 0 us
+    # would reschedule at one timestamp forever or divide by zero mid-run.
+    for name in ("window_s", "ogm_interval_s", "hello_interval_s", "tc_interval_s",
+                 "mobility_update_s"):
+        if us_from_s(getattr(config, name)) < 1:
+            fail(f"{name} must be at least 1 us, got {getattr(config, name)}")
     if config.speed_mps < 0:
         fail("speed_mps must be >= 0")
     if config.streams < 1:
@@ -213,6 +221,9 @@ def validate(config: ScenarioConfig) -> None:
         fail("stream_start_s must lie inside the simulated interval")
     if not 0 < config.payload_bytes <= 1460:
         fail(f"payload_bytes must be in (0, 1460], got {config.payload_bytes}")
+    if send_interval_us(config.payload_bytes, config.bitrate_bps) < 1:
+        fail(f"bitrate_bps {config.bitrate_bps} sends {config.payload_bytes}-byte packets "
+             "less than 1 us apart")
     if config.runs < 1:
         fail("runs must be >= 1")
     if config.queue_capacity < 1 or config.ttl < 1:

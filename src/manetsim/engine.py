@@ -29,6 +29,11 @@ class EventKind(Enum):
     PACKET_ARRIVAL = "packet-arrival"
     CALLBACK = "callback"
 
+    # Enum.__hash__ is Python code (it hashes the member name) and runs on
+    # every dispatched event; members are singletons, so identity hashing in
+    # C is equivalent.
+    __hash__ = object.__hash__
+
 
 class Event:
     """Queued event; (fire_time_us, seq) is the strict total order."""
@@ -41,11 +46,6 @@ class Event:
         self.kind = kind
         self.payload = payload
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.fire_time_us != other.fire_time_us:
-            return self.fire_time_us < other.fire_time_us
-        return self.seq < other.seq
 
 
 class SchedulingError(Exception):
@@ -65,7 +65,9 @@ class Engine:
     def __init__(self, master_seed: int = 0, record_log: bool = False):
         self.master_seed = master_seed
         self.clock_us = 0
-        self._heap: list[Event] = []
+        # (fire_time_us, seq, event): seq is unique, so heapq orders entries by
+        # comparing two ints in C and never reaches the event itself.
+        self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._handlers: dict[EventKind, Callable[[Event], None]] = {}
         self._streams: dict[str, random.Random] = {}
@@ -93,9 +95,10 @@ class Engine:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at {fire_time_us} us; clock is {self.clock_us} us"
             )
-        event = Event(fire_time_us, self._seq, kind, payload)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(fire_time_us, seq, kind, payload)
+        heapq.heappush(self._heap, (fire_time_us, seq, event))
         return event
 
     @staticmethod
@@ -111,8 +114,8 @@ class Engine:
         """
         count = 0
         heap = self._heap
-        while heap and heap[0].fire_time_us <= t_end_us:
-            event = heapq.heappop(heap)
+        while heap and heap[0][0] <= t_end_us:
+            event = heapq.heappop(heap)[2]
             if event.cancelled:
                 continue
             self.clock_us = event.fire_time_us

@@ -28,6 +28,10 @@ class ControlKind(Enum):
     HELLO = "hello"
     TC = "tc"
 
+    # Identity hashing in C; see EventKind. Hashed on every delivered copy
+    # through the RouterState.forwarded key.
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class ControlMessage:
@@ -64,7 +68,7 @@ class TQWindow:
         self.last_seq = seq
 
     def quality(self) -> float:
-        return bin(self.bits).count("1") / self.length
+        return self.bits.bit_count() / self.length
 
 
 def tq_link_quality(window: TQWindow) -> float:

@@ -183,6 +183,7 @@ class Simulation:
             self.mobility[node] = state
             self.positions[node] = state.position
             self.histories[node].record(now, state.position)
+        self.medium.refresh_neighbors()
         if self._is_batmobile:
             for node in range(self.config.nodes):
                 try:

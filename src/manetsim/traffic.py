@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from scipy import stats as _scipy_stats
-
 DROP_CAUSES = ("collision", "queue", "no_route", "ttl", "link")
 
 
@@ -29,10 +27,19 @@ class StreamSpec:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError("stream endpoints must differ")
+        if self.interval_us < 1:
+            # A zero interval would resend at one timestamp forever.
+            raise ValueError(f"{self.bitrate_bps} bps sends {self.payload_bytes}-byte "
+                             "packets less than 1 us apart")
 
     @property
     def interval_us(self) -> int:
-        return round(self.payload_bytes * 8 / self.bitrate_bps * 1e6)
+        return send_interval_us(self.payload_bytes, self.bitrate_bps)
+
+
+def send_interval_us(payload_bytes: int, bitrate_bps: float) -> int:
+    """Gap between a constant-bitrate stream's packets, on the engine's µs grid."""
+    return round(payload_bytes * 8 / bitrate_bps * 1e6)
 
 
 def send_times_us(spec: StreamSpec) -> Iterator[int]:
@@ -133,11 +140,18 @@ def mean_current_pdr(stats: StreamStats, horizon_us: int) -> float:
 
 
 def confidence_interval(samples: list[float], level: float = 0.95) -> tuple[float, float, float]:
-    """Student-t interval (mean, lo, hi) over independent run samples."""
+    """Student-t interval (mean, lo, hi) over independent run samples.
+
+    Needs scipy (the ``analysis`` extra). It is imported here, not at module
+    level, because it costs more than a short simulation run and nothing
+    else in the simulator uses it.
+    """
     n = len(samples)
     if n < 2:
         raise ValueError("confidence interval needs at least 2 samples")
+    from scipy import stats
+
     mean = sum(samples) / n
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    half = _scipy_stats.t.ppf((1 + level) / 2, n - 1) * math.sqrt(variance / n)
+    half = stats.t.ppf((1 + level) / 2, n - 1) * math.sqrt(variance / n)
     return (mean, mean - half, mean + half)

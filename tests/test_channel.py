@@ -16,7 +16,9 @@ from manetsim.channel import (
     path_loss_db,
     receivable,
 )
+from manetsim.config import ScenarioConfig
 from manetsim.engine import Engine, us_from_s
+from manetsim.simulation import Simulation
 
 PARAMS = ChannelParams()
 MAC = MacParams()
@@ -191,3 +193,52 @@ def test_no_frame_delivered_twice_per_transmission():
     h.run()
     receivers = [node for node, _ in h.delivered]
     assert len(receivers) == len(set(receivers))
+
+
+def brute_force_neighbors(positions, range2):
+    """Reference for Medium.refresh_neighbors: every ordered pair, checked directly."""
+    return [
+        [b for b, pb in enumerate(positions)
+         if b != a and (pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2 + (pa[2] - pb[2]) ** 2 <= range2]
+        for a, pa in enumerate(positions)
+    ]
+
+
+def assert_cache_matches(medium):
+    expected = brute_force_neighbors(medium.positions, medium.range2)
+    assert medium.neighbors == expected
+    assert medium.neighbor_sets == [set(near) for near in expected]
+    for a, near in enumerate(medium.neighbors):
+        assert a not in near
+        assert near == sorted(near)
+        assert all(a in medium.neighbors[b] for b in near)
+
+
+coordinate = st.sampled_from([0.0, 10.0, 27.7, 55.4]) | st.floats(0.0, 150.0)
+
+
+@given(st.lists(st.tuples(coordinate, coordinate, st.floats(0.0, 10.0)), max_size=14),
+       st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_neighbor_cache_equals_brute_force(extra, rnd):
+    r = max_range_m(PARAMS)
+    # Always present: a pair exactly max_range_m apart and a co-located pair.
+    positions = [(0.0, 0.0, 0.0), (r, 0.0, 0.0), (0.0, 0.0, 0.0), *extra]
+    rnd.shuffle(positions)
+    h = Harness(positions)
+    assert_cache_matches(h.medium)
+    edge = [i for i, p in enumerate(positions) if p == (r, 0.0, 0.0)][0]
+    origin = [i for i, p in enumerate(positions) if p == (0.0, 0.0, 0.0)]
+    assert all(i in h.medium.neighbor_sets[edge] for i in origin)
+    assert origin[1] in h.medium.neighbor_sets[origin[0]]
+
+
+def test_neighbor_cache_follows_moving_nodes():
+    config = ScenarioConfig(nodes=20, area_x=150.0, area_y=150.0, speed_mps=20.0,
+                            sim_time_s=3.0, stream_start_s=1.0)
+    sim = Simulation(config, 5)
+    start = [list(near) for near in sim.medium.neighbors]
+    sim.run()
+    assert sim.histories[0].last()[0] == sim.end_us  # a mobility tick fired at the very end
+    assert_cache_matches(sim.medium)
+    assert sim.medium.neighbors != start

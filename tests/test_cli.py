@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import manetsim
 from manetsim.cli import main
 from manetsim.experiment import CSV_COLUMNS
 
@@ -100,3 +106,14 @@ def test_identical_invocations_identical_output(capsys, tmp_path):
     _, first, _ = run_cli(capsys, "run", "--config", config, "--seeds", "1,2")
     _, second, _ = run_cli(capsys, "run", "--config", config, "--seeds", "1,2")
     assert first == second
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is needed only by traffic.confidence_interval, and importing it
+    # costs more than a short run, so `manetsim run` must not pay for it.
+    src = str(Path(manetsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, manetsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,7 @@
 import pytest
 
 from manetsim.config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text, validate
+from manetsim.simulation import simulate
 
 REFERENCE_DEFAULTS = {
     # mission area and movement
@@ -146,3 +147,27 @@ def test_readme_config_block_matches_defaults():
     assert match, "README default-config block not found"
     block = "\n".join(line[4:] for line in match.group(0).splitlines())
     assert parse_scenario_text(block) == ScenarioConfig()
+
+
+@pytest.mark.parametrize("text, name", [
+    ("bitrate_bps = 1e12\n", "bitrate_bps"),  # 1460-byte packets 0.01 us apart
+    ("[batman]\nogm_interval_s = 1e-7\n", "ogm_interval_s"),
+    ("[golsr]\nhello_interval_s = 1e-7\n", "hello_interval_s"),
+    ("[golsr]\ntc_interval_s = 1e-7\n", "tc_interval_s"),
+    ("[batmobile]\nmobility_update_s = 1e-7\n", "mobility_update_s"),
+    ("window_s = 1e-7\n", "window_s"),
+])
+def test_periods_below_one_microsecond_rejected(text, name):
+    # Each of these used to pass validation and then hang or crash mid-run.
+    with pytest.raises(ConfigError, match=name):
+        parse_scenario_text(text)
+
+
+def test_periods_of_one_microsecond_accepted_and_run():
+    config = parse_scenario_text(
+        "protocol = batmobile\nnodes = 4\nsim_time_s = 0.002\nstream_start_s = 0\n"
+        "window_s = 1e-6\nbitrate_bps = 11.68e9\n"  # 1460-byte packets exactly 1 us apart
+        "[batmobile]\nogm_interval_s = 1e-6\nmobility_update_s = 1e-6\n")
+    result = simulate(config, 1)
+    assert result.sent == 2000
+    assert result.conservation_ok

@@ -41,6 +41,11 @@ def test_stream_rejects_equal_endpoints():
         StreamSpec(3, 3, 0, 1000)
 
 
+def test_stream_rejects_sub_microsecond_interval():
+    with pytest.raises(ValueError, match="less than 1 us apart"):
+        StreamSpec(0, 1, 0, 1000, bitrate_bps=1e12)
+
+
 def test_endpoints_disjoint_and_deterministic():
     rng = random.Random(7)
     pairs = draw_endpoints(10, 3, rng)
