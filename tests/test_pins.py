@@ -22,6 +22,9 @@ SCENARIOS = {
     "reference-batmobile": ScenarioConfig(sim_time_s=30.0, protocol="batmobile"),
     "dense-batman-balanced": ScenarioConfig(protocol="batman", balancing=True, **DENSE),
     "dense-batmobile-plain": ScenarioConfig(protocol="batmobile", balancing=False, **DENSE),
+    # golsr floods only TC messages; at 500 m few copies travel more than one
+    # hop, so the multi-hop TC path is pinned in the dense area.
+    "dense-golsr-balanced": ScenarioConfig(protocol="golsr", balancing=True, **DENSE),
     "crowd50-batman": ScenarioConfig(
         area_x=150.0, area_y=150.0, nodes=50, streams=3, sim_time_s=3.0, stream_start_s=1.0),
 }
@@ -41,6 +44,10 @@ PINS = {
     "dense-batmobile-plain": (
         "021ea734b9482079a47478c7d78e078babe78f7a3c20b03b304d99d319fd5b28",
         "8e4688c1bce96b5475f8e64ff19a502caaf4cd595f51a06bd1fe962926963aea",
+    ),
+    "dense-golsr-balanced": (
+        "99dcb7ee6675f8fd62ce06256b2c47d43acd9da79e6972ec9c4bb4c12465ee93",
+        "5ad6e0ee90057c9532ca07ef1a25202c4834e4d952f97bbe74eeb6320a3ce438",
     ),
     "reference-batman": (
         "20138da4f2b7f6eaa48e1a70ca9ef1480e58f540ee78ec679b699fedbdc7a9c5",

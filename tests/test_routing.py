@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from manetsim.config import ScenarioConfig
 from manetsim.routing import (
     BatmanProtocol,
+    BatmobileProtocol,
     ControlKind,
     ControlMessage,
     GeoOlsrProtocol,
@@ -280,6 +281,67 @@ def test_sequence_numbers_strictly_increase():
     seqs = [protocol.emit(state, 0, (0.0, 0.0, 0.0), None, ControlKind.OGM, t).seq
             for t in range(5)]
     assert seqs == [0, 1, 2, 3, 4]
+
+
+# -- multi-hop chains: O -> A -> B -> me ----------------------------------------
+
+O, A, B, ME = 9, 1, 2, 0
+CHAIN_POS = {O: (0.0, 0.0, 0.0), A: (30.0, 0.0, 0.0), B: (55.0, 10.0, 0.0), ME: (80.0, 0.0, 0.0)}
+CHAIN_PRED = {O: (5.0, 5.0, 0.0), A: (35.0, 0.0, 0.0), B: (50.0, 20.0, 0.0), ME: (90.0, 5.0, 0.0)}
+
+
+def relay(protocol, states, msg, path, now_us, pred=None):
+    """Carry msg from path[0] over each hop of path; return the last receiver's state."""
+    for prev_hop, node in zip(path, path[1:]):
+        state = states[node]
+        state.ranking.touch_neighbor(prev_hop, now_us)
+        msg = protocol.receive(state, node, msg, prev_hop, CHAIN_POS[node],
+                               None if pred is None else pred[node], now_us)
+        if node != path[-1]:
+            assert msg is not None
+    return states[path[-1]]
+
+
+def test_batman_chain_score_equals_tq_path_score():
+    protocol = BatmanProtocol(ogm_interval_us=500_000, hop_penalty=0.95)
+    states = {n: RouterState(ranking=NeighborRanking()) for n in CHAIN_POS}
+    heard = {(O, A): {0, 1, 2, 4, 5, 7}, (A, B): {0, 2, 3, 5, 7}, (B, ME): {0, 1, 2, 3, 4, 5, 7}}
+    # Each relay's own OGMs build the next hop's TQ window; O's last OGM floods.
+    for sender, receiver in ((A, B), (B, ME)):
+        for seq in range(8):
+            msg = protocol.emit(states[sender], sender, CHAIN_POS[sender], None,
+                                ControlKind.OGM, seq)
+            if seq in heard[(sender, receiver)]:
+                relay(protocol, states, msg, [sender, receiver], 1000)
+    for seq in range(8):
+        msg = protocol.emit(states[O], O, CHAIN_POS[O], None, ControlKind.OGM, seq)
+        if seq in heard[(O, A)] and seq < 7:
+            relay(protocol, states, msg, [O, A], 1000)
+    me = relay(protocol, states, msg, [O, A, B, ME], 2000)
+    qualities = [len(heard[hop]) / 8 for hop in ((O, A), (A, B), (B, ME))]
+    assert me.ranking.scores(O, 2000)[B] == pytest.approx(tq_path_score(qualities, 0.95))
+
+
+def test_batmobile_chain_score_equals_pathscore_path():
+    protocol = BatmobileProtocol(ogm_interval_us=500_000, comm_range_m=55.4)
+    states = {n: RouterState(ranking=NeighborRanking(), trend=None) for n in CHAIN_POS}
+    msg = protocol.emit(states[O], O, CHAIN_POS[O], CHAIN_PRED[O], ControlKind.OGM, 0)
+    me = relay(protocol, states, msg, [O, A, B, ME], 1000, CHAIN_PRED)
+    links = [
+        pathscore_link(CHAIN_POS[rx], CHAIN_PRED[rx], CHAIN_POS[tx], CHAIN_PRED[tx], 55.4)
+        for tx, rx in ((O, A), (A, B), (B, ME))
+    ]
+    assert all(link > 0 for link in links)
+    assert me.ranking.scores(O, 1000)[B] == pytest.approx(pathscore_path(links))
+
+
+def test_golsr_chain_scores_last_forwarder_against_originator():
+    protocol = GeoOlsrProtocol(500_000, 1_000_000, DIAG)
+    states = {n: RouterState(ranking=NeighborRanking()) for n in CHAIN_POS}
+    msg = protocol.emit(states[O], O, CHAIN_POS[O], None, ControlKind.TC, 0)
+    me = relay(protocol, states, msg, [O, A, B, ME], 1000)
+    assert me.ranking.scores(O, 1000)[B] == pytest.approx(
+        geo_score(CHAIN_POS[B], CHAIN_POS[O], DIAG))
 
 
 # -- emission cadence (whole-sim) ---------------------------------------------
