@@ -1,7 +1,7 @@
 """Deterministic MANET simulator with passive score-threshold load balancing."""
 
-from .balancer import DropReason, RRState, SchedulableSet, next_forwarder, postrouting_hook, schedulable_set
-from .channel import ChannelParams, Frame, FrameKind, MacParams, airtime_s, max_range_m, path_loss_db, receivable
+from .balancer import DropReason, RRState, SchedulableSet, postrouting_hook, schedulable_set
+from .channel import Frame, FrameKind, airtime_s, max_range_m, path_loss_db, receivable
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text, validate
 from .engine import Engine, EventKind, SchedulingError, us_from_s
 from .mobility import Area, MobilityHistory, MobilityState, predict_position, step_waypoint
@@ -10,12 +10,12 @@ from .simulation import RunResult, Simulation, simulate
 from .traffic import StreamSpec, StreamStats, confidence_interval, current_pdr, overall_pdr
 
 __all__ = [
-    "Area", "ChannelParams", "ConfigError", "DropReason", "Engine", "EventKind",
-    "Frame", "FrameKind", "MacParams", "MobilityHistory", "MobilityState",
+    "Area", "ConfigError", "DropReason", "Engine", "EventKind",
+    "Frame", "FrameKind", "MobilityHistory", "MobilityState",
     "NeighborRanking", "RRState", "RunResult", "ScenarioConfig", "SchedulableSet",
     "SchedulingError", "Simulation", "StreamSpec", "StreamStats",
     "airtime_s", "confidence_interval", "current_pdr", "geo_score", "load_scenario",
-    "max_range_m", "next_forwarder", "overall_pdr", "parse_scenario_text",
+    "max_range_m", "overall_pdr", "parse_scenario_text",
     "path_loss_db", "pathscore_link", "pathscore_path", "postrouting_hook",
     "predict_position", "receivable", "schedulable_set", "simulate", "step_waypoint",
     "tq_path_score", "us_from_s", "validate",

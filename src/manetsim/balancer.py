@@ -34,10 +34,6 @@ class SchedulableSet:
     fallback: bool = False  # True when the threshold filter came up empty
 
 
-def _best(live: dict[int, float]) -> int:
-    return max(live.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-
-
 def schedulable_set(
     ranking: NeighborRanking,
     dest: int,
@@ -59,7 +55,8 @@ def schedulable_set(
     members = tuple(sorted(n for n, s in live.items() if s >= threshold and n != exclude))
     if members:
         return SchedulableSet(dest, members, likelihood, phi_max)
-    return SchedulableSet(dest, (_best(live),), likelihood, phi_max, fallback=True)
+    best = ranking.best_forwarder(dest, now_us)
+    return SchedulableSet(dest, (best,), likelihood, phi_max, fallback=True)
 
 
 class RRState:
@@ -69,6 +66,7 @@ class RRState:
         self._cursors: dict[int, list] = {}  # dest -> [members, index]
 
     def take(self, sset: SchedulableSet) -> int | None:
+        """Member at the cursor, advancing modulo the member count; None = no route."""
         if not sset.members:
             return None
         cursor = self._cursors.get(sset.dest)
@@ -78,11 +76,6 @@ class RRState:
         choice = cursor[0][cursor[1]]
         cursor[1] = (cursor[1] + 1) % len(cursor[0])
         return choice
-
-
-def next_forwarder(rr: RRState, sset: SchedulableSet) -> int | None:
-    """Member at the cursor, advancing modulo the member count; None = no route."""
-    return rr.take(sset)
 
 
 def postrouting_hook(

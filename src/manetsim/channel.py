@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .engine import Engine, EventKind, us_from_s
+from .config import ScenarioConfig
+from .engine import Engine, EventKind
 from .mobility import Position
 
 log = logging.getLogger(__name__)
@@ -25,23 +25,7 @@ log = logging.getLogger(__name__)
 SPEED_OF_LIGHT = 3.0e8  # free-space simplification used throughout the link budget
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    tx_power_dbm: float = 20.0  # 100 mW
-    path_loss_exponent: float = 2.75
-    frequency_hz: float = 2.4e9
-    sensitivity_dbm: float = -83.0
-
-
-@dataclass(frozen=True)
-class MacParams:
-    rate_bps: float = 24e6
-    overhead_bytes: int = 64
-    jitter_us: int = 200
-    queue_capacity: int = 50
-
-
-def path_loss_db(distance_m: float, params: ChannelParams) -> float:
+def path_loss_db(distance_m: float, params: ScenarioConfig) -> float:
     """Single-slope log-distance loss: 10 * n * log10(4*pi*d*f/c).
 
     Distances at or below zero are clamped to 0.1 m (co-located radios).
@@ -56,11 +40,11 @@ def path_loss_db(distance_m: float, params: ChannelParams) -> float:
     )
 
 
-def receivable(distance_m: float, params: ChannelParams) -> bool:
+def receivable(distance_m: float, params: ScenarioConfig) -> bool:
     return params.tx_power_dbm - path_loss_db(distance_m, params) >= params.sensitivity_dbm
 
 
-def max_range_m(params: ChannelParams) -> float:
+def max_range_m(params: ScenarioConfig) -> float:
     """Largest distance still receivable; closed-form inverse of path_loss_db."""
     budget_db = params.tx_power_dbm - params.sensitivity_dbm
     return (
@@ -70,12 +54,12 @@ def max_range_m(params: ChannelParams) -> float:
     )
 
 
-def airtime_s(size_bytes: int, mac: MacParams) -> float:
-    return (size_bytes + mac.overhead_bytes) * 8.0 / mac.rate_bps
+def airtime_s(size_bytes: int, config: ScenarioConfig) -> float:
+    return (size_bytes + config.mac_overhead_bytes) * 8.0 / config.mac_rate_bps
 
 
-def airtime_us(size_bytes: int, mac: MacParams) -> int:
-    return max(1, round(airtime_s(size_bytes, mac) * 1e6))
+def airtime_us(size_bytes: int, config: ScenarioConfig) -> int:
+    return max(1, round(airtime_s(size_bytes, config) * 1e6))
 
 
 class FrameKind(Enum):
@@ -95,7 +79,6 @@ class Frame:
     ttl: int = 16
     payload: object = None
     stream_idx: int | None = None
-    enqueue_time_us: int = 0
     tx_start_us: int = 0
     tx_end_us: int = 0
 
@@ -121,19 +104,17 @@ class Medium:
         self,
         engine: Engine,
         positions: list[Position],
-        channel: ChannelParams,
-        mac: MacParams,
+        config: ScenarioConfig,
         on_deliver: Callable[[int, Frame], None],
         on_unicast_lost: Callable[[Frame, str], None],
     ):
         self.engine = engine
         self.positions = positions  # mutated in place by the mobility handler
-        self.channel = channel
-        self.mac = mac
+        self.config = config
         self.on_deliver = on_deliver
         self.on_unicast_lost = on_unicast_lost
         self.rng = engine.rng_stream("mac")
-        self.range2 = max_range_m(channel) ** 2
+        self.range2 = max_range_m(config) ** 2
         self.states = [_MacState() for _ in positions]
         # Active transmissions: [sender_id, t_end_us], removed at arrival.
         self.active: list[list] = []
@@ -166,15 +147,14 @@ class Medium:
         self.neighbor_sets = [set(near) for near in neighbors]
 
     def _jitter(self) -> int:
-        return self.rng.randrange(self.mac.jitter_us + 1)
+        return self.rng.randrange(self.config.mac_jitter_us + 1)
 
     def enqueue(self, node_id: int, frame: Frame) -> bool:
         """FIFO admit; drop-tail above capacity with the drop counted."""
         st = self.states[node_id]
-        if len(st.queue) >= self.mac.queue_capacity:
+        if len(st.queue) >= self.config.queue_capacity:
             st.queue_drops += 1
             return False
-        frame.enqueue_time_us = self.engine.clock_us
         st.queue.append(frame)
         if not st.transmitting and not st.attempt_scheduled:
             st.attempt_scheduled = True
@@ -203,7 +183,7 @@ class Medium:
         frame = st.queue.popleft()
         st.transmitting = True
         st.current_frame = frame
-        t_end = now + airtime_us(frame.size_bytes, self.mac)
+        t_end = now + airtime_us(frame.size_bytes, self.config)
         frame.tx_start_us = now
         frame.tx_end_us = t_end
         if frame.kind is FrameKind.CONTROL:

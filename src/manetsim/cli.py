@@ -10,7 +10,7 @@ import sys
 import traceback
 from dataclasses import replace
 
-from .config import ConfigError, ScenarioConfig, load_scenario, validate
+from .config import PROTOCOLS, ConfigError, ScenarioConfig, load_scenario, validate
 from .experiment import (
     compare,
     default_seeds,
@@ -20,9 +20,8 @@ from .experiment import (
     write_csv,
 )
 
-DEFAULT_LAMBDA_VALUES = "0,0.3,0.6,0.9,1.0,1.1"
-DEFAULT_NODE_VALUES = "5,10,15,20,25"
-DEFAULT_STREAM_VALUES = "1,2,3"
+DEFAULT_SWEEP_VALUES = {"lambda": "0,0.3,0.6,0.9,1.0,1.1", "nodes": "5,10,15,20,25",
+                        "streams": "1,2,3"}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -30,7 +29,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="single master seed")
     sub.add_argument("--seeds", help="comma-separated master seeds (overrides --seed)")
     sub.add_argument("--out", default="-", help="output CSV path; '-' writes to stdout")
-    sub.add_argument("--protocol", choices=("batman", "golsr", "batmobile"))
+    sub.add_argument("--protocol", choices=PROTOCOLS)
     sub.add_argument("--balancing", choices=("on", "off"))
     sub.add_argument("--trace-pdr", metavar="DIR",
                      help="also write one windowed-PDR trace CSV per run into DIR")
@@ -104,15 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             rows = run_experiment(config, seeds, args.trace_pdr)
-        elif args.command == "sweep-lambda":
-            rows = sweep(config, "lambda", _parse_values(args, DEFAULT_LAMBDA_VALUES),
-                         seeds, args.trace_pdr)
-        elif args.command == "sweep-nodes":
-            rows = sweep(config, "nodes", _parse_values(args, DEFAULT_NODE_VALUES),
-                         seeds, args.trace_pdr)
-        elif args.command == "sweep-streams":
-            rows = sweep(config, "streams", _parse_values(args, DEFAULT_STREAM_VALUES),
-                         seeds, args.trace_pdr)
+        elif args.command.startswith("sweep-"):
+            parameter = args.command.removeprefix("sweep-")
+            values = _parse_values(args, DEFAULT_SWEEP_VALUES[parameter])
+            rows = sweep(config, parameter, values, seeds, args.trace_pdr)
         else:
             rows = compare(config, seeds)
             _print_compare_summary(rows)

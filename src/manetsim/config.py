@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .channel import ChannelParams, MacParams
 from .engine import us_from_s
 from .mobility import Area
 from .traffic import send_interval_us
@@ -78,22 +77,6 @@ class ScenarioConfig:
     def diagonal_m(self) -> float:
         return math.sqrt(self.area_x**2 + self.area_y**2 + self.area_z**2)
 
-    def channel_params(self) -> ChannelParams:
-        return ChannelParams(
-            tx_power_dbm=self.tx_power_dbm,
-            path_loss_exponent=self.path_loss_exponent,
-            frequency_hz=self.frequency_hz,
-            sensitivity_dbm=self.sensitivity_dbm,
-        )
-
-    def mac_params(self) -> MacParams:
-        return MacParams(
-            rate_bps=self.mac_rate_bps,
-            overhead_bytes=self.mac_overhead_bytes,
-            jitter_us=self.mac_jitter_us,
-            queue_capacity=self.queue_capacity,
-        )
-
     def canonical_items(self) -> list[tuple[str, str]]:
         return [(f.name, repr(getattr(self, f.name))) for f in fields(self)]
 
@@ -107,52 +90,30 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# (section, file key) -> (attribute, parser)
-_KEY_MAP: dict[tuple[str, str], tuple[str, object]] = {
-    ("scenario", "area_x"): ("area_x", float),
-    ("scenario", "area_y"): ("area_y", float),
-    ("scenario", "area_z"): ("area_z", float),
-    ("scenario", "nodes"): ("nodes", int),
-    ("scenario", "speed_mps"): ("speed_mps", float),
-    ("scenario", "sim_time_s"): ("sim_time_s", float),
-    ("scenario", "runs"): ("runs", int),
-    ("scenario", "lambda"): ("lambda_factor", float),
-    ("scenario", "protocol"): ("protocol", str),
-    ("scenario", "balancing"): ("balancing", _parse_bool),
-    ("scenario", "seed"): ("seed", int),
-    ("scenario", "streams"): ("streams", int),
-    ("scenario", "stream_start_s"): ("stream_start_s", float),
-    ("scenario", "bitrate_bps"): ("bitrate_bps", float),
-    ("scenario", "payload_bytes"): ("payload_bytes", int),
-    ("scenario", "window_s"): ("window_s", float),
-    ("scenario", "ttl"): ("ttl", int),
-    ("scenario", "exclude_prev_hop"): ("exclude_prev_hop", _parse_bool),
-    ("scenario", "ranking_expiry_s"): ("ranking_expiry_s", float),
-    ("channel", "tx_power_dbm"): ("tx_power_dbm", float),
-    ("channel", "path_loss_exponent"): ("path_loss_exponent", float),
-    ("channel", "frequency_hz"): ("frequency_hz", float),
-    ("channel", "sensitivity_dbm"): ("sensitivity_dbm", float),
-    ("mac", "rate_bps"): ("mac_rate_bps", float),
-    ("mac", "overhead_bytes"): ("mac_overhead_bytes", int),
-    ("mac", "jitter_us"): ("mac_jitter_us", int),
-    ("mac", "queue_capacity"): ("queue_capacity", int),
-    ("mac", "control_bytes"): ("control_bytes", int),
-    ("batman", "ogm_interval_s"): ("ogm_interval_s", float),
-    ("batman", "tq_window"): ("tq_window", int),
-    ("batman", "hop_penalty"): ("hop_penalty", float),
-    ("golsr", "hello_interval_s"): ("hello_interval_s", float),
-    ("golsr", "tc_interval_s"): ("tc_interval_s", float),
-    ("golsr", "geo_floor"): ("geo_floor", float),
-    ("batmobile", "ogm_interval_s"): ("ogm_interval_s", float),
-    ("batmobile", "score_buffer"): ("score_buffer", int),
-    ("batmobile", "mobility_update_s"): ("mobility_update_s", float),
-    ("batmobile", "fit_samples"): ("fit_samples", int),
-    ("batmobile", "prediction_steps"): ("prediction_steps", int),
-    ("batmobile", "prediction_weight"): ("prediction_weight", int),
-    ("batmobile", "trend_clamp"): ("trend_clamp", float),
+# Section -> the file keys it accepts. A key sets the ScenarioConfig field of
+# the same name unless _FIELD_OF_KEY renames it; the field's annotation picks
+# the parser.
+_SECTION_KEYS = {
+    "scenario": (
+        "area_x", "area_y", "area_z", "nodes", "speed_mps", "sim_time_s", "runs", "lambda",
+        "protocol", "balancing", "seed", "streams", "stream_start_s", "bitrate_bps",
+        "payload_bytes", "window_s", "ttl", "exclude_prev_hop", "ranking_expiry_s",
+    ),
+    "channel": ("tx_power_dbm", "path_loss_exponent", "frequency_hz", "sensitivity_dbm"),
+    "mac": ("rate_bps", "overhead_bytes", "jitter_us", "queue_capacity", "control_bytes"),
+    "batman": ("ogm_interval_s", "tq_window", "hop_penalty"),
+    "golsr": ("hello_interval_s", "tc_interval_s", "geo_floor"),
+    "batmobile": (
+        "ogm_interval_s", "score_buffer", "mobility_update_s", "fit_samples",
+        "prediction_steps", "prediction_weight", "trend_clamp",
+    ),
 }
-
-_SECTIONS = {section for section, _ in _KEY_MAP}
+_FIELD_OF_KEY = {"lambda": "lambda_factor", "rate_bps": "mac_rate_bps",
+                 "overhead_bytes": "mac_overhead_bytes", "jitter_us": "mac_jitter_us"}
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
+_KEYS = {(section, key): _FIELD_OF_KEY.get(key, key)
+         for section, keys in _SECTION_KEYS.items() for key in keys}
 
 
 def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -164,7 +125,7 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
+            if section not in _SECTION_KEYS:
                 raise ConfigError(f"{source}:{line_no}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -172,12 +133,11 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        mapping = _KEY_MAP.get((section, key))
-        if mapping is None:
+        attr = _KEYS.get((section, key))
+        if attr is None:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r} in section [{section}]")
-        attr, parser = mapping
         try:
-            overrides[attr] = parser(value)
+            overrides[attr] = _PARSERS[_FIELD_TYPES[attr]](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{line_no}: bad value for {key!r}: {exc}") from exc
     config = replace(ScenarioConfig(), **overrides)
@@ -194,6 +154,10 @@ def validate(config: ScenarioConfig) -> None:
     def fail(message: str) -> None:
         raise ConfigError(f"invalid scenario: {message}")
 
+    # First, so that no later check or run-time conversion sees inf or nan.
+    for name, kind in _FIELD_TYPES.items():
+        if kind == "float" and not math.isfinite(getattr(config, name)):
+            fail(f"{name} must be finite, got {getattr(config, name)}")
     if config.nodes < 2:
         fail(f"nodes must be >= 2, got {config.nodes}")
     if config.lambda_factor < 0:

@@ -38,14 +38,13 @@ class EventKind(Enum):
 class Event:
     """Queued event; (fire_time_us, seq) is the strict total order."""
 
-    __slots__ = ("fire_time_us", "seq", "kind", "payload", "cancelled")
+    __slots__ = ("fire_time_us", "seq", "kind", "payload")
 
     def __init__(self, fire_time_us: int, seq: int, kind: EventKind, payload: Any):
         self.fire_time_us = fire_time_us
         self.seq = seq
         self.kind = kind
         self.payload = payload
-        self.cancelled = False
 
 
 class SchedulingError(Exception):
@@ -101,13 +100,8 @@ class Engine:
         heapq.heappush(self._heap, (fire_time_us, seq, event))
         return event
 
-    @staticmethod
-    def cancel(event: Event) -> None:
-        # Tombstone; the entry is discarded when it reaches the top of the heap.
-        event.cancelled = True
-
     def run_until(self, t_end_us: int) -> int:
-        """Process every uncancelled event with fire_time <= t_end_us, in order.
+        """Process every event with fire_time <= t_end_us, in order.
 
         Returns the number of events processed; the clock always lands exactly
         on t_end_us even when the queue empties early.
@@ -116,8 +110,6 @@ class Engine:
         heap = self._heap
         while heap and heap[0][0] <= t_end_us:
             event = heapq.heappop(heap)[2]
-            if event.cancelled:
-                continue
             self.clock_us = event.fire_time_us
             if event.kind is EventKind.CALLBACK:
                 event.payload()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -103,6 +104,8 @@ def run_experiment(
 
 
 def _sweep_config(config: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
+    if not math.isfinite(value):
+        raise ConfigError(f"{parameter} sweep value must be finite, got {value}")
     if parameter == "lambda":
         if value < 0:
             raise ConfigError(f"lambda sweep value must be >= 0, got {value}")
@@ -170,34 +173,20 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
         fh.write(rows_to_csv_text(rows))
 
 
+# Inverse of _format_cell, keyed by ResultRow's field annotations.
+_PARSE_CELL = {"str": str, "bool": lambda cell: cell == "true", "int": int, "float": float}
+
+
 def parse_csv(path: str) -> list[ResultRow]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
-        rows = []
-        for record in reader:
-            named = dict(zip(CSV_COLUMNS, record))
-            rows.append(ResultRow(
-                scenario_id=named["scenario_id"],
-                protocol=named["protocol"],
-                balanced=named["balanced"] == "true",
-                lambda_factor=float(named["lambda"]),
-                nodes=int(named["nodes"]),
-                streams=int(named["streams"]),
-                seed=int(named["seed"]),
-                overall_pdr=float(named["overall_pdr"]),
-                mean_current_pdr=float(named["mean_current_pdr"]),
-                drop_collision=int(named["drop_collision"]),
-                drop_queue=int(named["drop_queue"]),
-                drop_no_route=int(named["drop_no_route"]),
-                drop_ttl=int(named["drop_ttl"]),
-                drop_link=int(named["drop_link"]),
-                control_messages=int(named["control_messages"]),
-                runtime_events=int(named["runtime_events"]),
-            ))
-    return rows
+        return [
+            ResultRow(*(_PARSE_CELL[f.type](cell) for f, cell in zip(fields(ResultRow), record)))
+            for record in reader
+        ]
 
 
 def write_pdr_trace(result: RunResult, path: str) -> None:

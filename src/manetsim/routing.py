@@ -9,8 +9,9 @@ Three metrics populate the per-destination neighbor rankings:
 * a mobility-aware path score multiplying per-link scores derived from
   current and predicted inter-node distances.
 
-All three flood their messages with per-(originator, seq) rebroadcast dedup;
-every received copy refreshes the ranking entry for the neighbor it came
+All three share one flooding process (FloodingProtocol) with per-(kind,
+originator) rebroadcast dedup and differ only in how they score a received
+copy. Every received copy refreshes the ranking entry for the neighbor it came
 through, which is what gives each node more than one candidate forwarder per
 destination.
 """
@@ -43,7 +44,6 @@ class ControlMessage:
     carried_score: float = 1.0
     originator_position: Position | None = None
     sender_predicted: Position | None = None
-    neighbors: tuple[int, ...] = ()
 
 
 class TQWindow:
@@ -69,10 +69,6 @@ class TQWindow:
 
     def quality(self) -> float:
         return self.bits.bit_count() / self.length
-
-
-def tq_link_quality(window: TQWindow) -> float:
-    return window.quality()
 
 
 def tq_path_score(link_qualities: list[float], hop_penalty: float = 0.95) -> float:
@@ -225,9 +221,6 @@ class NeighborRanking:
             return None
         return max(live.items(), key=lambda kv: (kv[1], -kv[0]))[0]
 
-    def current_neighbors(self, now_us: int) -> list[int]:
-        return sorted(n for n, t in self.last_heard.items() if now_us - t <= self.expiry_us)
-
 
 @dataclass(slots=True)
 class RouterState:
@@ -255,136 +248,101 @@ class RouterState:
         return True
 
 
-class BatmanProtocol:
-    """Originator-message flooding with windowed link quality and hop penalty."""
+class FloodingProtocol:
+    """One flooding process shared by every metric.
 
-    name = "batman"
+    It owns sequence numbers, the per-(kind, originator) rebroadcast dedup,
+    the own-echo check, the ranking update and the rebroadcast stamp. A metric
+    supplies only ``emission_plan``, the (kind, interval_us) pairs every node
+    emits on; ``flooded_kinds``, the kinds a receiver rebroadcasts; ``score``,
+    how a received copy is scored; and ``hop_penalty``, the factor a forwarder
+    applies to the score it carries on.
+    """
 
-    def __init__(self, ogm_interval_us: int, tq_window_len: int = 8, hop_penalty: float = 0.95):
-        self.ogm_interval_us = ogm_interval_us
-        self.tq_window_len = tq_window_len
-        self.hop_penalty = hop_penalty
-
-    def emission_plan(self) -> list[tuple[ControlKind, int]]:
-        return [(ControlKind.OGM, self.ogm_interval_us)]
+    emission_plan: list[tuple[ControlKind, int]]
+    flooded_kinds = frozenset({ControlKind.OGM})
+    hop_penalty = 1.0
 
     def emit(self, state: RouterState, node_id: int, own_pos: Position,
              own_pred: Position | None, kind: ControlKind, now_us: int) -> ControlMessage:
         seq = state.next_seq(kind)
         state.mark_forwarded(kind, node_id, seq)  # never re-flood an echo of our own message
-        return ControlMessage(kind=kind, originator=node_id, seq=seq, sender_position=own_pos)
+        return ControlMessage(
+            kind=kind, originator=node_id, seq=seq, sender_position=own_pos,
+            originator_position=own_pos, sender_predicted=own_pred,
+        )
 
     def receive(self, state: RouterState, node_id: int, msg: ControlMessage, prev_hop: int,
                 own_pos: Position, own_pred: Position | None,
                 now_us: int) -> ControlMessage | None:
-        if msg.originator == prev_hop:
-            window = state.tq_windows.get(prev_hop)
-            if window is None:
-                window = state.tq_windows[prev_hop] = TQWindow(self.tq_window_len)
-            window.update(msg.seq)
         if msg.originator == node_id:
             return None
-        window = state.tq_windows.get(prev_hop)
-        link = window.quality() if window is not None else 0.0
-        score = link * msg.carried_score
+        score = self.score(state, msg, prev_hop, own_pos, own_pred, now_us)
         state.ranking.update(msg.originator, prev_hop, score, now_us)
-        if score > 0.0 and state.mark_forwarded(msg.kind, msg.originator, msg.seq):
+        if (score > 0.0 and msg.kind in self.flooded_kinds
+                and state.mark_forwarded(msg.kind, msg.originator, msg.seq)):
             # Forwarders stamp their own score; the per-hop penalty is folded in
             # here so every receiver applies the identical rule.
             return ControlMessage(
                 kind=msg.kind, originator=msg.originator, seq=msg.seq,
                 sender_position=own_pos, hops=msg.hops + 1,
                 carried_score=score * self.hop_penalty,
+                originator_position=msg.originator_position, sender_predicted=own_pred,
             )
         return None
 
 
-class GeoOlsrProtocol:
+class BatmanProtocol(FloodingProtocol):
+    """Originator-message flooding with windowed link quality and hop penalty."""
+
+    def __init__(self, ogm_interval_us: int, tq_window_len: int = 8, hop_penalty: float = 0.95):
+        self.emission_plan = [(ControlKind.OGM, ogm_interval_us)]
+        self.tq_window_len = tq_window_len
+        self.hop_penalty = hop_penalty
+
+    def score(self, state, msg, prev_hop, own_pos, own_pred, now_us) -> float:
+        """TQ window of the neighbor the copy came through, times the carried score."""
+        window = state.tq_windows.get(prev_hop)
+        if msg.originator == prev_hop:
+            if window is None:
+                window = state.tq_windows[prev_hop] = TQWindow(self.tq_window_len)
+            window.update(msg.seq)
+        return (window.quality() if window is not None else 0.0) * msg.carried_score
+
+
+class GeoOlsrProtocol(FloodingProtocol):
     """Hello/topology-control flooding scored by forwarder-to-destination distance."""
 
-    name = "golsr"
+    flooded_kinds = frozenset({ControlKind.TC})
 
     def __init__(self, hello_interval_us: int, tc_interval_us: int,
                  diagonal_m: float, floor: float = 1e-6):
-        self.hello_interval_us = hello_interval_us
-        self.tc_interval_us = tc_interval_us
+        self.emission_plan = [(ControlKind.HELLO, hello_interval_us),
+                              (ControlKind.TC, tc_interval_us)]
         self.diagonal_m = diagonal_m
         self.floor = floor
 
-    def emission_plan(self) -> list[tuple[ControlKind, int]]:
-        return [(ControlKind.HELLO, self.hello_interval_us), (ControlKind.TC, self.tc_interval_us)]
-
-    def emit(self, state: RouterState, node_id: int, own_pos: Position,
-             own_pred: Position | None, kind: ControlKind, now_us: int) -> ControlMessage:
-        seq = state.next_seq(kind)
-        state.mark_forwarded(kind, node_id, seq)
-        return ControlMessage(
-            kind=kind, originator=node_id, seq=seq, sender_position=own_pos,
-            originator_position=own_pos,
-            neighbors=tuple(state.ranking.current_neighbors(now_us)),
-        )
-
-    def receive(self, state: RouterState, node_id: int, msg: ControlMessage, prev_hop: int,
-                own_pos: Position, own_pred: Position | None,
-                now_us: int) -> ControlMessage | None:
-        if msg.originator == node_id:
-            return None
-        score = geo_score(msg.sender_position, msg.originator_position, self.diagonal_m, self.floor)
-        state.ranking.update(msg.originator, prev_hop, score, now_us)
-        if msg.kind is ControlKind.TC and state.mark_forwarded(msg.kind, msg.originator, msg.seq):
-            return ControlMessage(
-                kind=msg.kind, originator=msg.originator, seq=msg.seq,
-                sender_position=own_pos, hops=msg.hops + 1,
-                originator_position=msg.originator_position,
-            )
-        return None
+    def score(self, state, msg, prev_hop, own_pos, own_pred, now_us) -> float:
+        """Distance from the last forwarder to the originator; never below the floor."""
+        return geo_score(msg.sender_position, msg.originator_position, self.diagonal_m, self.floor)
 
 
-class BatmobileProtocol:
+class BatmobileProtocol(FloodingProtocol):
     """Originator-message flooding scored by current plus predicted link distances."""
 
-    name = "batmobile"
-
     def __init__(self, ogm_interval_us: int, comm_range_m: float,
-                 prediction_weight: int = 7, weight_scale: int = 8,
-                 trend: ScoreTrend | None = None):
-        self.ogm_interval_us = ogm_interval_us
+                 prediction_weight: int = 7, weight_scale: int = 8):
+        self.emission_plan = [(ControlKind.OGM, ogm_interval_us)]
         self.comm_range_m = comm_range_m
         self.prediction_weight = prediction_weight
         self.weight_scale = weight_scale
-        self.trend = trend
 
-    def emission_plan(self) -> list[tuple[ControlKind, int]]:
-        return [(ControlKind.OGM, self.ogm_interval_us)]
-
-    def emit(self, state: RouterState, node_id: int, own_pos: Position,
-             own_pred: Position | None, kind: ControlKind, now_us: int) -> ControlMessage:
-        seq = state.next_seq(kind)
-        state.mark_forwarded(kind, node_id, seq)
-        return ControlMessage(
-            kind=kind, originator=node_id, seq=seq, sender_position=own_pos,
-            sender_predicted=own_pred,
-        )
-
-    def receive(self, state: RouterState, node_id: int, msg: ControlMessage, prev_hop: int,
-                own_pos: Position, own_pred: Position | None,
-                now_us: int) -> ControlMessage | None:
-        if msg.originator == node_id:
-            return None
-        link = pathscore_link(
+    def score(self, state, msg, prev_hop, own_pos, own_pred, now_us) -> float:
+        """Link score times the carried score, admitted through the node's trend clamp."""
+        raw = pathscore_link(
             own_pos, own_pred, msg.sender_position, msg.sender_predicted,
             self.comm_range_m, self.prediction_weight, self.weight_scale,
-        )
-        raw = link * msg.carried_score
-        if state.trend is not None:
-            score = state.trend.admit(msg.originator, prev_hop, raw, now_us)
-        else:
-            score = raw
-        state.ranking.update(msg.originator, prev_hop, score, now_us)
-        if score > 0.0 and state.mark_forwarded(msg.kind, msg.originator, msg.seq):
-            return ControlMessage(
-                kind=msg.kind, originator=msg.originator, seq=msg.seq,
-                sender_position=own_pos, hops=msg.hops + 1,
-                carried_score=score, sender_predicted=own_pred,
-            )
-        return None
+        ) * msg.carried_score
+        if state.trend is None:
+            return raw
+        return state.trend.admit(msg.originator, prev_hop, raw, now_us)

@@ -51,7 +51,7 @@ def build_protocol(config: ScenarioConfig):
     if config.protocol == "batmobile":
         return BatmobileProtocol(
             ogm_interval_us=us_from_s(config.ogm_interval_s),
-            comm_range_m=max_range_m(config.channel_params()),
+            comm_range_m=max_range_m(config),
             prediction_weight=config.prediction_weight,
             weight_scale=config.score_buffer,
         )
@@ -139,8 +139,7 @@ class Simulation:
         self.medium = Medium(
             self.engine,
             self.positions,
-            config.channel_params(),
-            config.mac_params(),
+            config,
             self._on_frame_delivered,
             self._on_unicast_lost,
         )
@@ -166,7 +165,7 @@ class Simulation:
         engine.on(EventKind.STREAM_SEND, self._on_stream_send)
         engine.schedule(self.tick_us, EventKind.MOBILITY_TICK)
         for node in range(config.nodes):
-            for kind, interval_us in self.protocol.emission_plan():
+            for kind, interval_us in self.protocol.emission_plan:
                 phase = control_rng.randrange(interval_us)
                 engine.schedule(phase, EventKind.CONTROL_EMIT, (node, kind, interval_us))
         for idx, spec in enumerate(self.streams):

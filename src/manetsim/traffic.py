@@ -97,10 +97,6 @@ class StreamStats:
     def total_drops(self) -> int:
         return sum(self.drops.values())
 
-    @property
-    def in_flight(self) -> int:
-        return self.sent - self.received - self.total_drops
-
 
 def current_pdr(stats: StreamStats, window_idx: int) -> float | None:
     """Windowed PDR; None (absent sample) when nothing was sent in the window."""

@@ -167,7 +167,7 @@ def test_criterion_04_round_robin_fairness():
 # -- criterion 5: channel oracle ----------------------------------------------
 
 def test_criterion_05_channel_range_oracle():
-    params = ScenarioConfig().channel_params()
+    params = ScenarioConfig()
 
     def margin(d):
         loss = 10 * params.path_loss_exponent * math.log10(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from manetsim.balancer import (
     DropReason,
     RRState,
-    next_forwarder,
     plain_forward,
     postrouting_hook,
     schedulable_set,
@@ -60,7 +59,7 @@ def test_exclusion_of_only_candidate_falls_back_unconditionally():
 def test_empty_ranking_signals_no_route():
     sset = schedulable_set(NeighborRanking(), 9, 0.9, 0)
     assert sset.members == ()
-    assert next_forwarder(RRState(), sset) is None
+    assert RRState().take(sset) is None
 
 
 def test_phi_max_computed_before_exclusion():
@@ -128,13 +127,13 @@ def test_best_forwarder_contained_unless_excluded(scores, likelihood):
 def test_round_robin_rotation():
     rr = RRState()
     sset = schedulable_set(make_ranking({1: 1.0, 5: 1.0}), 9, 1.0, 0)
-    assert [next_forwarder(rr, sset) for _ in range(4)] == [1, 5, 1, 5]
+    assert [rr.take(sset) for _ in range(4)] == [1, 5, 1, 5]
 
 
 def test_round_robin_singleton():
     rr = RRState()
     sset = schedulable_set(make_ranking({5: 0.7}), 9, 0.9, 0)
-    assert [next_forwarder(rr, sset) for _ in range(3)] == [5, 5, 5]
+    assert [rr.take(sset) for _ in range(3)] == [5, 5, 5]
 
 
 def test_round_robin_fairness_bound():
@@ -142,19 +141,19 @@ def test_round_robin_fairness_bound():
     sset = schedulable_set(make_ranking({1: 1.0, 5: 1.0, 7: 1.0}), 9, 0.9, 0)
     counts = {1: 0, 5: 0, 7: 0}
     for _ in range(100):
-        counts[next_forwarder(rr, sset)] += 1
+        counts[rr.take(sset)] += 1
     assert max(counts.values()) - min(counts.values()) <= 1
 
 
 def test_cursor_resets_on_membership_change():
     rr = RRState()
     wide = schedulable_set(make_ranking({1: 1.0, 5: 1.0}), 9, 1.0, 0)
-    assert next_forwarder(rr, wide) == 1
-    assert next_forwarder(rr, wide) == 5
+    assert rr.take(wide) == 1
+    assert rr.take(wide) == 5
     narrow = schedulable_set(make_ranking({1: 1.0, 5: 0.5}), 9, 1.0, 0)
-    assert next_forwarder(rr, narrow) == 1
+    assert rr.take(narrow) == 1
     wide2 = schedulable_set(make_ranking({1: 1.0, 5: 1.0}), 9, 1.0, 0)
-    assert next_forwarder(rr, wide2) == 1  # reset, not resumed
+    assert rr.take(wide2) == 1  # reset, not resumed
 
 
 @given(st.lists(st.sampled_from(["ab", "abc", "a", "bc"]), min_size=1, max_size=40))
@@ -166,7 +165,7 @@ def test_fairness_holds_piecewise_under_membership_churn(pattern):
     for token in pattern:
         scores = {name_to_id[ch]: 1.0 for ch in token}
         sset = schedulable_set(make_ranking(scores), 9, 1.0, 0)
-        dispatch.append((sset.members, next_forwarder(rr, sset)))
+        dispatch.append((sset.members, rr.take(sset)))
     # audit per maximal interval of constant membership
     idx = 0
     while idx < len(dispatch):

@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manetsim.channel import (
-    ChannelParams,
     Frame,
     FrameKind,
-    MacParams,
     Medium,
     airtime_s,
     airtime_us,
@@ -20,11 +18,10 @@ from manetsim.config import ScenarioConfig
 from manetsim.engine import Engine, us_from_s
 from manetsim.simulation import Simulation
 
-PARAMS = ChannelParams()
-MAC = MacParams()
+PARAMS = ScenarioConfig()
 
 
-def bisect_max_range(params: ChannelParams) -> float:
+def bisect_max_range(params: ScenarioConfig) -> float:
     """Independent root-finder over the stated link budget equation."""
 
     def margin(d):
@@ -84,30 +81,29 @@ def test_reception_threshold_monotone(d1, d2):
 
 
 def test_airtime_reference_values():
-    assert airtime_s(1460, MAC) == pytest.approx(508e-6, abs=1e-12)
-    assert airtime_us(1460, MAC) == 508
-    assert airtime_s(64, MAC) == pytest.approx(42.7e-6, abs=0.1e-6)
+    assert airtime_s(1460, PARAMS) == pytest.approx(508e-6, abs=1e-12)
+    assert airtime_us(1460, PARAMS) == 508
+    assert airtime_s(64, PARAMS) == pytest.approx(42.7e-6, abs=0.1e-6)
 
 
 def test_airtime_linear_in_size():
-    base = airtime_s(0, MAC)
-    slope = (airtime_s(300, MAC) - airtime_s(200, MAC)) / 100
+    base = airtime_s(0, PARAMS)
+    slope = (airtime_s(300, PARAMS) - airtime_s(200, PARAMS)) / 100
     for size in (10, 100, 1000, 1460):
-        assert airtime_s(size, MAC) == pytest.approx(base + slope * size, rel=1e-12)
+        assert airtime_s(size, PARAMS) == pytest.approx(base + slope * size, rel=1e-12)
 
 
 class Harness:
     """Static-position medium with delivery/loss collectors."""
 
-    def __init__(self, positions, mac=MAC, channel=PARAMS, seed=0):
+    def __init__(self, positions, config=PARAMS, seed=0):
         self.engine = Engine(master_seed=seed)
         self.delivered = []
         self.lost = []
         self.medium = Medium(
             self.engine,
             list(positions),
-            channel,
-            mac,
+            config,
             on_deliver=lambda node, frame: self.delivered.append((node, frame)),
             on_unicast_lost=lambda frame, cause: self.lost.append((frame, cause)),
         )
@@ -147,8 +143,8 @@ def test_out_of_range_receiver_never_delivered():
 def test_overlapping_receptions_destroy_both():
     # Hidden terminals: 0 and 2 cannot hear each other (110 m apart) but both
     # reach node 1 in the middle; zero jitter forces the overlap.
-    mac = MacParams(jitter_us=0)
-    h = Harness([(0.0, 0.0, 0.0), (55.0, 0.0, 0.0), (110.0, 0.0, 0.0)], mac=mac)
+    config = ScenarioConfig(mac_jitter_us=0)
+    h = Harness([(0.0, 0.0, 0.0), (55.0, 0.0, 0.0), (110.0, 0.0, 0.0)], config=config)
     h.send(0, data_frame(0, 1))
     h.send(2, data_frame(2, 1))
     h.run()
@@ -176,8 +172,8 @@ def test_broadcast_reaches_every_node_in_range():
 
 
 def test_queue_capacity_and_fifo_order():
-    mac = MacParams(queue_capacity=50)
-    h = Harness([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0)], mac=mac)
+    config = ScenarioConfig(queue_capacity=50)
+    h = Harness([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0)], config=config)
     frames = [Frame(kind=FrameKind.DATA, src=0, dst=1, size_bytes=100,
                     prev_hop=0, next_hop=1, packet_id=i) for i in range(52)]
     accepted = [h.send(0, f) for f in frames]

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import manetsim
 from manetsim.cli import main
 from manetsim.experiment import CSV_COLUMNS
@@ -90,6 +92,22 @@ def test_sweep_nodes_invalid_value_is_config_error(capsys, tmp_path):
         "--values", "3.5", "--seeds", "1")
     assert code == 1
     assert "integer" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_sweep_nodes_non_finite_value_is_config_error(capsys, tmp_path, value):
+    code, _, err = run_cli(
+        capsys, "sweep-nodes", "--config", fast_config(tmp_path),
+        "--values", value, "--seeds", "1")
+    assert code == 1
+    assert "finite" in err
+
+
+def test_non_finite_config_value_is_config_error(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "run", "--config", fast_config(tmp_path, "[batman]\nogm_interval_s = inf\n"))
+    assert code == 1
+    assert "configuration error" in err and "ogm_interval_s must be finite" in err
 
 
 def test_compare_emits_paired_rows_and_summary(capsys, tmp_path):

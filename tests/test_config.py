@@ -1,5 +1,11 @@
+import math
+import pathlib
+import re
+from dataclasses import fields, replace
+
 import pytest
 
+from manetsim import config as config_module
 from manetsim.config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text, validate
 from manetsim.simulation import simulate
 
@@ -136,17 +142,99 @@ def test_validate_accepts_defaults():
     validate(ScenarioConfig())
 
 
-def test_readme_config_block_matches_defaults():
-    # the README documents the full default scenario; keep it honest
-    import pathlib
-    import re
-
+def readme_config_block() -> str:
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     match = re.search(r"^    \[scenario\]\n(?:^(?:    .*)?\n)*?^    trend_clamp = .*$",
                       readme, re.MULTILINE)
     assert match, "README default-config block not found"
-    block = "\n".join(line[4:] for line in match.group(0).splitlines())
-    assert parse_scenario_text(block) == ScenarioConfig()
+    return "\n".join(line[4:] for line in match.group(0).splitlines())
+
+
+def test_readme_config_block_matches_defaults():
+    # the README documents the full default scenario; keep it honest
+    assert parse_scenario_text(readme_config_block()) == ScenarioConfig()
+
+
+def readme_keys() -> list[tuple[str, str, str]]:
+    """(section, key, literal) for every key line of the README default block."""
+    entries, section = [], None
+    for line in readme_config_block().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            key, _, literal = line.partition("=")
+            entries.append((section, key.strip(), literal.strip()))
+    return entries
+
+
+# The four file keys whose field has another name; every other key names its field.
+RENAMED = {
+    ("scenario", "lambda"): "lambda_factor",
+    ("mac", "rate_bps"): "mac_rate_bps",
+    ("mac", "overhead_bytes"): "mac_overhead_bytes",
+    ("mac", "jitter_us"): "mac_jitter_us",
+}
+
+
+def changed_literal(literal: str) -> tuple[str, str]:
+    """A valid value other than the README default, and the type it must parse to."""
+    if literal in ("true", "false"):
+        return ("false" if literal == "true" else "true"), "bool"
+    if literal.isidentifier():
+        return "golsr", "str"
+    if re.fullmatch(r"-?\d+", literal):
+        value = int(literal)
+        return str(value - 1 if value > 1 else value + 1), "int"
+    return repr(math.nextafter(float(literal), 0.0)), "float"
+
+
+def test_readme_lists_every_accepted_key_once():
+    pairs = [(section, key) for section, key, _ in readme_keys()]
+    assert len(pairs) == len(set(pairs)) == 41
+    assert set(pairs) == set(config_module._KEYS)
+
+
+@pytest.mark.parametrize("section, key, literal", readme_keys())
+def test_each_key_sets_one_field_with_its_annotated_type(section, key, literal):
+    text, kind = changed_literal(literal)
+    config = parse_scenario_text(f"[{section}]\n{key} = {text}\n")
+    default = ScenarioConfig()
+    changed = [f for f in fields(config) if getattr(config, f.name) != getattr(default, f.name)]
+    assert [f.name for f in changed] == [RENAMED.get((section, key), key)]
+    assert changed[0].type == kind
+    assert type(getattr(config, changed[0].name)).__name__ == kind
+
+
+@pytest.mark.parametrize("text", [
+    "lambda_factor = 0.5\n",  # the field name is not a file key
+    "rate_bps = 1e6\n",  # a [mac] key outside its section
+    "[mac]\nmac_rate_bps = 1e6\n",
+    "[channel]\nnodes = 5\n",
+])
+def test_keys_outside_their_section_rejected(text):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("text, name", [
+    ("speed_mps = inf\n", "speed_mps"),  # if accepted, the run never ends
+    ("[batman]\nogm_interval_s = inf\n", "ogm_interval_s"),  # overflows the us check
+    ("sim_time_s = inf\n", "sim_time_s"),  # overflows in Simulation
+    ("ranking_expiry_s = inf\n", "ranking_expiry_s"),
+    ("area_x = nan\n", "area_x"),  # runs silently with PDR 0
+    ("lambda = nan\n", "lambda_factor"),
+    ("[channel]\ntx_power_dbm = nan\n", "tx_power_dbm"),
+    ("[batmobile]\ntrend_clamp = nan\n", "trend_clamp"),
+    ("[golsr]\ngeo_floor = nan\n", "geo_floor"),
+    ("bitrate_bps = -inf\n", "bitrate_bps"),
+])
+def test_non_finite_floats_rejected(text, name):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        parse_scenario_text(text)
+    value = float(text.partition("=")[2])
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        validate(replace(ScenarioConfig(), **{name: value}))
 
 
 @pytest.mark.parametrize("text, name", [

@@ -49,17 +49,6 @@ def test_run_until_empty_queue_advances_clock():
     assert engine.clock_us == us_from_s(600.0)
 
 
-def test_cancellation_skips_event():
-    engine = Engine()
-    fired = []
-    keep = engine.schedule(100, EventKind.CALLBACK, lambda: fired.append("keep"))
-    drop = engine.schedule(200, EventKind.CALLBACK, lambda: fired.append("drop"))
-    Engine.cancel(drop)
-    count = engine.run_until(1_000)
-    assert fired == ["keep"]
-    assert count == 1
-
-
 def test_replay_determinism():
     def run_once():
         engine = Engine(master_seed=42, record_log=True)
