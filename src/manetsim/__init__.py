@@ -6,11 +6,11 @@ from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_t
 from .engine import Engine, EventKind, SchedulingError, us_from_s
 from .mobility import Area, MobilityHistory, MobilityState, predict_position, step_waypoint
 from .routing import NeighborRanking, geo_score, pathscore_link, pathscore_path, tq_path_score
-from .simulation import RunResult, Simulation, simulate
+from .simulation import Decision, RunResult, Simulation, simulate
 from .traffic import StreamSpec, StreamStats, confidence_interval, current_pdr, overall_pdr
 
 __all__ = [
-    "Area", "ConfigError", "DropReason", "Engine", "EventKind",
+    "Area", "ConfigError", "Decision", "DropReason", "Engine", "EventKind",
     "Frame", "FrameKind", "MobilityHistory", "MobilityState",
     "NeighborRanking", "RRState", "RunResult", "ScenarioConfig", "SchedulableSet",
     "SchedulingError", "Simulation", "StreamSpec", "StreamStats",

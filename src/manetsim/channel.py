@@ -79,8 +79,6 @@ class Frame:
     ttl: int = 16
     payload: object = None
     stream_idx: int | None = None
-    tx_start_us: int = 0
-    tx_end_us: int = 0
 
 
 class _MacState:
@@ -163,8 +161,7 @@ class Medium:
             )
         return True
 
-    def _on_attempt(self, event) -> None:
-        node_id = event.payload
+    def _on_attempt(self, node_id: int) -> None:
         st = self.states[node_id]
         st.attempt_scheduled = False
         if st.transmitting or not st.queue:
@@ -184,8 +181,6 @@ class Medium:
         st.transmitting = True
         st.current_frame = frame
         t_end = now + airtime_us(frame.size_bytes, self.config)
-        frame.tx_start_us = now
-        frame.tx_end_us = t_end
         if frame.kind is FrameKind.CONTROL:
             self.control_tx += 1
         else:
@@ -207,8 +202,8 @@ class Medium:
         self.active.append(entry)
         self.engine.schedule(t_end, EventKind.PACKET_ARRIVAL, (node_id, frame, recs, entry))
 
-    def _on_arrival(self, event) -> None:
-        node_id, frame, recs, entry = event.payload
+    def _on_arrival(self, payload: tuple) -> None:
+        node_id, frame, recs, entry = payload
         self.active.remove(entry)
         st = self.states[node_id]
         st.transmitting = False

@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
             values = _parse_values(args, DEFAULT_SWEEP_VALUES[parameter])
             rows = sweep(config, parameter, values, seeds, args.trace_pdr)
         else:
-            rows = compare(config, seeds)
+            rows = compare(config, seeds, args.trace_pdr)
             _print_compare_summary(rows)
         _emit(rows, args)
     except ConfigError as exc:

@@ -169,6 +169,12 @@ def validate(config: ScenarioConfig) -> None:
                  "mac_rate_bps", "ranking_expiry_s"):
         if getattr(config, name) <= 0:
             fail(f"{name} must be positive, got {getattr(config, name)}")
+    # Mobility and the medium square coordinate differences; past this size
+    # the squares overflow a float.
+    if not math.isfinite(config.area_x * config.area_x + config.area_y * config.area_y
+                         + config.area_z * config.area_z):
+        fail(f"area {config.area_x} x {config.area_y} x {config.area_z} m is too large: "
+             "its squared diagonal overflows a float")
     # The engine clock counts whole microseconds: a period that rounds to 0 us
     # would reschedule at one timestamp forever or divide by zero mid-run.
     for name in ("window_s", "ogm_interval_s", "hello_interval_s", "tc_interval_s",
@@ -177,6 +183,13 @@ def validate(config: ScenarioConfig) -> None:
             fail(f"{name} must be at least 1 us, got {getattr(config, name)}")
     if config.speed_mps < 0:
         fail("speed_mps must be >= 0")
+    # A waypoint step spends its travel budget leg by leg; a budget too large
+    # next to the legs is not reduced by subtracting one, and the step never ends.
+    travel_m = config.speed_mps * config.mobility_update_s
+    if travel_m > config.diagonal_m():
+        fail(f"speed_mps {config.speed_mps} covers {travel_m:g} m per "
+             f"{config.mobility_update_s} s mobility tick, more than the "
+             f"{config.diagonal_m():g} m area diagonal")
     if config.streams < 1:
         fail("streams must be >= 1")
     if 2 * config.streams > config.nodes:
@@ -185,7 +198,11 @@ def validate(config: ScenarioConfig) -> None:
         fail("stream_start_s must lie inside the simulated interval")
     if not 0 < config.payload_bytes <= 1460:
         fail(f"payload_bytes must be in (0, 1460], got {config.payload_bytes}")
-    if send_interval_us(config.payload_bytes, config.bitrate_bps) < 1:
+    try:
+        interval_us = send_interval_us(config.payload_bytes, config.bitrate_bps)
+    except OverflowError:
+        fail(f"bitrate_bps {config.bitrate_bps} sends packets too far apart for the us clock")
+    if interval_us < 1:
         fail(f"bitrate_bps {config.bitrate_bps} sends {config.payload_bytes}-byte packets "
              "less than 1 us apart")
     if config.runs < 1:

@@ -6,6 +6,7 @@ import hashlib
 import heapq
 import random
 from enum import Enum
+from operator import call
 from typing import Any, Callable
 
 # Queue keys are integer microseconds so event ordering is exact and
@@ -35,18 +36,6 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
-class Event:
-    """Queued event; (fire_time_us, seq) is the strict total order."""
-
-    __slots__ = ("fire_time_us", "seq", "kind", "payload")
-
-    def __init__(self, fire_time_us: int, seq: int, kind: EventKind, payload: Any):
-        self.fire_time_us = fire_time_us
-        self.seq = seq
-        self.kind = kind
-        self.payload = payload
-
-
 class SchedulingError(Exception):
     """Event scheduled in the past; indicates a logic bug, not a runtime condition."""
 
@@ -61,18 +50,19 @@ class Engine:
     """Single-threaded event loop. Not shareable across threads mid-run; parallel
     experiments use independent Engine instances."""
 
-    def __init__(self, master_seed: int = 0, record_log: bool = False):
+    def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self.clock_us = 0
-        # (fire_time_us, seq, event): seq is unique, so heapq orders entries by
-        # comparing two ints in C and never reaches the event itself.
-        self._heap: list[tuple[int, int, Event]] = []
+        # (fire_time_us, seq, kind, payload): seq is unique, so heapq orders
+        # entries by comparing two ints in C and never reaches the kind.
+        self._heap: list[tuple[int, int, EventKind, Any]] = []
         self._seq = 0
-        self._handlers: dict[EventKind, Callable[[Event], None]] = {}
+        # A CALLBACK's payload is the zero-argument callable to run. It is set
+        # here, not through on(), so that code wrapping on() (perfbench's
+        # tracer) sees only the handlers the simulator registers.
+        self._handlers: dict[EventKind, Callable[[Any], None]] = {EventKind.CALLBACK: call}
         self._streams: dict[str, random.Random] = {}
         self.processed = 0
-        # Optional (time, seq, kind) trace used by replay/determinism checks.
-        self.log: list[tuple[int, int, str]] | None = [] if record_log else None
 
     def rng_stream(self, name: str) -> random.Random:
         """Named RNG stream; identical (name, master_seed) yields identical draws.
@@ -86,19 +76,18 @@ class Engine:
             self._streams[name] = random.Random(stream_seed(self.master_seed, name))
         return self._streams[name]
 
-    def on(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
+    def on(self, kind: EventKind, handler: Callable[[Any], None]) -> None:
+        """Run ``handler(payload)`` for every event of ``kind``."""
         self._handlers[kind] = handler
 
-    def schedule(self, fire_time_us: int, kind: EventKind, payload: Any = None) -> Event:
+    def schedule(self, fire_time_us: int, kind: EventKind, payload: Any = None) -> None:
         if fire_time_us < self.clock_us:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at {fire_time_us} us; clock is {self.clock_us} us"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(fire_time_us, seq, kind, payload)
-        heapq.heappush(self._heap, (fire_time_us, seq, event))
-        return event
+        heapq.heappush(self._heap, (fire_time_us, seq, kind, payload))
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with fire_time <= t_end_us, in order.
@@ -108,15 +97,10 @@ class Engine:
         """
         count = 0
         heap = self._heap
+        handlers = self._handlers
         while heap and heap[0][0] <= t_end_us:
-            event = heapq.heappop(heap)[2]
-            self.clock_us = event.fire_time_us
-            if event.kind is EventKind.CALLBACK:
-                event.payload()
-            else:
-                self._handlers[event.kind](event)
-            if self.log is not None:
-                self.log.append((event.fire_time_us, event.seq, event.kind.value))
+            self.clock_us, _, kind, payload = heapq.heappop(heap)
+            handlers[kind](payload)
             count += 1
         self.clock_us = max(self.clock_us, t_end_us)
         self.processed += count

@@ -84,6 +84,17 @@ def default_seeds(config: ScenarioConfig) -> list[int]:
     return [config.seed + i for i in range(config.runs)]
 
 
+def _run(config: ScenarioConfig, seed: int, trace_dir: str | None) -> ResultRow:
+    """One complete simulation; its windowed-PDR trace goes into trace_dir if given."""
+    result = simulate(config, seed)
+    if trace_dir is not None:
+        write_pdr_trace(
+            result,
+            os.path.join(trace_dir, f"trace_{scenario_id(config)}_{seed}.csv"),
+        )
+    return result_row(config, result)
+
+
 def run_experiment(
     config: ScenarioConfig,
     seeds: list[int],
@@ -91,16 +102,7 @@ def run_experiment(
 ) -> list[ResultRow]:
     """One complete simulation per seed, rows in seed order."""
     validate(config)
-    rows = []
-    for seed in seeds:
-        result = simulate(config, seed)
-        rows.append(result_row(config, result))
-        if trace_dir is not None:
-            write_pdr_trace(
-                result,
-                os.path.join(trace_dir, f"trace_{scenario_id(config)}_{seed}.csv"),
-            )
-    return rows
+    return [_run(config, seed, trace_dir) for seed in seeds]
 
 
 def _sweep_config(config: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
@@ -139,16 +141,16 @@ def sweep(
     return rows
 
 
-def compare(config: ScenarioConfig, seeds: list[int]) -> list[ResultRow]:
+def compare(
+    config: ScenarioConfig,
+    seeds: list[int],
+    trace_dir: str | None = None,
+) -> list[ResultRow]:
     """Plain vs balanced on identical seeds, paired per seed."""
     plain = replace(config, balancing=False)
     balanced = replace(config, balancing=True)
     validate(plain)
-    rows = []
-    for seed in seeds:
-        rows.append(result_row(plain, simulate(plain, seed)))
-        rows.append(result_row(balanced, simulate(balanced, seed)))
-    return rows
+    return [_run(variant, seed, trace_dir) for seed in seeds for variant in (plain, balanced)]
 
 
 def _format_cell(value) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .balancer import DropReason, RRState, plain_forward, postrouting_hook
 from .channel import Frame, FrameKind, Medium, max_range_m
@@ -25,7 +26,6 @@ from .mobility import (
 from .routing import (
     BatmanProtocol,
     BatmobileProtocol,
-    ControlKind,
     GeoOlsrProtocol,
     NeighborRanking,
     RouterState,
@@ -58,6 +58,19 @@ def build_protocol(config: ScenarioConfig):
     raise ValueError(f"unknown protocol {config.protocol!r}")
 
 
+class Decision(NamedTuple):
+    """One data-plane forwarding decision: a packet at a node, and where it went."""
+
+    time_us: int
+    node: int
+    packet_id: int
+    dst: int
+    choice: int | DropReason  # the next hop, or why the packet was dropped here
+    # The schedulable set the balancer chose from; None on the plain path and
+    # when the balancer found no route.
+    members: tuple[int, ...] | None
+
+
 @dataclass
 class RunResult:
     seed: int
@@ -73,11 +86,10 @@ class RunResult:
     in_flight: int
     pdr_trace: list[tuple[float, int, int, float | None]]
     per_stream: list[StreamStats] = field(repr=False, default_factory=list)
-    forwarder_log: list[str] | None = field(repr=False, default=None)
-    rr_log: list[tuple[int, int, tuple[int, ...], int]] | None = field(repr=False, default=None)
-    control_emissions: dict[tuple[int, ControlKind], int] = field(repr=False, default_factory=dict)
     state_hash: str = ""
-    event_log: list[tuple[int, int, str]] | None = field(repr=False, default=None)
+    # One Decision per routed data packet per node, in time order; None
+    # unless the run was traced.
+    decisions: list[Decision] | None = field(repr=False, default=None)
 
 
 class Simulation:
@@ -87,13 +99,11 @@ class Simulation:
         seed: int,
         initial_positions: list[Position] | None = None,
         streams: list[StreamSpec] | None = None,
-        log_forwarders: bool = False,
-        log_rr: bool = False,
-        record_event_log: bool = False,
+        trace: bool = False,
     ):
         self.config = config
         self.seed = seed
-        self.engine = Engine(master_seed=seed, record_log=record_event_log)
+        self.engine = Engine(master_seed=seed)
         self.area = config.area()
         self.end_us = us_from_s(config.sim_time_s)
         self.tick_us = us_from_s(config.mobility_update_s)
@@ -155,9 +165,7 @@ class Simulation:
         self.stats = [StreamStats(window_us) for _ in streams]
 
         self._packet_counter = 0
-        self.control_emissions: dict[tuple[int, ControlKind], int] = {}
-        self.forwarder_log: list[str] | None = [] if log_forwarders else None
-        self.rr_log: list[tuple[int, int, tuple[int, ...], int]] | None = [] if log_rr else None
+        self.decisions: list[Decision] | None = [] if trace else None
 
         engine = self.engine
         engine.on(EventKind.MOBILITY_TICK, self._on_mobility_tick)
@@ -174,7 +182,7 @@ class Simulation:
 
     # -- event handlers -------------------------------------------------
 
-    def _on_mobility_tick(self, event) -> None:
+    def _on_mobility_tick(self, _payload: None) -> None:
         now = self.engine.clock_us
         dt = self.config.mobility_update_s
         for node in range(self.config.nodes):
@@ -201,14 +209,12 @@ class Simulation:
     def _own_pred(self, node: int) -> Position | None:
         return self.predicted[node] if self._is_batmobile else None
 
-    def _on_control_emit(self, event) -> None:
-        node, kind, interval_us = event.payload
+    def _on_control_emit(self, payload: tuple) -> None:
+        node, kind, interval_us = payload
         now = self.engine.clock_us
         msg = self.protocol.emit(
             self.routers[node], node, self.positions[node], self._own_pred(node), kind, now
         )
-        key = (node, kind)
-        self.control_emissions[key] = self.control_emissions.get(key, 0) + 1
         frame = Frame(
             kind=FrameKind.CONTROL,
             src=node,
@@ -224,8 +230,7 @@ class Simulation:
         if next_emit <= self.end_us:
             self.engine.schedule(next_emit, EventKind.CONTROL_EMIT, (node, kind, interval_us))
 
-    def _on_stream_send(self, event) -> None:
-        idx = event.payload
+    def _on_stream_send(self, idx: int) -> None:
         spec = self.streams[idx]
         now = self.engine.clock_us
         self.stats[idx].record_sent(now)
@@ -281,22 +286,18 @@ class Simulation:
         now = self.engine.clock_us
         ranking = self.routers[node].ranking
         if self.config.balancing:
-            decision, sset = postrouting_hook(
+            choice, sset = postrouting_hook(
                 frame, node, ranking, self.rr[node], self.config.lambda_factor,
                 now, self.config.exclude_prev_hop,
             )
         else:
-            decision, sset = plain_forward(frame, node, ranking, now)
-        if isinstance(decision, DropReason):
-            self.stats[frame.stream_idx].record_drop(decision.value)
-            if self.forwarder_log is not None:
-                self.forwarder_log.append(f"{now} {node} {frame.packet_id} drop:{decision.value}")
-            return
-        if self.forwarder_log is not None:
-            self.forwarder_log.append(f"{now} {node} {frame.packet_id} {decision}")
-        if self.rr_log is not None and sset is not None:
-            self.rr_log.append((node, frame.dst, sset.members, decision))
-        if not self.medium.enqueue(node, frame):
+            choice, sset = plain_forward(frame, node, ranking, now)
+        if self.decisions is not None:
+            self.decisions.append(Decision(now, node, frame.packet_id, frame.dst, choice,
+                                           None if sset is None else sset.members))
+        if isinstance(choice, DropReason):
+            self.stats[frame.stream_idx].record_drop(choice.value)
+        elif not self.medium.enqueue(node, frame):
             self.stats[frame.stream_idx].record_drop("queue")
 
     # -- run & results -----------------------------------------------------
@@ -340,11 +341,8 @@ class Simulation:
             in_flight=sum(pending_by_stream.values()),
             pdr_trace=pdr_series(pooled, self.end_us),
             per_stream=self.stats,
-            forwarder_log=self.forwarder_log,
-            rr_log=self.rr_log,
-            control_emissions=self.control_emissions,
             state_hash=self._state_hash(),
-            event_log=self.engine.log,
+            decisions=self.decisions,
         )
 
     def _state_hash(self) -> str:

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from manetsim.balancer import RRState, schedulable_set
+from manetsim.balancer import DropReason, RRState, schedulable_set
 from manetsim.channel import Frame, FrameKind, max_range_m, receivable
 from manetsim.config import ScenarioConfig
 from manetsim.engine import EventKind, us_from_s
@@ -109,25 +109,27 @@ def test_criterion_02_likelihood_regimes():
 
 def test_criterion_03_plain_protocol_equivalence():
     config = ScenarioConfig(nodes=15, sim_time_s=60.0)
-    high = simulate(replace(config, balancing=True, lambda_factor=1.1), 3,
-                    log_forwarders=True)
-    plain = simulate(replace(config, balancing=False), 3, log_forwarders=True)
+    high = simulate(replace(config, balancing=True, lambda_factor=1.1), 3, trace=True)
+    plain = simulate(replace(config, balancing=False), 3, trace=True)
     ALL_RESULTS.extend([high, plain])
-    high_bytes = "\n".join(high.forwarder_log).encode()
-    plain_bytes = "\n".join(plain.forwarder_log).encode()
-    ok = high_bytes == plain_bytes and len(high.forwarder_log) > 1000
+    # Everything but the schedulable set, which only the balanced path has.
+    high_choices = [d[:5] for d in high.decisions]
+    plain_choices = [d[:5] for d in plain.decisions]
+    ok = high_choices == plain_choices and len(high_choices) > 1000
     assert verdict(3, "plain-protocol-equivalence", ok,
-                   f"{len(high.forwarder_log)} per-packet decisions byte-identical")
+                   f"{len(high_choices)} per-packet decisions identical")
 
 
 # -- criterion 4: round-robin fairness over constant-membership intervals ----
 
-def audit_rr_fairness(rr_log):
+def audit_rr_fairness(decisions):
     """Max dispatch-count spread over every maximal constant-membership
-    interval, grouped per (node, destination)."""
+    interval, grouped per (node, destination), over the packets forwarded
+    from a schedulable set."""
     by_pair: dict = {}
-    for node, dest, members, chosen in rr_log:
-        by_pair.setdefault((node, dest), []).append((members, chosen))
+    for d in decisions:
+        if d.members is not None and not isinstance(d.choice, DropReason):
+            by_pair.setdefault((d.node, d.dst), []).append((d.members, d.choice))
     worst = 0
     intervals = 0
     for entries in by_pair.values():
@@ -151,13 +153,13 @@ def test_criterion_04_round_robin_fairness():
                              area_x=200.0, area_y=120.0, area_z=1.0)
     run_a = simulate(fixture, 1, initial_positions=diamond,
                      streams=[StreamSpec(0, 3, us_from_s(5.0), us_from_s(20.0))],
-                     log_rr=True)
+                     trace=True)
     dense = ScenarioConfig(nodes=12, sim_time_s=30.0, area_x=150.0, area_y=150.0,
                            stream_start_s=3.0)
-    run_b = simulate(dense, 5, log_rr=True)
+    run_b = simulate(dense, 5, trace=True)
     ALL_RESULTS.extend([run_a, run_b])
-    worst_a, intervals_a = audit_rr_fairness(run_a.rr_log)
-    worst_b, intervals_b = audit_rr_fairness(run_b.rr_log)
+    worst_a, intervals_a = audit_rr_fairness(run_a.decisions)
+    worst_b, intervals_b = audit_rr_fairness(run_b.decisions)
     ok = worst_a <= 1 and worst_b <= 1 and intervals_a > 10 and intervals_b > 10
     assert verdict(4, "round-robin-fairness", ok,
                    f"max spread {max(worst_a, worst_b)} over "

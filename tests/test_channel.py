@@ -99,14 +99,19 @@ class Harness:
     def __init__(self, positions, config=PARAMS, seed=0):
         self.engine = Engine(master_seed=seed)
         self.delivered = []
+        self.delivered_at_us = []  # engine clock at each delivery: the frame's tx end
         self.lost = []
         self.medium = Medium(
             self.engine,
             list(positions),
             config,
-            on_deliver=lambda node, frame: self.delivered.append((node, frame)),
+            on_deliver=self._deliver,
             on_unicast_lost=lambda frame, cause: self.lost.append((frame, cause)),
         )
+
+    def _deliver(self, node, frame):
+        self.delivered.append((node, frame))
+        self.delivered_at_us.append(self.engine.clock_us)
 
     def send(self, node, frame):
         return self.medium.enqueue(node, frame)
@@ -160,8 +165,9 @@ def test_carrier_sense_serializes_neighbors():
     h.run()
     assert sorted(node for node, _ in h.delivered) == [1, 1]
     assert h.lost == []
-    frames = sorted((f.tx_start_us, f.tx_end_us) for _, f in h.delivered)
-    assert frames[0][1] <= frames[1][0]  # no overlap on the air
+    on_air = sorted((end - airtime_us(f.size_bytes, PARAMS), end)
+                    for end, (_, f) in zip(h.delivered_at_us, h.delivered))
+    assert on_air[0][1] <= on_air[1][0]  # no overlap on the air
 
 
 def test_broadcast_reaches_every_node_in_range():

@@ -110,6 +110,25 @@ def test_non_finite_config_value_is_config_error(capsys, tmp_path):
     assert "configuration error" in err and "ogm_interval_s must be finite" in err
 
 
+@pytest.mark.parametrize("speed", ["1e20", "1e300"])
+def test_speed_past_the_area_per_tick_is_config_error(capsys, tmp_path, speed):
+    # At these speeds a waypoint step's travel budget no longer shrinks, so the
+    # run would never finish.
+    code, _, err = run_cli(
+        capsys, "run", "--config", fast_config(tmp_path, f"speed_mps = {speed}\n"))
+    assert code == 1
+    assert "configuration error" in err and "area diagonal" in err
+
+
+def test_compare_writes_one_trace_per_run(capsys, tmp_path):
+    trace_dir = tmp_path / "traces"
+    code, _, _ = run_cli(
+        capsys, "compare", "--config", fast_config(tmp_path),
+        "--seeds", "1,2", "--trace-pdr", str(trace_dir))
+    assert code == 0
+    assert len(list(trace_dir.iterdir())) == 2 * 2  # plain and balanced per seed
+
+
 def test_compare_emits_paired_rows_and_summary(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "compare", "--config", fast_config(tmp_path), "--seeds", "1,2")

@@ -244,9 +244,14 @@ def test_non_finite_floats_rejected(text, name):
     ("[golsr]\ntc_interval_s = 1e-7\n", "tc_interval_s"),
     ("[batmobile]\nmobility_update_s = 1e-7\n", "mobility_update_s"),
     ("window_s = 1e-7\n", "window_s"),
+    # Finite extremes at the other end: the send interval overflows the us
+    # clock, and squared coordinate differences overflow a float.
+    ("bitrate_bps = 1e-300\n", "bitrate_bps"),
+    ("area_x = 1e200\n", "area"),
+    ("area_x = 1e300\n", "area"),
 ])
 def test_periods_below_one_microsecond_rejected(text, name):
-    # Each of these used to pass validation and then hang or crash mid-run.
+    # Each of these used to pass validation and then hang or crash.
     with pytest.raises(ConfigError, match=name):
         parse_scenario_text(text)
 

@@ -51,22 +51,27 @@ def test_run_until_empty_queue_advances_clock():
 
 def test_replay_determinism():
     def run_once():
-        engine = Engine(master_seed=42, record_log=True)
+        engine = Engine(master_seed=42)
         rng = engine.rng_stream("jobs")
-        state = []
+        fired = []
 
-        def job():
-            state.append(engine.clock_us)
-            if len(state) < 50:
-                engine.schedule(engine.clock_us + rng.randrange(1, 1000), EventKind.CALLBACK, job)
+        def job(step):
+            fired.append((engine.clock_us, step))
+            if step < 49:
+                engine.schedule(engine.clock_us + rng.randrange(1, 1000),
+                                EventKind.STREAM_SEND, step + 1)
 
-        engine.schedule(0, EventKind.CALLBACK, job)
+        engine.on(EventKind.STREAM_SEND, job)
+        engine.schedule(0, EventKind.STREAM_SEND, 0)
         count = engine.run_until(10_000_000)
-        return count, state, engine.log
+        return count, fired
 
     first = run_once()
     second = run_once()
     assert first == second
+    # each handler call received the payload its event was scheduled with
+    assert first[0] == 50
+    assert [step for _, step in first[1]] == list(range(50))
 
 
 def test_rng_stream_reproducible():

@@ -351,7 +351,7 @@ def test_batman_emits_twenty_ogms_in_ten_seconds():
     sim = Simulation(config, seed=1)
     sim.run()
     for node in range(config.nodes):
-        assert sim.control_emissions[(node, ControlKind.OGM)] == 20
+        assert sim.routers[node].seq_counters[ControlKind.OGM] == 20
 
 
 def test_golsr_emits_hellos_and_tcs_on_their_grids():
@@ -359,5 +359,5 @@ def test_golsr_emits_hellos_and_tcs_on_their_grids():
     sim = Simulation(config, seed=1)
     sim.run()
     for node in range(config.nodes):
-        assert sim.control_emissions[(node, ControlKind.HELLO)] == 20
-        assert sim.control_emissions[(node, ControlKind.TC)] == 10
+        assert sim.routers[node].seq_counters[ControlKind.HELLO] == 20
+        assert sim.routers[node].seq_counters[ControlKind.TC] == 10

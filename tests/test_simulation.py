@@ -1,10 +1,12 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from manetsim.config import ScenarioConfig
+from manetsim.balancer import DropReason
+from manetsim.config import PROTOCOLS, ScenarioConfig, validate
 from manetsim.engine import us_from_s
-from manetsim.routing import ControlKind
 from manetsim.simulation import Simulation, simulate
 from manetsim.traffic import StreamSpec
 
@@ -28,36 +30,38 @@ def static_config(nodes, **overrides):
     return ScenarioConfig(**base)
 
 
+def first_hops(result, src=0):
+    """Next hops chosen for every packet the source forwarded."""
+    return [d.choice for d in result.decisions
+            if d.node == src and not isinstance(d.choice, DropReason)]
+
+
 def test_two_hop_relay_chain_delivers():
     config = static_config(3)
     stream = StreamSpec(0, 2, us_from_s(5.0), us_from_s(20.0))
-    result = simulate(config, 1, initial_positions=LINE, streams=[stream],
-                      log_forwarders=True)
+    result = simulate(config, 1, initial_positions=LINE, streams=[stream], trace=True)
     assert result.overall_pdr > 0.9
     assert result.conservation_ok
     # every packet follows the chain 0 -> 1 -> 2 (or dies mid-path to a collision)
     hops = {}
-    for line in result.forwarder_log:
-        t, node, packet, decision = line.split()
-        if not decision.startswith("drop"):
-            hops.setdefault(int(packet), []).append((int(node), int(decision)))
+    for d in result.decisions:
+        if not isinstance(d.choice, DropReason):
+            hops.setdefault(d.packet_id, []).append((d.node, d.choice))
     full_chain = [(0, 1), (1, 2)]
     assert all(path == full_chain[: len(path)] for path in hops.values())
     assert sum(1 for path in hops.values() if path == full_chain) > 0.9 * len(hops)
     # one unique packet id per send
-    ids = {int(line.split()[2]) for line in result.forwarder_log}
+    ids = {d.packet_id for d in result.decisions}
     assert len(ids) == result.sent
 
 
 def test_round_robin_alternates_equal_relays():
     config = static_config(4, lambda_factor=0.9)
     stream = StreamSpec(0, 3, us_from_s(5.0), us_from_s(20.0))
-    result = simulate(config, 1, initial_positions=DIAMOND, streams=[stream],
-                      log_forwarders=True, log_rr=True)
+    result = simulate(config, 1, initial_positions=DIAMOND, streams=[stream], trace=True)
     assert result.overall_pdr > 0.8
-    first_hops = [int(line.split()[3]) for line in result.forwarder_log
-                  if line.split()[1] == "0" and not line.split()[3].startswith("drop")]
-    share_1 = first_hops.count(1) / len(first_hops)
+    hops = first_hops(result)
+    share_1 = hops.count(1) / len(hops)
     # Both relays carry a substantial share. Exact 50/50 is not expected:
     # score wobble from control-frame collisions occasionally shrinks the set
     # to one member, and each membership change resets the rotation cursor.
@@ -67,33 +71,28 @@ def test_round_robin_alternates_equal_relays():
 def test_plain_routing_sticks_to_tie_break_winner():
     config = static_config(4, balancing=False)
     stream = StreamSpec(0, 3, us_from_s(5.0), us_from_s(20.0))
-    result = simulate(config, 1, initial_positions=DIAMOND, streams=[stream],
-                      log_forwarders=True)
-    first_hops = {int(line.split()[3]) for line in result.forwarder_log
-                  if line.split()[1] == "0" and not line.split()[3].startswith("drop")}
-    assert first_hops == {1}  # lowest-id winner of the score tie, every packet
+    result = simulate(config, 1, initial_positions=DIAMOND, streams=[stream], trace=True)
+    assert set(first_hops(result)) == {1}  # lowest-id winner of the score tie, every packet
 
 
 def test_high_likelihood_equals_plain_routing_log():
     config = static_config(4, lambda_factor=1.1)
     stream = StreamSpec(0, 3, us_from_s(5.0), us_from_s(20.0))
-    balanced = simulate(config, 3, initial_positions=DIAMOND, streams=[stream],
-                        log_forwarders=True)
+    balanced = simulate(config, 3, initial_positions=DIAMOND, streams=[stream], trace=True)
     plain = simulate(replace(config, balancing=False), 3, initial_positions=DIAMOND,
-                     streams=[stream], log_forwarders=True)
-    assert balanced.forwarder_log == plain.forwarder_log
+                     streams=[stream], trace=True)
+    assert [d[:5] for d in balanced.decisions] == [d[:5] for d in plain.decisions]
     assert balanced.state_hash == plain.state_hash
 
 
-def test_control_traffic_bypasses_forwarder_log():
+def test_control_traffic_bypasses_decision_trace():
     config = static_config(3)
     stream = StreamSpec(0, 2, us_from_s(5.0), us_from_s(20.0))
-    result = simulate(config, 1, initial_positions=LINE, streams=[stream],
-                      log_forwarders=True)
+    result = simulate(config, 1, initial_positions=LINE, streams=[stream], trace=True)
     assert result.control_tx > 0
-    for line in result.forwarder_log:
-        packet_field = line.split()[2]
-        assert packet_field != "None"  # only stream packets are routed
+    assert result.decisions
+    for d in result.decisions:
+        assert d.packet_id is not None  # only stream packets are routed
 
 
 def test_flood_depth_limited_by_ttl():
@@ -111,12 +110,51 @@ def test_flood_depth_limited_by_ttl():
 
 def test_replay_determinism_full_stack():
     config = ScenarioConfig(sim_time_s=15.0, nodes=10)
-    first = simulate(config, 5, record_event_log=True, log_forwarders=True)
-    second = simulate(config, 5, record_event_log=True, log_forwarders=True)
-    assert first.state_hash == second.state_hash
-    assert first.event_log == second.event_log
-    assert first.forwarder_log == second.forwarder_log
+    first = simulate(config, 5, trace=True)
+    second = simulate(config, 5, trace=True)
+    untraced = simulate(config, 5)
+    assert first.state_hash == second.state_hash == untraced.state_hash
+    assert first.decisions == second.decisions
     assert first.overall_pdr == second.overall_pdr
+    assert untraced.decisions is None
+
+
+@st.composite
+def small_configs(draw):
+    nodes = draw(st.integers(2, 6))
+    return ScenarioConfig(
+        nodes=nodes,
+        streams=draw(st.integers(1, nodes // 2)),
+        area_x=draw(st.floats(20.0, 300.0)),
+        area_y=draw(st.floats(20.0, 300.0)),
+        area_z=draw(st.floats(1.0, 10.0)),
+        speed_mps=draw(st.floats(0.0, 30.0)),
+        sim_time_s=draw(st.floats(0.5, 2.5)),
+        stream_start_s=draw(st.floats(0.0, 0.4)),
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        balancing=draw(st.booleans()),
+        lambda_factor=draw(st.floats(0.0, 1.5)),
+        exclude_prev_hop=draw(st.booleans()),
+        bitrate_bps=draw(st.sampled_from([1e5, 2e6])),
+        ttl=draw(st.integers(1, 16)),
+        queue_capacity=draw(st.integers(1, 50)),
+    )
+
+
+@given(small_configs(), st.integers(0, 2**32), st.floats(1.01, 4.0))
+@settings(max_examples=30, deadline=None)
+def test_random_valid_configs_keep_the_run_invariants(config, seed, high_lambda):
+    validate(config)
+    traced = simulate(config, seed, trace=True)
+    assert traced.conservation_ok
+    assert 0.0 <= traced.overall_pdr <= 1.0
+    again = simulate(config, seed, trace=True)
+    assert (again.state_hash, again.decisions) == (traced.state_hash, traced.decisions)
+    assert simulate(config, seed).state_hash == traced.state_hash
+    # Above lambda 1 the balancer must repeat the unmodified protocol's choices.
+    high = simulate(replace(config, balancing=True, lambda_factor=high_lambda), seed, trace=True)
+    plain = simulate(replace(config, balancing=False), seed, trace=True)
+    assert [d[:5] for d in high.decisions] == [d[:5] for d in plain.decisions]
 
 
 @pytest.mark.parametrize("protocol", ["batman", "golsr", "batmobile"])
@@ -162,6 +200,6 @@ def test_emission_counts_survive_queue_pressure():
     config = ScenarioConfig(sim_time_s=10.0, nodes=5, stream_start_s=5.0)
     sim = Simulation(config, 1)
     sim.run()
-    total = sum(sim.control_emissions.values())
+    total = sum(sum(router.seq_counters.values()) for router in sim.routers)
     assert total == 5 * 20
     assert sim.medium.control_tx > 0
