@@ -6,7 +6,6 @@ import hashlib
 import heapq
 import random
 from enum import Enum
-from operator import call
 from typing import Any, Callable
 
 # Queue keys are integer microseconds so event ordering is exact and
@@ -36,6 +35,10 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
+def _call(fn: Callable[[], None]) -> None:
+    fn()
+
+
 class SchedulingError(Exception):
     """Event scheduled in the past; indicates a logic bug, not a runtime condition."""
 
@@ -60,7 +63,7 @@ class Engine:
         # A CALLBACK's payload is the zero-argument callable to run. It is set
         # here, not through on(), so that code wrapping on() (perfbench's
         # tracer) sees only the handlers the simulator registers.
-        self._handlers: dict[EventKind, Callable[[Any], None]] = {EventKind.CALLBACK: call}
+        self._handlers: dict[EventKind, Callable[[Any], None]] = {EventKind.CALLBACK: _call}
         self._streams: dict[str, random.Random] = {}
         self.processed = 0
 
