@@ -4,7 +4,8 @@ The medium implements an abstract CSMA broadcast channel: a transmission
 occupies [t, t + airtime] and reaches every node inside the reception range;
 two receptions overlapping at a receiver destroy both; a node defers its own
 start while it can hear an ongoing transmission, with a small random jitter
-drawn from the "mac" RNG stream.
+drawn from the "mac" RNG stream. Each transmission ends in at most one
+delivery call, listing its collision-free receivers in ascending order.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class Medium:
         engine: Engine,
         positions: list[Position],
         config: ScenarioConfig,
-        on_deliver: Callable[[int, Frame], None],
+        on_deliver: Callable[[list[int], Frame], None],
         on_unicast_lost: Callable[[Frame, str], None],
     ):
         self.engine = engine
@@ -205,23 +206,22 @@ class Medium:
     def _on_arrival(self, payload: tuple) -> None:
         node_id, frame, recs, entry = payload
         self.active.remove(entry)
-        st = self.states[node_id]
+        states = self.states
+        st = states[node_id]
         st.transmitting = False
         st.current_frame = None
-        # Delivery may reroute the frame and rewrite next_hop in place, so the
-        # addressed hop must be pinned before the loop runs.
-        addressed = frame.next_hop
-        reached_next_hop = False
+        clean = []
         for receiver, rec in recs:
-            self.states[receiver].active_recs.remove(rec)
-            if rec[2]:
-                continue
-            if addressed is None:
-                self.on_deliver(receiver, frame)
-            elif receiver == addressed:
-                reached_next_hop = True
-                self.on_deliver(receiver, frame)
-        if addressed is not None and not reached_next_hop and frame.kind is FrameKind.DATA:
+            states[receiver].active_recs.remove(rec)
+            if not rec[2]:
+                clean.append(receiver)
+        addressed = frame.next_hop
+        if addressed is None:
+            if clean:
+                self.on_deliver(clean, frame)
+        elif addressed in clean:
+            self.on_deliver([addressed], frame)
+        elif frame.kind is FrameKind.DATA:
             in_range = any(receiver == addressed for receiver, _ in recs)
             self.on_unicast_lost(frame, "collision" if in_range else "link")
         if st.queue and not st.attempt_scheduled:

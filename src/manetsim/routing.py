@@ -13,7 +13,8 @@ All three share one flooding process (FloodingProtocol) with per-(kind,
 originator) rebroadcast dedup and differ only in how they score a received
 copy. Every received copy refreshes the ranking entry for the neighbor it came
 through, which is what gives each node more than one candidate forwarder per
-destination.
+destination. One transmission's copies reach ``receive`` together, as one
+receiver list.
 """
 
 from __future__ import annotations
@@ -187,15 +188,19 @@ class NeighborRanking:
         self.last_heard[neighbor] = now_us
 
     def update(self, dest: int, neighbor: int, score: float, now_us: int) -> None:
-        entries = self.table.setdefault(dest, {})
+        # Called once per received copy: no throwaway dict, one clamp.
+        entries = self.table.get(dest)
+        if entries is None:
+            entries = self.table[dest] = {}
         if score <= 0.0:
             entries.pop(neighbor, None)
             return
+        score = score if score < 1.0 else 1.0
         entry = entries.get(neighbor)
         if entry is None:
-            entries[neighbor] = [min(1.0, score), now_us]
+            entries[neighbor] = [score, now_us]
         else:
-            entry[0] = min(1.0, score)
+            entry[0] = score
             entry[1] = now_us
 
     def _alive(self, neighbor: int, last_us: int, now_us: int) -> bool:
@@ -255,12 +260,15 @@ class FloodingProtocol:
     the own-echo check, the ranking update and the rebroadcast stamp. A metric
     supplies only ``emission_plan``, the (kind, interval_us) pairs every node
     emits on; ``flooded_kinds``, the kinds a receiver rebroadcasts; ``score``,
-    how a received copy is scored; and ``hop_penalty``, the factor a forwarder
-    applies to the score it carries on.
+    how a received copy is scored; ``score_ignores_receiver``, set when that
+    score is the same at every receiver, so it is computed once per frame with
+    no receiver state; and ``hop_penalty``, the factor a forwarder applies to
+    the score it carries on.
     """
 
     emission_plan: list[tuple[ControlKind, int]]
     flooded_kinds = frozenset({ControlKind.OGM})
+    score_ignores_receiver = False
     hop_penalty = 1.0
 
     def emit(self, state: RouterState, node_id: int, own_pos: Position,
@@ -272,24 +280,42 @@ class FloodingProtocol:
             originator_position=own_pos, sender_predicted=own_pred,
         )
 
-    def receive(self, state: RouterState, node_id: int, msg: ControlMessage, prev_hop: int,
-                own_pos: Position, own_pred: Position | None,
-                now_us: int) -> ControlMessage | None:
-        if msg.originator == node_id:
-            return None
-        score = self.score(state, msg, prev_hop, own_pos, own_pred, now_us)
-        state.ranking.update(msg.originator, prev_hop, score, now_us)
-        if (score > 0.0 and msg.kind in self.flooded_kinds
-                and state.mark_forwarded(msg.kind, msg.originator, msg.seq)):
-            # Forwarders stamp their own score; the per-hop penalty is folded in
-            # here so every receiver applies the identical rule.
-            return ControlMessage(
-                kind=msg.kind, originator=msg.originator, seq=msg.seq,
-                sender_position=own_pos, hops=msg.hops + 1,
-                carried_score=score * self.hop_penalty,
-                originator_position=msg.originator_position, sender_predicted=own_pred,
-            )
-        return None
+    def receive(self, states: list[RouterState], receivers: list[int], msg: ControlMessage,
+                prev_hop: int, positions: list[Position], predicted: list[Position | None],
+                now_us: int) -> list[tuple[int, ControlMessage]]:
+        """Hand one copy of msg, heard from prev_hop, to every receiver in order.
+
+        Each receiver refreshes prev_hop as a live neighbour; the originator
+        does nothing more. Returns (receiver, rebroadcast) for each receiver
+        that forwards its first copy of (kind, originator, seq), in receiver
+        order.
+        """
+        kind, originator, seq = msg.kind, msg.originator, msg.seq
+        floods = kind in self.flooded_kinds
+        score_fn = self.score
+        per_receiver = not self.score_ignores_receiver
+        score = None if per_receiver else score_fn(None, msg, prev_hop, None, None, now_us)
+        rebroadcasts = []
+        for node in receivers:
+            state = states[node]
+            ranking = state.ranking
+            ranking.touch_neighbor(prev_hop, now_us)
+            if node == originator:
+                continue
+            if per_receiver:
+                score = score_fn(state, msg, prev_hop, positions[node], predicted[node], now_us)
+            ranking.update(originator, prev_hop, score, now_us)
+            if score > 0.0 and floods and state.mark_forwarded(kind, originator, seq):
+                # Forwarders stamp their own score; the per-hop penalty is
+                # folded in here so every receiver applies the identical rule.
+                rebroadcasts.append((node, ControlMessage(
+                    kind=kind, originator=originator, seq=seq,
+                    sender_position=positions[node], hops=msg.hops + 1,
+                    carried_score=score * self.hop_penalty,
+                    originator_position=msg.originator_position,
+                    sender_predicted=predicted[node],
+                )))
+        return rebroadcasts
 
 
 class BatmanProtocol(FloodingProtocol):
@@ -314,6 +340,7 @@ class GeoOlsrProtocol(FloodingProtocol):
     """Hello/topology-control flooding scored by forwarder-to-destination distance."""
 
     flooded_kinds = frozenset({ControlKind.TC})
+    score_ignores_receiver = True
 
     def __init__(self, hello_interval_us: int, tc_interval_us: int,
                  diagonal_m: float, floor: float = 1e-6):

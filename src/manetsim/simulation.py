@@ -133,7 +133,10 @@ class Simulation:
 
         self.protocol = build_protocol(config)
         self._is_batmobile = isinstance(self.protocol, BatmobileProtocol)
-        self.predicted: list[Position] = list(self.positions)
+        # Only batmobile predicts; the other metrics see no prediction at all.
+        self.predicted: list[Position | None] = (
+            list(self.positions) if self._is_batmobile else [None] * config.nodes
+        )
         expiry_us = us_from_s(config.ranking_expiry_s)
         self.routers = [
             RouterState(
@@ -206,14 +209,11 @@ class Simulation:
         if next_tick <= self.end_us:
             self.engine.schedule(next_tick, EventKind.MOBILITY_TICK)
 
-    def _own_pred(self, node: int) -> Position | None:
-        return self.predicted[node] if self._is_batmobile else None
-
     def _on_control_emit(self, payload: tuple) -> None:
         node, kind, interval_us = payload
         now = self.engine.clock_us
         msg = self.protocol.emit(
-            self.routers[node], node, self.positions[node], self._own_pred(node), kind, now
+            self.routers[node], node, self.positions[node], self.predicted[node], kind, now
         )
         frame = Frame(
             kind=FrameKind.CONTROL,
@@ -250,27 +250,27 @@ class Simulation:
         if next_send < spec.stop_us:
             self.engine.schedule(next_send, EventKind.STREAM_SEND, idx)
 
-    def _on_frame_delivered(self, receiver: int, frame: Frame) -> None:
+    def _on_frame_delivered(self, receivers: list[int], frame: Frame) -> None:
         now = self.engine.clock_us
         if frame.kind is FrameKind.CONTROL:
-            state = self.routers[receiver]
-            state.ranking.touch_neighbor(frame.prev_hop, now)
-            rebroadcast = self.protocol.receive(
-                state, receiver, frame.payload, frame.prev_hop,
-                self.positions[receiver], self._own_pred(receiver), now,
+            rebroadcasts = self.protocol.receive(
+                self.routers, receivers, frame.payload, frame.prev_hop,
+                self.positions, self.predicted, now,
             )
-            if rebroadcast is not None and frame.ttl > 1:
-                self.medium.enqueue(receiver, Frame(
-                    kind=FrameKind.CONTROL,
-                    src=frame.src,
-                    dst=None,
-                    size_bytes=self.config.control_bytes,
-                    prev_hop=receiver,
-                    next_hop=None,
-                    ttl=frame.ttl - 1,
-                    payload=rebroadcast,
-                ))
+            if frame.ttl > 1:
+                for receiver, msg in rebroadcasts:
+                    self.medium.enqueue(receiver, Frame(
+                        kind=FrameKind.CONTROL,
+                        src=frame.src,
+                        dst=None,
+                        size_bytes=self.config.control_bytes,
+                        prev_hop=receiver,
+                        next_hop=None,
+                        ttl=frame.ttl - 1,
+                        payload=msg,
+                    ))
             return
+        (receiver,) = receivers  # data frames are unicast
         if receiver == frame.dst:
             self.stats[frame.stream_idx].record_received(now)
         else:

@@ -98,6 +98,7 @@ class Harness:
 
     def __init__(self, positions, config=PARAMS, seed=0):
         self.engine = Engine(master_seed=seed)
+        self.deliveries = []  # one (receivers, frame) per delivery call
         self.delivered = []
         self.delivered_at_us = []  # engine clock at each delivery: the frame's tx end
         self.lost = []
@@ -109,9 +110,11 @@ class Harness:
             on_unicast_lost=lambda frame, cause: self.lost.append((frame, cause)),
         )
 
-    def _deliver(self, node, frame):
-        self.delivered.append((node, frame))
-        self.delivered_at_us.append(self.engine.clock_us)
+    def _deliver(self, receivers, frame):
+        self.deliveries.append((list(receivers), frame))
+        for node in receivers:
+            self.delivered.append((node, frame))
+            self.delivered_at_us.append(self.engine.clock_us)
 
     def send(self, node, frame):
         return self.medium.enqueue(node, frame)
@@ -195,6 +198,41 @@ def test_no_frame_delivered_twice_per_transmission():
     h.run()
     receivers = [node for node, _ in h.delivered]
     assert len(receivers) == len(set(receivers))
+
+
+def test_broadcast_delivered_once_to_its_clean_receivers_ascending():
+    # Node 4 is hidden from 0 and reaches only 2, so 2 loses 0's broadcast.
+    config = ScenarioConfig(mac_jitter_us=0)
+    positions = [(0.0, 0.0, 0.0), (20.0, 0.0, 0.0), (40.0, 0.0, 0.0), (10.0, 20.0, 0.0),
+                 (90.0, 0.0, 0.0)]
+    h = Harness(positions, config=config)
+    frame = broadcast_frame(0)
+    h.send(0, frame)
+    h.send(4, broadcast_frame(4))
+    h.run()
+    assert h.deliveries == [([1, 3], frame)]
+
+
+def test_unicast_delivered_to_the_addressed_hop_only():
+    h = Harness([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0), (20.0, 10.0, 0.0)])
+    frame = data_frame(0, 1)
+    h.send(0, frame)
+    h.run()
+    assert h.deliveries == [([1], frame)]
+    assert h.lost == []
+
+
+def test_lost_unicast_reaches_only_the_loss_callback():
+    # 3 hears 0's frame cleanly but is not addressed; hidden node 2 jams 1.
+    config = ScenarioConfig(mac_jitter_us=0)
+    h = Harness([(0.0, 0.0, 0.0), (50.0, 0.0, 0.0), (100.0, 0.0, 0.0), (-20.0, 0.0, 0.0)],
+                config=config)
+    frame = data_frame(0, 1)
+    h.send(0, frame)
+    h.send(2, broadcast_frame(2))
+    h.run()
+    assert h.deliveries == []
+    assert h.lost == [(frame, "collision")]
 
 
 def brute_force_neighbors(positions, range2):

@@ -1,7 +1,8 @@
+import copy
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manetsim.config import ScenarioConfig
@@ -206,12 +207,11 @@ def test_same_message_via_two_neighbors_updates_both_entries():
         for seq in range(8):
             window.update(seq)
         state.tq_windows[neighbor] = window
-    first = protocol.receive(state, me, ogm(origin, 0, carried=0.9), via_b,
-                             (0.0, 0.0, 0.0), None, 1000)
-    second = protocol.receive(state, me, ogm(origin, 0, carried=0.9), via_f,
-                              (0.0, 0.0, 0.0), None, 2000)
-    assert first is not None  # rebroadcast on first receipt
-    assert second is None  # but not on the duplicate
+    states, pos, pred = {me: state}, {me: (0.0, 0.0, 0.0)}, {me: None}
+    first = protocol.receive(states, [me], ogm(origin, 0, carried=0.9), via_b, pos, pred, 1000)
+    second = protocol.receive(states, [me], ogm(origin, 0, carried=0.9), via_f, pos, pred, 2000)
+    assert [node for node, _ in first] == [me]  # rebroadcast on first receipt
+    assert second == []  # but not on the duplicate
     assert set(state.ranking.scores(origin, 2000)) == {via_b, via_f}
 
 
@@ -223,7 +223,8 @@ def test_rebroadcast_stamps_score_and_penalty():
     for seq in range(8):
         window.update(seq)
     state.tq_windows[1] = window
-    out = protocol.receive(state, 0, ogm(9, 0, carried=0.8), 1, (5.0, 0.0, 0.0), None, 1000)
+    [(_, out)] = protocol.receive({0: state}, [0], ogm(9, 0, carried=0.8), 1,
+                                  {0: (5.0, 0.0, 0.0)}, {0: None}, 1000)
     assert out.carried_score == pytest.approx(0.8 * 0.95)
     assert out.sender_position == (5.0, 0.0, 0.0)
     assert out.hops == 1
@@ -234,7 +235,8 @@ def test_direct_ogm_feeds_tq_window_and_ranking():
     state = RouterState(ranking=NeighborRanking())
     state.ranking.touch_neighbor(3, 0)
     for seq in range(4):
-        protocol.receive(state, 0, ogm(3, seq), 3, (0.0, 0.0, 0.0), None, 1000 + seq)
+        protocol.receive({0: state}, [0], ogm(3, seq), 3, {0: (0.0, 0.0, 0.0)}, {0: None},
+                         1000 + seq)
     assert state.tq_windows[3].quality() == pytest.approx(4 / 8)
     assert state.ranking.scores(3, 2000)[3] == pytest.approx(4 / 8)
 
@@ -246,7 +248,8 @@ def test_own_message_echo_is_ignored():
     msg = protocol.emit(state, 0, (0.0, 0.0, 0.0), None, ControlKind.OGM, 0)
     echoed = ControlMessage(kind=ControlKind.OGM, originator=0, seq=msg.seq,
                             sender_position=(1.0, 0.0, 0.0), carried_score=0.5)
-    assert protocol.receive(state, 0, echoed, 1, (0.0, 0.0, 0.0), None, 1000) is None
+    assert protocol.receive({0: state}, [0], echoed, 1, {0: (0.0, 0.0, 0.0)}, {0: None},
+                            1000) == []
     assert state.ranking.scores(0, 1000) == {}
 
 
@@ -257,7 +260,7 @@ def test_geo_protocol_scores_forwarder_distance_to_destination():
     msg = ControlMessage(kind=ControlKind.TC, originator=9, seq=0,
                          sender_position=(100.0, 0.0, 0.0),
                          originator_position=(200.0, 0.0, 0.0))
-    out = protocol.receive(state, 0, msg, 4, (0.0, 0.0, 0.0), None, 1000)
+    [(_, out)] = protocol.receive({0: state}, [0], msg, 4, {0: (0.0, 0.0, 0.0)}, {0: None}, 1000)
     expected = 1 - 100.0 / DIAG
     assert state.ranking.scores(9, 1000)[4] == pytest.approx(expected)
     assert out is not None  # TC floods
@@ -271,7 +274,8 @@ def test_hello_not_rebroadcast():
     msg = ControlMessage(kind=ControlKind.HELLO, originator=4, seq=0,
                          sender_position=(10.0, 0.0, 0.0),
                          originator_position=(10.0, 0.0, 0.0))
-    assert protocol.receive(state, 0, msg, 4, (0.0, 0.0, 0.0), None, 1000) is None
+    assert protocol.receive({0: state}, [0], msg, 4, {0: (0.0, 0.0, 0.0)}, {0: None},
+                            1000) == []
     assert state.ranking.scores(4, 1000)[4] == pytest.approx(1.0)
 
 
@@ -283,6 +287,92 @@ def test_sequence_numbers_strictly_increase():
     assert seqs == [0, 1, 2, 3, 4]
 
 
+# -- batched receive: one call per transmission -------------------------------
+
+SPOT = {n: (12.0 * n, 7.0 * (n % 3), 0.0) for n in range(6)}
+SPOT_PRED = {n: (12.0 * n + 4.0, 7.0 * (n % 2), 0.0) for n in range(6)}
+
+# name -> (protocol factory, the kinds it floods or hears, whether it predicts).
+# golsr gets a 40 m diagonal and no floor, so distant forwarders score zero.
+FLOODERS = {
+    "batman": (lambda: BatmanProtocol(500_000), (ControlKind.OGM,), False),
+    "golsr": (lambda: GeoOlsrProtocol(500_000, 1_000_000, diagonal_m=40.0, floor=0.0),
+              (ControlKind.HELLO, ControlKind.TC), False),
+    "batmobile": (lambda: BatmobileProtocol(500_000, comm_range_m=55.4),
+                  (ControlKind.OGM,), True),
+}
+
+# (originator, seq, prev_hop, receivers, carried score, kind index). Seqs come
+# from a small range, so duplicate copies are common; a zero carried score
+# gives a zero score, which removes the ranking entry.
+transmissions = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 5), unique=True).map(sorted),
+    st.sampled_from([0.0, 0.6, 1.0]),
+    st.integers(0, 1),
+)
+
+
+def snapshot(state):
+    """Everything receive may change in a RouterState, except last_heard."""
+    return (
+        state.ranking.table,
+        {n: (w.bits, w.last_seq) for n, w in state.tq_windows.items()},
+        state.forwarded,
+        None if state.trend is None else state.trend._buffers,
+    )
+
+
+@given(st.sampled_from(sorted(FLOODERS)), st.lists(transmissions, min_size=1, max_size=12))
+@example("batman", [(2, 0, 1, [0, 2, 3], 1.0, 0)])  # the originator hears its own echo
+@example("batmobile", [(1, 0, 1, [0, 2], 1.0, 0), (1, 0, 2, [0, 3], 1.0, 0)])  # duplicate seq
+@example("batman", [(1, 0, 1, [0], 1.0, 0), (1, 1, 1, [0], 0.0, 0)])  # zero score
+@settings(max_examples=150, deadline=None)
+def test_batched_receive_equals_one_receiver_at_a_time(name, steps):
+    make, kinds, predicts = FLOODERS[name]
+    protocol = make()
+
+    def fresh():
+        return {n: RouterState(ranking=NeighborRanking(), trend=ScoreTrend() if predicts else None)
+                for n in SPOT}
+
+    together_states, apart_states = fresh(), fresh()
+    pred = SPOT_PRED if predicts else dict.fromkeys(SPOT)
+    for step, (origin, seq, prev_hop, receivers, carried, kind) in enumerate(steps):
+        receivers = [r for r in receivers if r != prev_hop]
+        now = 1000 + 100_000 * step
+        msg = ControlMessage(kind=kinds[kind % len(kinds)], originator=origin, seq=seq,
+                             sender_position=SPOT[prev_hop], carried_score=carried,
+                             originator_position=SPOT[origin], sender_predicted=pred[prev_hop])
+        echo_before = snapshot(copy.deepcopy(together_states[origin]))
+        together = protocol.receive(together_states, receivers, msg, prev_hop, SPOT, pred, now)
+        apart = [out for r in receivers
+                 for out in protocol.receive(apart_states, [r], msg, prev_hop, SPOT, pred, now)]
+        assert together == apart
+        assert [snapshot(together_states[n]) for n in SPOT] == [snapshot(apart_states[n]) for n in SPOT]
+        assert [together_states[n].ranking.last_heard for n in SPOT] == \
+            [apart_states[n].ranking.last_heard for n in SPOT]
+        assert all(together_states[r].ranking.last_heard.get(prev_hop) == now for r in receivers)
+        if origin in receivers:  # the originator is only touched
+            assert snapshot(together_states[origin]) == echo_before
+            assert origin not in [node for node, _ in together]
+
+
+def test_golsr_scores_each_transmission_once():
+    protocol = GeoOlsrProtocol(500_000, 1_000_000, DIAG)
+    calls = []
+    score = protocol.score
+    protocol.score = lambda *args: calls.append(args) or score(*args)
+    states = {n: RouterState(ranking=NeighborRanking()) for n in SPOT}
+    msg = ControlMessage(kind=ControlKind.TC, originator=5, seq=0, sender_position=SPOT[4],
+                         originator_position=SPOT[5])
+    out = protocol.receive(states, [0, 1, 2, 3], msg, 4, SPOT, dict.fromkeys(SPOT), 1000)
+    assert len(calls) == 1
+    assert [node for node, _ in out] == [0, 1, 2, 3]
+
+
 # -- multi-hop chains: O -> A -> B -> me ----------------------------------------
 
 O, A, B, ME = 9, 1, 2, 0
@@ -292,13 +382,11 @@ CHAIN_PRED = {O: (5.0, 5.0, 0.0), A: (35.0, 0.0, 0.0), B: (50.0, 20.0, 0.0), ME:
 
 def relay(protocol, states, msg, path, now_us, pred=None):
     """Carry msg from path[0] over each hop of path; return the last receiver's state."""
+    pred = dict.fromkeys(CHAIN_POS) if pred is None else pred
     for prev_hop, node in zip(path, path[1:]):
-        state = states[node]
-        state.ranking.touch_neighbor(prev_hop, now_us)
-        msg = protocol.receive(state, node, msg, prev_hop, CHAIN_POS[node],
-                               None if pred is None else pred[node], now_us)
+        out = protocol.receive(states, [node], msg, prev_hop, CHAIN_POS, pred, now_us)
         if node != path[-1]:
-            assert msg is not None
+            [(_, msg)] = out
     return states[path[-1]]
 
 

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manetsim.balancer import DropReason
+from manetsim.channel import Frame, FrameKind
 from manetsim.config import PROTOCOLS, ScenarioConfig, validate
 from manetsim.engine import us_from_s
+from manetsim.routing import ControlKind, ControlMessage
 from manetsim.simulation import Simulation, simulate
 from manetsim.traffic import StreamSpec
 
@@ -106,6 +108,24 @@ def test_flood_depth_limited_by_ttl():
     assert 0 in sim.routers[2].ranking.table
     assert 0 in sim.routers[3].ranking.table
     assert 0 not in sim.routers[4].ranking.table
+
+
+def test_ttl_one_copy_still_marks_its_message_forwarded():
+    # golsr scores every TC copy above zero, so only the dedup can stop a rebroadcast.
+    config = static_config(4, protocol="golsr")
+    sim = Simulation(config, 1, initial_positions=DIAMOND, streams=[])
+    msg = ControlMessage(kind=ControlKind.TC, originator=0, seq=0,
+                         sender_position=DIAMOND[1], originator_position=DIAMOND[0])
+
+    def copy(ttl):
+        return Frame(kind=FrameKind.CONTROL, src=0, dst=None, size_bytes=config.control_bytes,
+                     prev_hop=1, ttl=ttl, payload=msg)
+
+    sim._on_frame_delivered([3], copy(ttl=1))
+    assert 0 in sim.routers[3].ranking.table  # the last-hop copy is still scored
+    sim._on_frame_delivered([2, 3], copy(ttl=5))
+    queued = [[f.payload.originator for f in st.queue] for st in sim.medium.states]
+    assert queued == [[], [], [0], []]  # 2 heard it first at ttl 5; 3 already had it
 
 
 def test_replay_determinism_full_stack():
