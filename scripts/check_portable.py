@@ -29,18 +29,20 @@ import pinned_runs  # noqa: E402
 
 
 def check_cli() -> tuple[bool, str]:
-    """One `manetsim run` in a child process; (matches pin, observed sha256)."""
+    """One `manetsim run` in a child process; (matches pin, what was seen)."""
     with tempfile.TemporaryDirectory() as tmp:
         scenario, out = Path(tmp) / "scenario.ini", Path(tmp) / "result.csv"
         scenario.write_text(pinned_runs.CLI_SCENARIO)
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        subprocess.run(
+        proc = subprocess.run(
             [sys.executable, "-m", "manetsim.cli", "run", "--config", str(scenario),
              *pinned_runs.CLI_ARGS, "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
+            env=env, capture_output=True, text=True, timeout=300,
         )
+        if proc.returncode != 0:
+            return False, f"exit {proc.returncode}: {proc.stderr.strip()}"
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    return digest == pinned_runs.CLI_CSV_SHA256, digest
+    return digest == pinned_runs.CLI_CSV_SHA256, f"csv sha256 {digest[:12]}"
 
 
 def main() -> int:
@@ -52,9 +54,9 @@ def main() -> int:
         ok = ok and held
         print(f"{'ok  ' if held else 'FAIL'} pin {name}: state_hash {observed[0][:12]}, "
               f"row sha256 {observed[1][:12]}")
-    held, digest = check_cli()
+    held, seen = check_cli()
     ok = ok and held
-    print(f"{'ok  ' if held else 'FAIL'} cli run: csv sha256 {digest[:12]}")
+    print(f"{'ok  ' if held else 'FAIL'} cli run: {seen}")
     return 0 if ok else 1
 
 
