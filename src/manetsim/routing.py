@@ -188,19 +188,15 @@ class NeighborRanking:
         self.last_heard[neighbor] = now_us
 
     def update(self, dest: int, neighbor: int, score: float, now_us: int) -> None:
-        # Called once per received copy: no throwaway dict, one clamp.
-        entries = self.table.get(dest)
-        if entries is None:
-            entries = self.table[dest] = {}
+        entries = self.table.setdefault(dest, {})
         if score <= 0.0:
             entries.pop(neighbor, None)
             return
-        score = score if score < 1.0 else 1.0
         entry = entries.get(neighbor)
         if entry is None:
-            entries[neighbor] = [score, now_us]
+            entries[neighbor] = [min(1.0, score), now_us]
         else:
-            entry[0] = score
+            entry[0] = min(1.0, score)
             entry[1] = now_us
 
     def _alive(self, neighbor: int, last_us: int, now_us: int) -> bool:
@@ -260,15 +256,12 @@ class FloodingProtocol:
     the own-echo check, the ranking update and the rebroadcast stamp. A metric
     supplies only ``emission_plan``, the (kind, interval_us) pairs every node
     emits on; ``flooded_kinds``, the kinds a receiver rebroadcasts; ``score``,
-    how a received copy is scored; ``score_ignores_receiver``, set when that
-    score is the same at every receiver, so it is computed once per frame with
-    no receiver state; and ``hop_penalty``, the factor a forwarder applies to
-    the score it carries on.
+    how a received copy is scored; and ``hop_penalty``, the factor a forwarder
+    applies to the score it carries on.
     """
 
     emission_plan: list[tuple[ControlKind, int]]
     flooded_kinds = frozenset({ControlKind.OGM})
-    score_ignores_receiver = False
     hop_penalty = 1.0
 
     def emit(self, state: RouterState, node_id: int, own_pos: Position,
@@ -293,8 +286,6 @@ class FloodingProtocol:
         kind, originator, seq = msg.kind, msg.originator, msg.seq
         floods = kind in self.flooded_kinds
         score_fn = self.score
-        per_receiver = not self.score_ignores_receiver
-        score = None if per_receiver else score_fn(None, msg, prev_hop, None, None, now_us)
         rebroadcasts = []
         for node in receivers:
             state = states[node]
@@ -302,8 +293,7 @@ class FloodingProtocol:
             ranking.touch_neighbor(prev_hop, now_us)
             if node == originator:
                 continue
-            if per_receiver:
-                score = score_fn(state, msg, prev_hop, positions[node], predicted[node], now_us)
+            score = score_fn(state, msg, prev_hop, positions[node], predicted[node], now_us)
             ranking.update(originator, prev_hop, score, now_us)
             if score > 0.0 and floods and state.mark_forwarded(kind, originator, seq):
                 # Forwarders stamp their own score; the per-hop penalty is
@@ -340,7 +330,6 @@ class GeoOlsrProtocol(FloodingProtocol):
     """Hello/topology-control flooding scored by forwarder-to-destination distance."""
 
     flooded_kinds = frozenset({ControlKind.TC})
-    score_ignores_receiver = True
 
     def __init__(self, hello_interval_us: int, tc_interval_us: int,
                  diagonal_m: float, floor: float = 1e-6):

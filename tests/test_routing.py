@@ -360,19 +360,6 @@ def test_batched_receive_equals_one_receiver_at_a_time(name, steps):
             assert origin not in [node for node, _ in together]
 
 
-def test_golsr_scores_each_transmission_once():
-    protocol = GeoOlsrProtocol(500_000, 1_000_000, DIAG)
-    calls = []
-    score = protocol.score
-    protocol.score = lambda *args: calls.append(args) or score(*args)
-    states = {n: RouterState(ranking=NeighborRanking()) for n in SPOT}
-    msg = ControlMessage(kind=ControlKind.TC, originator=5, seq=0, sender_position=SPOT[4],
-                         originator_position=SPOT[5])
-    out = protocol.receive(states, [0, 1, 2, 3], msg, 4, SPOT, dict.fromkeys(SPOT), 1000)
-    assert len(calls) == 1
-    assert [node for node, _ in out] == [0, 1, 2, 3]
-
-
 # -- multi-hop chains: O -> A -> B -> me ----------------------------------------
 
 O, A, B, ME = 9, 1, 2, 0
