@@ -7,7 +7,7 @@ from .engine import Engine, EventKind, SchedulingError, us_from_s
 from .mobility import Area, MobilityHistory, MobilityState, predict_position, step_waypoint
 from .routing import NeighborRanking, geo_score, pathscore_link, pathscore_path, tq_path_score
 from .simulation import Decision, RunResult, Simulation, simulate
-from .traffic import StreamSpec, StreamStats, confidence_interval, current_pdr, overall_pdr
+from .traffic import StreamSpec, StreamStats, confidence_interval, current_pdr
 
 __all__ = [
     "Area", "ConfigError", "Decision", "DropReason", "Engine", "EventKind",
@@ -15,7 +15,7 @@ __all__ = [
     "NeighborRanking", "RRState", "RunResult", "ScenarioConfig", "SchedulableSet",
     "SchedulingError", "Simulation", "StreamSpec", "StreamStats",
     "airtime_s", "confidence_interval", "current_pdr", "geo_score", "load_scenario",
-    "max_range_m", "overall_pdr", "parse_scenario_text",
+    "max_range_m", "parse_scenario_text",
     "path_loss_db", "pathscore_link", "pathscore_path", "postrouting_hook",
     "predict_position", "receivable", "schedulable_set", "simulate", "step_waypoint",
     "tq_path_score", "us_from_s", "validate",

@@ -95,15 +95,8 @@ def postrouting_hook(
     """
     exclude = packet.prev_hop if exclude_prev else None
     sset = schedulable_set(ranking, packet.dst, likelihood, now_us, exclude)
-    choice = rr.take(sset)
-    if choice is None:
-        return DropReason.NO_ROUTE, None
-    packet.ttl -= 1
-    if packet.ttl <= 0:
-        return DropReason.TTL, sset
-    packet.prev_hop = node_id
-    packet.next_hop = choice
-    return choice, sset
+    choice = _forward(packet, node_id, rr.take(sset))
+    return choice, None if choice is DropReason.NO_ROUTE else sset
 
 
 def plain_forward(
@@ -113,12 +106,16 @@ def plain_forward(
     now_us: int,
 ) -> tuple[int | DropReason, None]:
     """Unbalanced reference path: always the single best forwarder."""
-    choice = ranking.best_forwarder(packet.dst, now_us)
+    return _forward(packet, node_id, ranking.best_forwarder(packet.dst, now_us)), None
+
+
+def _forward(packet: Frame, node_id: int, choice: int | None) -> int | DropReason:
+    """Hand the packet to choice (None = no route), spending one TTL step."""
     if choice is None:
-        return DropReason.NO_ROUTE, None
+        return DropReason.NO_ROUTE
     packet.ttl -= 1
     if packet.ttl <= 0:
-        return DropReason.TTL, None
+        return DropReason.TTL
     packet.prev_hop = node_id
     packet.next_hop = choice
-    return choice, None
+    return choice

@@ -10,7 +10,6 @@ delivery call, listing its collision-free receivers in ascending order.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ from .config import ScenarioConfig
 from .engine import Engine, EventKind
 from .mobility import Position
 
-log = logging.getLogger(__name__)
-
 SPEED_OF_LIGHT = 3.0e8  # free-space simplification used throughout the link budget
 
 
@@ -32,7 +29,6 @@ def path_loss_db(distance_m: float, params: ScenarioConfig) -> float:
     Distances at or below zero are clamped to 0.1 m (co-located radios).
     """
     if distance_m <= 0:
-        log.debug("path_loss_db: clamping distance %.6f m to 0.1 m", distance_m)
         distance_m = 0.1
     return (
         10.0
@@ -71,7 +67,6 @@ class FrameKind(Enum):
 @dataclass(slots=True)
 class Frame:
     kind: FrameKind
-    src: int
     dst: int | None  # final destination; None for flooded control traffic
     size_bytes: int
     prev_hop: int | None = None
@@ -83,17 +78,15 @@ class Frame:
 
 
 class _MacState:
-    __slots__ = ("queue", "queue_drops", "transmitting", "attempt_scheduled",
-                 "active_recs", "current_frame")
+    __slots__ = ("queue", "queue_drops", "attempt_scheduled", "active_recs", "current_frame")
 
     def __init__(self) -> None:
         self.queue: deque[Frame] = deque()
         self.queue_drops = 0
-        self.transmitting = False
         self.attempt_scheduled = False
         # In-the-air receptions at this node: [frame, t_end_us, collided].
         self.active_recs: list[list] = []
-        self.current_frame: Frame | None = None
+        self.current_frame: Frame | None = None  # on the air; None while idle
 
 
 class Medium:
@@ -155,7 +148,7 @@ class Medium:
             st.queue_drops += 1
             return False
         st.queue.append(frame)
-        if not st.transmitting and not st.attempt_scheduled:
+        if st.current_frame is None and not st.attempt_scheduled:
             st.attempt_scheduled = True
             self.engine.schedule(
                 self.engine.clock_us + self._jitter(), EventKind.TX_ATTEMPT, node_id
@@ -165,7 +158,7 @@ class Medium:
     def _on_attempt(self, node_id: int) -> None:
         st = self.states[node_id]
         st.attempt_scheduled = False
-        if st.transmitting or not st.queue:
+        if st.current_frame is not None or not st.queue:
             return
         now = self.engine.clock_us
         # Carrier sense: defer while any receivable transmission is in progress.
@@ -179,7 +172,6 @@ class Medium:
             self.engine.schedule(busy_until + self._jitter(), EventKind.TX_ATTEMPT, node_id)
             return
         frame = st.queue.popleft()
-        st.transmitting = True
         st.current_frame = frame
         t_end = now + airtime_us(frame.size_bytes, self.config)
         if frame.kind is FrameKind.CONTROL:
@@ -208,7 +200,6 @@ class Medium:
         self.active.remove(entry)
         states = self.states
         st = states[node_id]
-        st.transmitting = False
         st.current_frame = None
         clean = []
         for receiver, rec in recs:

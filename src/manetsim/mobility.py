@@ -84,9 +84,6 @@ class MobilityHistory:
             raise ValueError(f"sample timestamp {t_us} not after {self.samples[-1][0]}")
         self.samples.append((t_us, position))
 
-    def last(self) -> tuple[int, Position]:
-        return self.samples[-1]
-
 
 def predict_position(
     history: MobilityHistory,

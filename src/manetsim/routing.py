@@ -22,6 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .channel import max_range_m
+from .config import ScenarioConfig
+from .engine import us_from_s
 from .mobility import Position, distance
 
 
@@ -229,7 +232,6 @@ class RouterState:
 
     ranking: NeighborRanking
     tq_windows: dict[int, TQWindow] = field(default_factory=dict)
-    trend: ScoreTrend | None = None
     seq_counters: dict[ControlKind, int] = field(default_factory=dict)
     # Rebroadcast dedup per (kind, originator): highest seq already forwarded.
     forwarded: dict[tuple[ControlKind, int], int] = field(default_factory=dict)
@@ -254,28 +256,39 @@ class FloodingProtocol:
 
     It owns sequence numbers, the per-(kind, originator) rebroadcast dedup,
     the own-echo check, the ranking update and the rebroadcast stamp. A metric
-    supplies only ``emission_plan``, the (kind, interval_us) pairs every node
-    emits on; ``flooded_kinds``, the kinds a receiver rebroadcasts; ``score``,
-    how a received copy is scored; and ``hop_penalty``, the factor a forwarder
+    reads its own parameters from the config and supplies only
+    ``emission_plan``, the (kind, interval_us) pairs every node emits on;
+    ``flooded_kinds``, the kinds a receiver rebroadcasts; ``score``, how a
+    received copy is scored; and ``hop_penalty``, the factor a forwarder
     applies to the score it carries on.
+
+    ``positions`` is the run's position list, updated in place by the
+    mobility tick. ``predicted`` is None unless the metric predicts; then the
+    tick writes each node's predicted position into it.
     """
 
     emission_plan: list[tuple[ControlKind, int]]
     flooded_kinds = frozenset({ControlKind.OGM})
     hop_penalty = 1.0
+    predicted: list[Position] | None = None
 
-    def emit(self, state: RouterState, node_id: int, own_pos: Position,
-             own_pred: Position | None, kind: ControlKind, now_us: int) -> ControlMessage:
+    def __init__(self, config: ScenarioConfig, positions: list[Position]):
+        self.positions = positions
+
+    def _predicted(self, node: int) -> Position | None:
+        return None if self.predicted is None else self.predicted[node]
+
+    def emit(self, state: RouterState, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
         seq = state.next_seq(kind)
-        state.mark_forwarded(kind, node_id, seq)  # never re-flood an echo of our own message
+        state.mark_forwarded(kind, node, seq)  # never re-flood an echo of our own message
+        own_pos = self.positions[node]
         return ControlMessage(
-            kind=kind, originator=node_id, seq=seq, sender_position=own_pos,
-            originator_position=own_pos, sender_predicted=own_pred,
+            kind=kind, originator=node, seq=seq, sender_position=own_pos,
+            originator_position=own_pos, sender_predicted=self._predicted(node),
         )
 
     def receive(self, states: list[RouterState], receivers: list[int], msg: ControlMessage,
-                prev_hop: int, positions: list[Position], predicted: list[Position | None],
-                now_us: int) -> list[tuple[int, ControlMessage]]:
+                prev_hop: int, now_us: int) -> list[tuple[int, ControlMessage]]:
         """Hand one copy of msg, heard from prev_hop, to every receiver in order.
 
         Each receiver refreshes prev_hop as a live neighbour; the originator
@@ -293,17 +306,17 @@ class FloodingProtocol:
             ranking.touch_neighbor(prev_hop, now_us)
             if node == originator:
                 continue
-            score = score_fn(state, msg, prev_hop, positions[node], predicted[node], now_us)
+            score = score_fn(node, state, msg, prev_hop, now_us)
             ranking.update(originator, prev_hop, score, now_us)
             if score > 0.0 and floods and state.mark_forwarded(kind, originator, seq):
                 # Forwarders stamp their own score; the per-hop penalty is
                 # folded in here so every receiver applies the identical rule.
                 rebroadcasts.append((node, ControlMessage(
                     kind=kind, originator=originator, seq=seq,
-                    sender_position=positions[node], hops=msg.hops + 1,
+                    sender_position=self.positions[node], hops=msg.hops + 1,
                     carried_score=score * self.hop_penalty,
                     originator_position=msg.originator_position,
-                    sender_predicted=predicted[node],
+                    sender_predicted=self._predicted(node),
                 )))
         return rebroadcasts
 
@@ -311,12 +324,13 @@ class FloodingProtocol:
 class BatmanProtocol(FloodingProtocol):
     """Originator-message flooding with windowed link quality and hop penalty."""
 
-    def __init__(self, ogm_interval_us: int, tq_window_len: int = 8, hop_penalty: float = 0.95):
-        self.emission_plan = [(ControlKind.OGM, ogm_interval_us)]
-        self.tq_window_len = tq_window_len
-        self.hop_penalty = hop_penalty
+    def __init__(self, config: ScenarioConfig, positions: list[Position]):
+        super().__init__(config, positions)
+        self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
+        self.tq_window_len = config.tq_window
+        self.hop_penalty = config.hop_penalty
 
-    def score(self, state, msg, prev_hop, own_pos, own_pred, now_us) -> float:
+    def score(self, node, state, msg, prev_hop, now_us) -> float:
         """TQ window of the neighbor the copy came through, times the carried score."""
         window = state.tq_windows.get(prev_hop)
         if msg.originator == prev_hop:
@@ -331,34 +345,42 @@ class GeoOlsrProtocol(FloodingProtocol):
 
     flooded_kinds = frozenset({ControlKind.TC})
 
-    def __init__(self, hello_interval_us: int, tc_interval_us: int,
-                 diagonal_m: float, floor: float = 1e-6):
-        self.emission_plan = [(ControlKind.HELLO, hello_interval_us),
-                              (ControlKind.TC, tc_interval_us)]
-        self.diagonal_m = diagonal_m
-        self.floor = floor
+    def __init__(self, config: ScenarioConfig, positions: list[Position]):
+        super().__init__(config, positions)
+        self.emission_plan = [(ControlKind.HELLO, us_from_s(config.hello_interval_s)),
+                              (ControlKind.TC, us_from_s(config.tc_interval_s))]
+        self.diagonal_m = config.diagonal_m()
+        self.floor = config.geo_floor
 
-    def score(self, state, msg, prev_hop, own_pos, own_pred, now_us) -> float:
+    def score(self, node, state, msg, prev_hop, now_us) -> float:
         """Distance from the last forwarder to the originator; never below the floor."""
         return geo_score(msg.sender_position, msg.originator_position, self.diagonal_m, self.floor)
 
 
 class BatmobileProtocol(FloodingProtocol):
-    """Originator-message flooding scored by current plus predicted link distances."""
+    """Originator-message flooding scored by current plus predicted link distances.
 
-    def __init__(self, ogm_interval_us: int, comm_range_m: float,
-                 prediction_weight: int = 7, weight_scale: int = 8):
-        self.emission_plan = [(ControlKind.OGM, ogm_interval_us)]
-        self.comm_range_m = comm_range_m
-        self.prediction_weight = prediction_weight
-        self.weight_scale = weight_scale
+    Each node admits its raw scores through its own ScoreTrend clamp.
+    """
 
-    def score(self, state, msg, prev_hop, own_pos, own_pred, now_us) -> float:
+    def __init__(self, config: ScenarioConfig, positions: list[Position]):
+        super().__init__(config, positions)
+        self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
+        self.comm_range_m = max_range_m(config)
+        self.prediction_weight = config.prediction_weight
+        self.weight_scale = config.score_buffer
+        self.predicted = list(positions)
+        expiry_us = us_from_s(config.ranking_expiry_s)
+        self.trends = [ScoreTrend(config.score_buffer, config.trend_clamp, expiry_us)
+                       for _ in positions]
+
+    def score(self, node, state, msg, prev_hop, now_us) -> float:
         """Link score times the carried score, admitted through the node's trend clamp."""
         raw = pathscore_link(
-            own_pos, own_pred, msg.sender_position, msg.sender_predicted,
+            self.positions[node], self.predicted[node], msg.sender_position, msg.sender_predicted,
             self.comm_range_m, self.prediction_weight, self.weight_scale,
         ) * msg.carried_score
-        if state.trend is None:
-            return raw
-        return state.trend.admit(msg.originator, prev_hop, raw, now_us)
+        return self.trends[node].admit(msg.originator, prev_hop, raw, now_us)
+
+
+PROTOCOLS = {"batman": BatmanProtocol, "golsr": GeoOlsrProtocol, "batmobile": BatmobileProtocol}

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .balancer import DropReason, RRState, plain_forward, postrouting_hook
-from .channel import Frame, FrameKind, Medium, max_range_m
+from .channel import Frame, FrameKind, Medium
 from .config import ScenarioConfig
 from .engine import Engine, EventKind, us_from_s
 from .mobility import (
@@ -23,39 +23,15 @@ from .mobility import (
     random_position,
     step_waypoint,
 )
-from .routing import (
-    BatmanProtocol,
-    BatmobileProtocol,
-    GeoOlsrProtocol,
-    NeighborRanking,
-    RouterState,
-    ScoreTrend,
+from .routing import PROTOCOLS, NeighborRanking, RouterState
+from .traffic import (
+    DROP_CAUSES,
+    StreamSpec,
+    StreamStats,
+    draw_endpoints,
+    mean_current_pdr,
+    pdr_series,
 )
-from .traffic import StreamSpec, StreamStats, draw_endpoints, mean_current_pdr, pdr_series
-
-
-def build_protocol(config: ScenarioConfig):
-    if config.protocol == "batman":
-        return BatmanProtocol(
-            ogm_interval_us=us_from_s(config.ogm_interval_s),
-            tq_window_len=config.tq_window,
-            hop_penalty=config.hop_penalty,
-        )
-    if config.protocol == "golsr":
-        return GeoOlsrProtocol(
-            hello_interval_us=us_from_s(config.hello_interval_s),
-            tc_interval_us=us_from_s(config.tc_interval_s),
-            diagonal_m=config.diagonal_m(),
-            floor=config.geo_floor,
-        )
-    if config.protocol == "batmobile":
-        return BatmobileProtocol(
-            ogm_interval_us=us_from_s(config.ogm_interval_s),
-            comm_range_m=max_range_m(config),
-            prediction_weight=config.prediction_weight,
-            weight_scale=config.score_buffer,
-        )
-    raise ValueError(f"unknown protocol {config.protocol!r}")
 
 
 class Decision(NamedTuple):
@@ -117,7 +93,6 @@ class Simulation:
             raise ValueError("initial_positions must cover every node")
         self.positions: list[Position] = []
         self.mobility: list[MobilityState] = []
-        self.histories: list[MobilityHistory] = []
         for node in range(config.nodes):
             pos = (
                 initial_positions[node]
@@ -127,26 +102,18 @@ class Simulation:
             waypoint = random_position(self.area, topology_rng)
             self.positions.append(pos)
             self.mobility.append(MobilityState(pos, waypoint, config.speed_mps))
-            history = MobilityHistory(config.score_buffer)
-            history.record(0, pos)
-            self.histories.append(history)
 
-        self.protocol = build_protocol(config)
-        self._is_batmobile = isinstance(self.protocol, BatmobileProtocol)
-        # Only batmobile predicts; the other metrics see no prediction at all.
-        self.predicted: list[Position | None] = (
-            list(self.positions) if self._is_batmobile else [None] * config.nodes
-        )
+        self.protocol = PROTOCOLS[config.protocol](config, self.positions)
+        # Position histories feed the prediction, so only a predicting metric
+        # records them.
+        self.histories: list[MobilityHistory] = []
+        if self.protocol.predicted is not None:
+            for pos in self.positions:
+                history = MobilityHistory(config.score_buffer)
+                history.record(0, pos)
+                self.histories.append(history)
         expiry_us = us_from_s(config.ranking_expiry_s)
-        self.routers = [
-            RouterState(
-                ranking=NeighborRanking(expiry_us),
-                trend=ScoreTrend(config.score_buffer, config.trend_clamp, expiry_us)
-                if self._is_batmobile
-                else None,
-            )
-            for _ in range(config.nodes)
-        ]
+        self.routers = [RouterState(ranking=NeighborRanking(expiry_us)) for _ in range(config.nodes)]
         self.rr = [RRState() for _ in range(config.nodes)]
 
         self.medium = Medium(
@@ -187,24 +154,22 @@ class Simulation:
 
     def _on_mobility_tick(self, _payload: None) -> None:
         now = self.engine.clock_us
-        dt = self.config.mobility_update_s
-        for node in range(self.config.nodes):
+        config = self.config
+        dt = config.mobility_update_s
+        for node in range(config.nodes):
             state = step_waypoint(self.mobility[node], dt, self.mobility_rng, self.area)
             self.mobility[node] = state
             self.positions[node] = state.position
-            self.histories[node].record(now, state.position)
         self.medium.refresh_neighbors()
-        if self._is_batmobile:
-            for node in range(self.config.nodes):
-                try:
-                    self.predicted[node] = predict_position(
-                        self.histories[node],
-                        self.config.fit_samples,
-                        self.config.prediction_steps,
-                        self.config.mobility_update_s,
-                    )
-                except InsufficientHistoryError:
-                    self.predicted[node] = self.positions[node]
+        predicted = self.protocol.predicted
+        for node, history in enumerate(self.histories):
+            history.record(now, self.positions[node])
+            try:
+                predicted[node] = predict_position(
+                    history, config.fit_samples, config.prediction_steps, dt,
+                )
+            except InsufficientHistoryError:
+                predicted[node] = self.positions[node]
         next_tick = now + self.tick_us
         if next_tick <= self.end_us:
             self.engine.schedule(next_tick, EventKind.MOBILITY_TICK)
@@ -212,12 +177,9 @@ class Simulation:
     def _on_control_emit(self, payload: tuple) -> None:
         node, kind, interval_us = payload
         now = self.engine.clock_us
-        msg = self.protocol.emit(
-            self.routers[node], node, self.positions[node], self.predicted[node], kind, now
-        )
+        msg = self.protocol.emit(self.routers[node], node, kind, now)
         frame = Frame(
             kind=FrameKind.CONTROL,
-            src=node,
             dst=None,
             size_bytes=self.config.control_bytes,
             prev_hop=node,
@@ -237,7 +199,6 @@ class Simulation:
         self._packet_counter += 1
         frame = Frame(
             kind=FrameKind.DATA,
-            src=spec.src,
             dst=spec.dst,
             size_bytes=spec.payload_bytes,
             prev_hop=None,
@@ -254,14 +215,12 @@ class Simulation:
         now = self.engine.clock_us
         if frame.kind is FrameKind.CONTROL:
             rebroadcasts = self.protocol.receive(
-                self.routers, receivers, frame.payload, frame.prev_hop,
-                self.positions, self.predicted, now,
+                self.routers, receivers, frame.payload, frame.prev_hop, now,
             )
             if frame.ttl > 1:
                 for receiver, msg in rebroadcasts:
                     self.medium.enqueue(receiver, Frame(
                         kind=FrameKind.CONTROL,
-                        src=frame.src,
                         dst=None,
                         size_bytes=self.config.control_bytes,
                         prev_hop=receiver,
@@ -315,31 +274,22 @@ class Simulation:
             st.sent == st.received + st.total_drops + pending_by_stream.get(idx, 0)
             for idx, st in enumerate(self.stats)
         )
-        pooled = StreamStats(us_from_s(self.config.window_s))
-        drops: dict[str, int] = {}
-        for st in self.stats:
-            pooled.sent += st.sent
-            pooled.received += st.received
-            for idx, count in st.sent_w.items():
-                pooled.sent_w[idx] = pooled.sent_w.get(idx, 0) + count
-            for idx, count in st.received_w.items():
-                pooled.received_w[idx] = pooled.received_w.get(idx, 0) + count
-            for cause, count in st.drops.items():
-                drops[cause] = drops.get(cause, 0) + count
-        pooled.drops = dict(drops)
+        sent = sum(st.sent for st in self.stats)
+        received = sum(st.received for st in self.stats)
+        series = pdr_series(self.stats, us_from_s(self.config.window_s), self.end_us)
         return RunResult(
             seed=self.seed,
-            sent=pooled.sent,
-            received=pooled.received,
-            drops=drops,
-            overall_pdr=pooled.received / pooled.sent if pooled.sent else 0.0,
-            mean_current_pdr=mean_current_pdr(pooled, self.end_us),
+            sent=sent,
+            received=received,
+            drops={cause: sum(st.drops[cause] for st in self.stats) for cause in DROP_CAUSES},
+            overall_pdr=received / sent if sent else 0.0,
+            mean_current_pdr=mean_current_pdr(series),
             control_tx=self.medium.control_tx,
             data_tx=self.medium.data_tx,
             events_processed=self.engine.processed,
             conservation_ok=conservation_ok,
             in_flight=sum(pending_by_stream.values()),
-            pdr_trace=pdr_series(pooled, self.end_us),
+            pdr_trace=series,
             per_stream=self.stats,
             state_hash=self._state_hash(),
             decisions=self.decisions,

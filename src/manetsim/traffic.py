@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 DROP_CAUSES = ("collision", "queue", "no_route", "ttl", "link")
 
@@ -40,15 +40,6 @@ class StreamSpec:
 def send_interval_us(payload_bytes: int, bitrate_bps: float) -> int:
     """Gap between a constant-bitrate stream's packets, on the engine's µs grid."""
     return round(payload_bytes * 8 / bitrate_bps * 1e6)
-
-
-def send_times_us(spec: StreamSpec) -> Iterator[int]:
-    """Send instants on the stream's fixed grid, half-open on [start, stop)."""
-    t = spec.start_us
-    step = spec.interval_us
-    while t < spec.stop_us:
-        yield t
-        t += step
 
 
 def draw_endpoints(node_count: int, stream_count: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -106,30 +97,26 @@ def current_pdr(stats: StreamStats, window_idx: int) -> float | None:
     return stats.received_w.get(window_idx, 0) / sent
 
 
-def overall_pdr(stats: StreamStats) -> float:
-    if stats.sent == 0:
-        raise ValueError("overall PDR undefined before anything was sent")
-    return stats.received / stats.sent
-
-
-def pdr_series(stats: StreamStats, horizon_us: int) -> list[tuple[float, int, int, float | None]]:
-    """(window_end_s, sent, received, current_pdr) per window over [0, horizon)."""
-    n_windows = math.ceil(horizon_us / stats.window_us)
+def pdr_series(streams: list[StreamStats], window_us: int,
+               horizon_us: int) -> list[tuple[float, int, int, float | None]]:
+    """(window_end_s, sent, received, current_pdr) per window over [0, horizon),
+    pooled over the streams, whose windows are window_us long."""
+    sent_w: Counter[int] = Counter()
+    received_w: Counter[int] = Counter()
+    for st in streams:
+        sent_w.update(st.sent_w)
+        received_w.update(st.received_w)
     series = []
-    for idx in range(n_windows):
-        sent = stats.sent_w.get(idx, 0)
-        received = stats.received_w.get(idx, 0)
-        series.append((
-            (idx + 1) * stats.window_us / 1e6,
-            sent,
-            received,
-            received / sent if sent else None,
-        ))
+    for idx in range(math.ceil(horizon_us / window_us)):
+        sent, received = sent_w[idx], received_w[idx]
+        series.append(((idx + 1) * window_us / 1e6, sent, received,
+                       received / sent if sent else None))
     return series
 
 
-def mean_current_pdr(stats: StreamStats, horizon_us: int) -> float:
-    samples = [pdr for *_, pdr in pdr_series(stats, horizon_us) if pdr is not None]
+def mean_current_pdr(series: list[tuple[float, int, int, float | None]]) -> float:
+    """Mean of a pdr_series' current PDRs over the windows that sent anything."""
+    samples = [pdr for *_, pdr in series if pdr is not None]
     if not samples:
         return 0.0
     return sum(samples) / len(samples)

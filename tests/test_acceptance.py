@@ -276,7 +276,7 @@ def test_criterion_10_windowed_pdr_exceeds_one_after_stall():
         # sensing stalls the sender, its queue fills, then drains on release.
         payload = ControlMessage(kind=ControlKind.OGM, originator=2, seq=10_000,
                                  sender_position=positions[2])
-        jumbo = Frame(kind=FrameKind.CONTROL, src=2, dst=None, size_bytes=5_999_936,
+        jumbo = Frame(kind=FrameKind.CONTROL, dst=None, size_bytes=5_999_936,
                       prev_hop=2, payload=payload)
         sim.medium.enqueue(2, jumbo)
 

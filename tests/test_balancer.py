@@ -182,7 +182,7 @@ def test_fairness_holds_piecewise_under_membership_churn(pattern):
 # -- postrouting hook ----------------------------------------------------------
 
 def data_frame(dst=9, prev_hop=None, ttl=16):
-    return Frame(kind=FrameKind.DATA, src=0, dst=dst, size_bytes=1460,
+    return Frame(kind=FrameKind.DATA, dst=dst, size_bytes=1460,
                  prev_hop=prev_hop, ttl=ttl, packet_id=1)
 
 

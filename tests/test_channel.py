@@ -124,12 +124,12 @@ class Harness:
 
 
 def data_frame(src, dst, size=1460):
-    return Frame(kind=FrameKind.DATA, src=src, dst=dst, size_bytes=size,
+    return Frame(kind=FrameKind.DATA, dst=dst, size_bytes=size,
                  prev_hop=src, next_hop=dst, packet_id=1)
 
 
 def broadcast_frame(src, size=64):
-    return Frame(kind=FrameKind.CONTROL, src=src, dst=None, size_bytes=size, prev_hop=src)
+    return Frame(kind=FrameKind.CONTROL, dst=None, size_bytes=size, prev_hop=src)
 
 
 def test_single_transmission_delivered_in_range():
@@ -183,7 +183,7 @@ def test_broadcast_reaches_every_node_in_range():
 def test_queue_capacity_and_fifo_order():
     config = ScenarioConfig(queue_capacity=50)
     h = Harness([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0)], config=config)
-    frames = [Frame(kind=FrameKind.DATA, src=0, dst=1, size_bytes=100,
+    frames = [Frame(kind=FrameKind.DATA, dst=1, size_bytes=100,
                     prev_hop=0, next_hop=1, packet_id=i) for i in range(52)]
     accepted = [h.send(0, f) for f in frames]
     assert accepted == [True] * 50 + [False, False]
@@ -274,11 +274,12 @@ def test_neighbor_cache_equals_brute_force(extra, rnd):
 
 
 def test_neighbor_cache_follows_moving_nodes():
+    # batmobile, so that the position histories show when the ticks fired.
     config = ScenarioConfig(nodes=20, area_x=150.0, area_y=150.0, speed_mps=20.0,
-                            sim_time_s=3.0, stream_start_s=1.0)
+                            sim_time_s=3.0, stream_start_s=1.0, protocol="batmobile")
     sim = Simulation(config, 5)
     start = [list(near) for near in sim.medium.neighbors]
     sim.run()
-    assert sim.histories[0].last()[0] == sim.end_us  # a mobility tick fired at the very end
+    assert sim.histories[0].samples[-1][0] == sim.end_us  # a mobility tick fired at the very end
     assert_cache_matches(sim.medium)
     assert sim.medium.neighbors != start

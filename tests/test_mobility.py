@@ -91,7 +91,7 @@ def test_history_ring_semantics():
     assert len(history) == 8
     # the first sample was evicted
     assert history.samples[0][1] == (1.0, 0.0, 0.0)
-    assert history.last()[1] == (8.0, 0.0, 0.0)
+    assert history.samples[-1][1] == (8.0, 0.0, 0.0)
 
 
 def test_history_rejects_duplicate_timestamp():

@@ -1,12 +1,15 @@
 import copy
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from manetsim import config as config_module
 from manetsim.config import ScenarioConfig
 from manetsim.routing import (
+    PROTOCOLS,
     BatmanProtocol,
     BatmobileProtocol,
     ControlKind,
@@ -190,7 +193,55 @@ def test_zero_score_update_removes_entry():
     assert ranking.scores(9, 100) == {}
 
 
+# -- protocols from config ---------------------------------------------------
+
+def test_protocol_table_covers_the_config_names_in_order():
+    assert tuple(PROTOCOLS) == config_module.PROTOCOLS
+
+
+def test_each_protocol_reads_its_own_parameters_from_config():
+    # Each metric takes its µs intervals, diagonal, range, buffer, clamp and
+    # expiry from this one non-default config.
+    config = ScenarioConfig(
+        nodes=4, ogm_interval_s=0.7, tq_window=6, hop_penalty=0.9, hello_interval_s=0.3,
+        tc_interval_s=1.5, geo_floor=1e-4, area_x=300.0, area_y=200.0, area_z=5.0,
+        score_buffer=6, prediction_weight=5, trend_clamp=0.2, ranking_expiry_s=4.0,
+        tx_power_dbm=18.0, path_loss_exponent=3.0,
+    )
+    positions = [(float(n), 0.0, 0.0) for n in range(config.nodes)]
+
+    batman = BatmanProtocol(config, positions)
+    assert batman.emission_plan == [(ControlKind.OGM, 700_000)]
+    assert (batman.tq_window_len, batman.hop_penalty) == (6, 0.9)
+
+    golsr = GeoOlsrProtocol(config, positions)
+    assert golsr.emission_plan == [(ControlKind.HELLO, 300_000), (ControlKind.TC, 1_500_000)]
+    assert (golsr.diagonal_m, golsr.floor) == (360.58979464205584, 1e-4)
+    assert golsr.hop_penalty == 1.0
+
+    batmobile = BatmobileProtocol(config, positions)
+    assert batmobile.emission_plan == [(ControlKind.OGM, 700_000)]
+    assert batmobile.comm_range_m == 23.140184411076447
+    assert (batmobile.prediction_weight, batmobile.weight_scale) == (5, 6)
+    assert [(t.buffer_len, t.clamp, t.reset_after_us) for t in batmobile.trends] == \
+        [(6, 0.2, 4_000_000)] * 4
+    assert batmobile.predicted == positions and batmobile.predicted is not positions
+
+    for protocol in (batman, golsr, batmobile):
+        assert protocol.positions is positions
+    assert batman.predicted is None and golsr.predicted is None
+
+    sim = Simulation(replace(config, protocol="batmobile"), 1)
+    assert sim.routers[0].ranking.expiry_us == 4_000_000
+    assert sim.histories[0].capacity == 6
+
+
 # -- control-plane flooding ---------------------------------------------------
+
+def make(name, positions, **overrides):
+    """The named protocol built from the reference config plus overrides."""
+    return PROTOCOLS[name](ScenarioConfig(protocol=name, **overrides), positions)
+
 
 def ogm(originator, seq, sender_pos=(0.0, 0.0, 0.0), carried=1.0):
     return ControlMessage(kind=ControlKind.OGM, originator=originator, seq=seq,
@@ -198,7 +249,7 @@ def ogm(originator, seq, sender_pos=(0.0, 0.0, 0.0), carried=1.0):
 
 
 def test_same_message_via_two_neighbors_updates_both_entries():
-    protocol = BatmanProtocol(ogm_interval_us=500_000)
+    protocol = make("batman", [(0.0, 0.0, 0.0)])
     state = RouterState(ranking=NeighborRanking())
     me, via_b, via_f, origin = 0, 1, 2, 9
     for neighbor in (via_b, via_f):
@@ -207,60 +258,58 @@ def test_same_message_via_two_neighbors_updates_both_entries():
         for seq in range(8):
             window.update(seq)
         state.tq_windows[neighbor] = window
-    states, pos, pred = {me: state}, {me: (0.0, 0.0, 0.0)}, {me: None}
-    first = protocol.receive(states, [me], ogm(origin, 0, carried=0.9), via_b, pos, pred, 1000)
-    second = protocol.receive(states, [me], ogm(origin, 0, carried=0.9), via_f, pos, pred, 2000)
+    states = {me: state}
+    first = protocol.receive(states, [me], ogm(origin, 0, carried=0.9), via_b, 1000)
+    second = protocol.receive(states, [me], ogm(origin, 0, carried=0.9), via_f, 2000)
     assert [node for node, _ in first] == [me]  # rebroadcast on first receipt
     assert second == []  # but not on the duplicate
     assert set(state.ranking.scores(origin, 2000)) == {via_b, via_f}
 
 
 def test_rebroadcast_stamps_score_and_penalty():
-    protocol = BatmanProtocol(ogm_interval_us=500_000, hop_penalty=0.95)
+    protocol = make("batman", [(5.0, 0.0, 0.0)], hop_penalty=0.95)
     state = RouterState(ranking=NeighborRanking())
     state.ranking.touch_neighbor(1, 0)
     window = TQWindow()
     for seq in range(8):
         window.update(seq)
     state.tq_windows[1] = window
-    [(_, out)] = protocol.receive({0: state}, [0], ogm(9, 0, carried=0.8), 1,
-                                  {0: (5.0, 0.0, 0.0)}, {0: None}, 1000)
+    [(_, out)] = protocol.receive({0: state}, [0], ogm(9, 0, carried=0.8), 1, 1000)
     assert out.carried_score == pytest.approx(0.8 * 0.95)
     assert out.sender_position == (5.0, 0.0, 0.0)
     assert out.hops == 1
 
 
 def test_direct_ogm_feeds_tq_window_and_ranking():
-    protocol = BatmanProtocol(ogm_interval_us=500_000)
+    protocol = make("batman", [(0.0, 0.0, 0.0)])
     state = RouterState(ranking=NeighborRanking())
     state.ranking.touch_neighbor(3, 0)
     for seq in range(4):
-        protocol.receive({0: state}, [0], ogm(3, seq), 3, {0: (0.0, 0.0, 0.0)}, {0: None},
-                         1000 + seq)
+        protocol.receive({0: state}, [0], ogm(3, seq), 3, 1000 + seq)
     assert state.tq_windows[3].quality() == pytest.approx(4 / 8)
     assert state.ranking.scores(3, 2000)[3] == pytest.approx(4 / 8)
 
 
 def test_own_message_echo_is_ignored():
-    protocol = BatmanProtocol(ogm_interval_us=500_000)
+    protocol = make("batman", [(0.0, 0.0, 0.0)])
     state = RouterState(ranking=NeighborRanking())
     state.ranking.touch_neighbor(1, 0)
-    msg = protocol.emit(state, 0, (0.0, 0.0, 0.0), None, ControlKind.OGM, 0)
+    msg = protocol.emit(state, 0, ControlKind.OGM, 0)
     echoed = ControlMessage(kind=ControlKind.OGM, originator=0, seq=msg.seq,
                             sender_position=(1.0, 0.0, 0.0), carried_score=0.5)
-    assert protocol.receive({0: state}, [0], echoed, 1, {0: (0.0, 0.0, 0.0)}, {0: None},
-                            1000) == []
+    assert protocol.receive({0: state}, [0], echoed, 1, 1000) == []
     assert state.ranking.scores(0, 1000) == {}
 
 
 def test_geo_protocol_scores_forwarder_distance_to_destination():
-    protocol = GeoOlsrProtocol(500_000, 1_000_000, DIAG)
+    protocol = make("golsr", [(0.0, 0.0, 0.0)])
+    assert protocol.diagonal_m == DIAG
     state = RouterState(ranking=NeighborRanking())
     state.ranking.touch_neighbor(4, 0)
     msg = ControlMessage(kind=ControlKind.TC, originator=9, seq=0,
                          sender_position=(100.0, 0.0, 0.0),
                          originator_position=(200.0, 0.0, 0.0))
-    [(_, out)] = protocol.receive({0: state}, [0], msg, 4, {0: (0.0, 0.0, 0.0)}, {0: None}, 1000)
+    [(_, out)] = protocol.receive({0: state}, [0], msg, 4, 1000)
     expected = 1 - 100.0 / DIAG
     assert state.ranking.scores(9, 1000)[4] == pytest.approx(expected)
     assert out is not None  # TC floods
@@ -268,38 +317,35 @@ def test_geo_protocol_scores_forwarder_distance_to_destination():
 
 
 def test_hello_not_rebroadcast():
-    protocol = GeoOlsrProtocol(500_000, 1_000_000, DIAG)
+    protocol = make("golsr", [(0.0, 0.0, 0.0)])
     state = RouterState(ranking=NeighborRanking())
     state.ranking.touch_neighbor(4, 0)
     msg = ControlMessage(kind=ControlKind.HELLO, originator=4, seq=0,
                          sender_position=(10.0, 0.0, 0.0),
                          originator_position=(10.0, 0.0, 0.0))
-    assert protocol.receive({0: state}, [0], msg, 4, {0: (0.0, 0.0, 0.0)}, {0: None},
-                            1000) == []
+    assert protocol.receive({0: state}, [0], msg, 4, 1000) == []
     assert state.ranking.scores(4, 1000)[4] == pytest.approx(1.0)
 
 
 def test_sequence_numbers_strictly_increase():
-    protocol = BatmanProtocol(ogm_interval_us=500_000)
+    protocol = make("batman", [(0.0, 0.0, 0.0)])
     state = RouterState(ranking=NeighborRanking())
-    seqs = [protocol.emit(state, 0, (0.0, 0.0, 0.0), None, ControlKind.OGM, t).seq
-            for t in range(5)]
+    seqs = [protocol.emit(state, 0, ControlKind.OGM, t).seq for t in range(5)]
     assert seqs == [0, 1, 2, 3, 4]
 
 
 # -- batched receive: one call per transmission -------------------------------
 
-SPOT = {n: (12.0 * n, 7.0 * (n % 3), 0.0) for n in range(6)}
-SPOT_PRED = {n: (12.0 * n + 4.0, 7.0 * (n % 2), 0.0) for n in range(6)}
+SPOT = [(12.0 * n, 7.0 * (n % 3), 0.0) for n in range(6)]
+SPOT_PRED = [(12.0 * n + 4.0, 7.0 * (n % 2), 0.0) for n in range(6)]
 
-# name -> (protocol factory, the kinds it floods or hears, whether it predicts).
-# golsr gets a 40 m diagonal and no floor, so distant forwarders score zero.
+# name -> (config overrides, the kinds it floods or hears). golsr gets a 40 m
+# diagonal (24 x 32 x 0) and no floor, so distant forwarders score zero.
 FLOODERS = {
-    "batman": (lambda: BatmanProtocol(500_000), (ControlKind.OGM,), False),
-    "golsr": (lambda: GeoOlsrProtocol(500_000, 1_000_000, diagonal_m=40.0, floor=0.0),
-              (ControlKind.HELLO, ControlKind.TC), False),
-    "batmobile": (lambda: BatmobileProtocol(500_000, comm_range_m=55.4),
-                  (ControlKind.OGM,), True),
+    "batman": ({}, (ControlKind.OGM,)),
+    "golsr": (dict(area_x=24.0, area_y=32.0, area_z=0.0, geo_floor=0.0),
+              (ControlKind.HELLO, ControlKind.TC)),
+    "batmobile": ({}, (ControlKind.OGM,)),
 }
 
 # (originator, seq, prev_hop, receivers, carried score, kind index). Seqs come
@@ -315,14 +361,16 @@ transmissions = st.tuples(
 )
 
 
-def snapshot(state):
-    """Everything receive may change in a RouterState, except last_heard."""
-    return (
+def snapshot(protocol, states, node):
+    """A copy of everything receive may change for node, except last_heard."""
+    state = states[node]
+    trends = getattr(protocol, "trends", None)
+    return copy.deepcopy((
         state.ranking.table,
         {n: (w.bits, w.last_seq) for n, w in state.tq_windows.items()},
         state.forwarded,
-        None if state.trend is None else state.trend._buffers,
-    )
+        None if trends is None else trends[node]._buffers,
+    ))
 
 
 @given(st.sampled_from(sorted(FLOODERS)), st.lists(transmissions, min_size=1, max_size=12))
@@ -331,65 +379,69 @@ def snapshot(state):
 @example("batman", [(1, 0, 1, [0], 1.0, 0), (1, 1, 1, [0], 0.0, 0)])  # zero score
 @settings(max_examples=150, deadline=None)
 def test_batched_receive_equals_one_receiver_at_a_time(name, steps):
-    make, kinds, predicts = FLOODERS[name]
-    protocol = make()
-
-    def fresh():
-        return {n: RouterState(ranking=NeighborRanking(), trend=ScoreTrend() if predicts else None)
-                for n in SPOT}
-
-    together_states, apart_states = fresh(), fresh()
-    pred = SPOT_PRED if predicts else dict.fromkeys(SPOT)
+    overrides, kinds = FLOODERS[name]
+    # Each side has its own protocol, since batmobile keeps its trends there.
+    together, apart = make(name, SPOT, **overrides), make(name, SPOT, **overrides)
+    for protocol in (together, apart):
+        if protocol.predicted is not None:
+            protocol.predicted[:] = SPOT_PRED
+    pred = together.predicted or [None] * len(SPOT)
+    nodes = range(len(SPOT))
+    together_states, apart_states = (
+        [RouterState(ranking=NeighborRanking()) for _ in nodes] for _ in range(2))
     for step, (origin, seq, prev_hop, receivers, carried, kind) in enumerate(steps):
         receivers = [r for r in receivers if r != prev_hop]
         now = 1000 + 100_000 * step
         msg = ControlMessage(kind=kinds[kind % len(kinds)], originator=origin, seq=seq,
                              sender_position=SPOT[prev_hop], carried_score=carried,
                              originator_position=SPOT[origin], sender_predicted=pred[prev_hop])
-        echo_before = snapshot(copy.deepcopy(together_states[origin]))
-        together = protocol.receive(together_states, receivers, msg, prev_hop, SPOT, pred, now)
-        apart = [out for r in receivers
-                 for out in protocol.receive(apart_states, [r], msg, prev_hop, SPOT, pred, now)]
-        assert together == apart
-        assert [snapshot(together_states[n]) for n in SPOT] == [snapshot(apart_states[n]) for n in SPOT]
-        assert [together_states[n].ranking.last_heard for n in SPOT] == \
-            [apart_states[n].ranking.last_heard for n in SPOT]
+        echo_before = snapshot(together, together_states, origin)
+        batched = together.receive(together_states, receivers, msg, prev_hop, now)
+        one_by_one = [out for r in receivers
+                      for out in apart.receive(apart_states, [r], msg, prev_hop, now)]
+        assert batched == one_by_one
+        assert [snapshot(together, together_states, n) for n in nodes] == \
+            [snapshot(apart, apart_states, n) for n in nodes]
+        assert [together_states[n].ranking.last_heard for n in nodes] == \
+            [apart_states[n].ranking.last_heard for n in nodes]
         assert all(together_states[r].ranking.last_heard.get(prev_hop) == now for r in receivers)
         if origin in receivers:  # the originator is only touched
-            assert snapshot(together_states[origin]) == echo_before
-            assert origin not in [node for node, _ in together]
+            assert snapshot(together, together_states, origin) == echo_before
+            assert origin not in [node for node, _ in batched]
 
 
 # -- multi-hop chains: O -> A -> B -> me ----------------------------------------
 
-O, A, B, ME = 9, 1, 2, 0
-CHAIN_POS = {O: (0.0, 0.0, 0.0), A: (30.0, 0.0, 0.0), B: (55.0, 10.0, 0.0), ME: (80.0, 0.0, 0.0)}
-CHAIN_PRED = {O: (5.0, 5.0, 0.0), A: (35.0, 0.0, 0.0), B: (50.0, 20.0, 0.0), ME: (90.0, 5.0, 0.0)}
+ME, A, B, O = 0, 1, 2, 3
+CHAIN_POS = [(80.0, 0.0, 0.0), (30.0, 0.0, 0.0), (55.0, 10.0, 0.0), (0.0, 0.0, 0.0)]
+CHAIN_PRED = [(90.0, 5.0, 0.0), (35.0, 0.0, 0.0), (50.0, 20.0, 0.0), (5.0, 5.0, 0.0)]
 
 
-def relay(protocol, states, msg, path, now_us, pred=None):
+def chain_states():
+    return [RouterState(ranking=NeighborRanking()) for _ in CHAIN_POS]
+
+
+def relay(protocol, states, msg, path, now_us):
     """Carry msg from path[0] over each hop of path; return the last receiver's state."""
-    pred = dict.fromkeys(CHAIN_POS) if pred is None else pred
     for prev_hop, node in zip(path, path[1:]):
-        out = protocol.receive(states, [node], msg, prev_hop, CHAIN_POS, pred, now_us)
+        out = protocol.receive(states, [node], msg, prev_hop, now_us)
         if node != path[-1]:
             [(_, msg)] = out
     return states[path[-1]]
 
 
 def test_batman_chain_score_equals_tq_path_score():
-    protocol = BatmanProtocol(ogm_interval_us=500_000, hop_penalty=0.95)
-    states = {n: RouterState(ranking=NeighborRanking()) for n in CHAIN_POS}
+    protocol = make("batman", CHAIN_POS, hop_penalty=0.95)
+    states = chain_states()
     heard = {(O, A): {0, 1, 2, 4, 5, 7}, (A, B): {0, 2, 3, 5, 7}, (B, ME): {0, 1, 2, 3, 4, 5, 7}}
     # Each relay's own OGMs build the next hop's TQ window; O's last OGM floods.
     for sender, receiver in ((A, B), (B, ME)):
         for seq in range(8):
-            msg = protocol.emit(states[sender], sender, CHAIN_POS[sender], None,
-                                ControlKind.OGM, seq)
+            msg = protocol.emit(states[sender], sender, ControlKind.OGM, seq)
             if seq in heard[(sender, receiver)]:
                 relay(protocol, states, msg, [sender, receiver], 1000)
     for seq in range(8):
-        msg = protocol.emit(states[O], O, CHAIN_POS[O], None, ControlKind.OGM, seq)
+        msg = protocol.emit(states[O], O, ControlKind.OGM, seq)
         if seq in heard[(O, A)] and seq < 7:
             relay(protocol, states, msg, [O, A], 1000)
     me = relay(protocol, states, msg, [O, A, B, ME], 2000)
@@ -398,12 +450,16 @@ def test_batman_chain_score_equals_tq_path_score():
 
 
 def test_batmobile_chain_score_equals_pathscore_path():
-    protocol = BatmobileProtocol(ogm_interval_us=500_000, comm_range_m=55.4)
-    states = {n: RouterState(ranking=NeighborRanking(), trend=None) for n in CHAIN_POS}
-    msg = protocol.emit(states[O], O, CHAIN_POS[O], CHAIN_PRED[O], ControlKind.OGM, 0)
-    me = relay(protocol, states, msg, [O, A, B, ME], 1000, CHAIN_PRED)
+    # Every node's trend sees each (originator, neighbour) key once, so it
+    # admits the raw score unchanged.
+    protocol = make("batmobile", CHAIN_POS)
+    protocol.predicted[:] = CHAIN_PRED
+    states = chain_states()
+    msg = protocol.emit(states[O], O, ControlKind.OGM, 0)
+    me = relay(protocol, states, msg, [O, A, B, ME], 1000)
     links = [
-        pathscore_link(CHAIN_POS[rx], CHAIN_PRED[rx], CHAIN_POS[tx], CHAIN_PRED[tx], 55.4)
+        pathscore_link(CHAIN_POS[rx], CHAIN_PRED[rx], CHAIN_POS[tx], CHAIN_PRED[tx],
+                       protocol.comm_range_m)
         for tx, rx in ((O, A), (A, B), (B, ME))
     ]
     assert all(link > 0 for link in links)
@@ -411,9 +467,9 @@ def test_batmobile_chain_score_equals_pathscore_path():
 
 
 def test_golsr_chain_scores_last_forwarder_against_originator():
-    protocol = GeoOlsrProtocol(500_000, 1_000_000, DIAG)
-    states = {n: RouterState(ranking=NeighborRanking()) for n in CHAIN_POS}
-    msg = protocol.emit(states[O], O, CHAIN_POS[O], None, ControlKind.TC, 0)
+    protocol = make("golsr", CHAIN_POS)
+    states = chain_states()
+    msg = protocol.emit(states[O], O, ControlKind.TC, 0)
     me = relay(protocol, states, msg, [O, A, B, ME], 1000)
     assert me.ranking.scores(O, 1000)[B] == pytest.approx(
         geo_score(CHAIN_POS[B], CHAIN_POS[O], DIAG))

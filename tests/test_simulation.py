@@ -118,7 +118,7 @@ def test_ttl_one_copy_still_marks_its_message_forwarded():
                          sender_position=DIAMOND[1], originator_position=DIAMOND[0])
 
     def copy(ttl):
-        return Frame(kind=FrameKind.CONTROL, src=0, dst=None, size_bytes=config.control_bytes,
+        return Frame(kind=FrameKind.CONTROL, dst=None, size_bytes=config.control_bytes,
                      prev_hop=1, ttl=ttl, payload=msg)
 
     sim._on_frame_delivered([3], copy(ttl=1))
@@ -204,7 +204,17 @@ def test_mobility_feeds_histories_and_predictions():
     sim.run()
     for node in range(config.nodes):
         assert len(sim.histories[node]) == 8  # ring full after 2 s
-        assert sim.predicted[node] is not None
+        assert sim.protocol.predicted[node] is not None
+        assert sim.protocol.predicted[node] != sim.positions[node]
+
+
+@pytest.mark.parametrize("protocol", ["batman", "golsr"])
+def test_only_batmobile_records_histories_and_predictions(protocol):
+    config = ScenarioConfig(sim_time_s=2.0, nodes=4, protocol=protocol, stream_start_s=1.0)
+    sim = Simulation(config, 1)
+    sim.run()
+    assert sim.histories == []
+    assert sim.protocol.predicted is None
 
 
 def test_minimum_two_node_scenario_runs():

@@ -2,17 +2,18 @@ import random
 
 import pytest
 
+from manetsim.config import ScenarioConfig
 from manetsim.engine import us_from_s
+from manetsim.simulation import Simulation
 from manetsim.traffic import (
+    DROP_CAUSES,
     StreamSpec,
     StreamStats,
     confidence_interval,
     current_pdr,
     draw_endpoints,
     mean_current_pdr,
-    overall_pdr,
     pdr_series,
-    send_times_us,
 )
 
 
@@ -21,19 +22,27 @@ def test_interval_is_exact_for_reference_stream():
     assert spec.interval_us == 5840  # 1460 B * 8 / 2 Mbit/s
 
 
+def run_stream(seconds, trace=False):
+    """One reference stream from node 0 to node 1, 200 m apart (out of range),
+    so every send ends at the source as a no-route drop."""
+    config = ScenarioConfig(nodes=2, sim_time_s=seconds, speed_mps=0.0,
+                            area_x=200.0, area_y=10.0, area_z=1.0)
+    sim = Simulation(config, 1, initial_positions=[(0.0, 0.0, 0.0), (200.0, 0.0, 0.0)],
+                     streams=[StreamSpec(0, 1, 0, us_from_s(seconds))], trace=trace)
+    return sim.run()
+
+
 def test_one_second_of_stream():
-    spec = StreamSpec(0, 1, 0, us_from_s(1.0))
-    times = list(send_times_us(spec))
-    assert len(times) in (171, 172)
-    assert len(times) == 172  # grid starts at t=0
+    result = run_stream(1.0, trace=True)
+    times = [d.time_us for d in result.decisions if d.node == 0]
+    assert result.sent == len(times) == 172  # grid starts at t=0
     assert times[0] == 0
     assert all(b - a == 5840 for a, b in zip(times, times[1:]))
 
 
 def test_six_hundred_seconds_of_stream():
-    spec = StreamSpec(0, 1, 0, us_from_s(600.0))
-    count = sum(1 for _ in send_times_us(spec))
-    assert count == 102_740
+    result = run_stream(600.0)
+    assert result.sent == result.drops["no_route"] == 102_740
 
 
 def test_stream_rejects_equal_endpoints():
@@ -82,35 +91,69 @@ def test_current_pdr_exceeds_one_with_late_arrivals():
         stats.record_received(us_from_s(1.0) + k)
     assert current_pdr(stats, 1) == pytest.approx(180 / 171)
     assert current_pdr(stats, 1) > 1.0
-    assert overall_pdr(stats) <= 1.0
+    assert stats.received <= stats.sent
 
 
 def test_current_pdr_absent_when_nothing_sent():
     stats = make_stats()
     stats.record_received(500_000)
     assert current_pdr(stats, 1) is None
-    series = pdr_series(stats, us_from_s(2.0))
+    series = pdr_series([stats], stats.window_us, us_from_s(2.0))
     assert series[1][3] is None
 
 
+def test_pdr_series_pools_streams_window_by_window():
+    first, second = make_stats(), make_stats()
+    first.record_sent(100)
+    first.record_received(200)
+    second.record_sent(300)
+    second.record_sent(us_from_s(1.5))
+    second.record_received(us_from_s(2.0))  # at the horizon: outside every window
+    assert pdr_series([first, second], us_from_s(1.0), us_from_s(2.0)) == [
+        (1.0, 2, 1, 0.5),
+        (2.0, 1, 0, 0.0),
+    ]
+    assert pdr_series([], us_from_s(1.0), us_from_s(2.0)) == [(1.0, 0, 0, None), (2.0, 0, 0, None)]
+
+
+def collected(*streams):
+    """The run result of a streamless run whose accounting holds these streams."""
+    sim = Simulation(ScenarioConfig(nodes=2, sim_time_s=3.0), 1, streams=[])
+    sim.stats = list(streams)
+    return sim._collect()
+
+
 def test_overall_pdr_examples():
-    stats = make_stats()
-    for k in range(100):
-        stats.record_sent(k)
+    first, second = make_stats(), make_stats()
+    for k in range(60):
+        first.record_sent(k)
+    for k in range(40):
+        second.record_sent(k)
     for k in range(90):
-        stats.record_received(k + 200)
-    assert overall_pdr(stats) == pytest.approx(0.9)
+        (first if k < 55 else second).record_received(k + 200)
+    assert collected(first, second).overall_pdr == pytest.approx(0.9)
 
 
 def test_overall_pdr_zero_received():
     stats = make_stats()
     stats.record_sent(0)
-    assert overall_pdr(stats) == 0.0
+    assert collected(stats).overall_pdr == 0.0
 
 
-def test_overall_pdr_undefined_without_sends():
-    with pytest.raises(ValueError):
-        overall_pdr(make_stats())
+def test_overall_pdr_zero_without_sends():
+    result = Simulation(ScenarioConfig(nodes=2, sim_time_s=1.0), 1, streams=[]).run()
+    assert (result.sent, result.overall_pdr, result.mean_current_pdr) == (0, 0.0, 0.0)
+    assert result.drops == dict.fromkeys(DROP_CAUSES, 0)  # every cause, even with no stream
+
+
+def test_collect_sums_drops_per_cause():
+    first, second = make_stats(), make_stats()
+    first.record_drop("link")
+    second.record_drop("link")
+    second.record_drop("ttl")
+    drops = collected(first, second).drops
+    assert list(drops) == list(DROP_CAUSES)
+    assert (drops["link"], drops["ttl"], sum(drops.values())) == (2, 1, 3)
 
 
 def test_mean_current_pdr_ignores_absent_windows():
@@ -118,7 +161,9 @@ def test_mean_current_pdr_ignores_absent_windows():
     stats.record_sent(us_from_s(0.5))
     stats.record_received(us_from_s(0.6))
     stats.record_sent(us_from_s(2.5))
-    assert mean_current_pdr(stats, us_from_s(3.0)) == pytest.approx(0.5)
+    series = pdr_series([stats], stats.window_us, us_from_s(3.0))
+    assert mean_current_pdr(series) == pytest.approx(0.5)
+    assert collected(stats).mean_current_pdr == pytest.approx(0.5)
 
 
 def test_conservation_counters():
