@@ -138,8 +138,11 @@ class Medium:
         self.neighbors = neighbors
         self.neighbor_sets = [set(near) for near in neighbors]
 
-    def _jitter(self) -> int:
-        return self.rng.randrange(self.config.mac_jitter_us + 1)
+    def _attempt_after(self, node_id: int, t_us: int) -> None:
+        """Schedule node_id's next transmit attempt at t_us plus a fresh jitter."""
+        self.states[node_id].attempt_scheduled = True
+        jitter = self.rng.randrange(self.config.mac_jitter_us + 1)
+        self.engine.schedule(t_us + jitter, EventKind.TX_ATTEMPT, node_id)
 
     def enqueue(self, node_id: int, frame: Frame) -> bool:
         """FIFO admit; drop-tail above capacity with the drop counted."""
@@ -149,10 +152,7 @@ class Medium:
             return False
         st.queue.append(frame)
         if st.current_frame is None and not st.attempt_scheduled:
-            st.attempt_scheduled = True
-            self.engine.schedule(
-                self.engine.clock_us + self._jitter(), EventKind.TX_ATTEMPT, node_id
-            )
+            self._attempt_after(node_id, self.engine.clock_us)
         return True
 
     def _on_attempt(self, node_id: int) -> None:
@@ -168,8 +168,7 @@ class Medium:
             if t_end > now and sender_id in audible:
                 busy_until = max(busy_until, t_end)
         if busy_until > now:
-            st.attempt_scheduled = True
-            self.engine.schedule(busy_until + self._jitter(), EventKind.TX_ATTEMPT, node_id)
+            self._attempt_after(node_id, busy_until)
             return
         frame = st.queue.popleft()
         st.current_frame = frame
@@ -216,10 +215,7 @@ class Medium:
             in_range = any(receiver == addressed for receiver, _ in recs)
             self.on_unicast_lost(frame, "collision" if in_range else "link")
         if st.queue and not st.attempt_scheduled:
-            st.attempt_scheduled = True
-            self.engine.schedule(
-                self.engine.clock_us + self._jitter(), EventKind.TX_ATTEMPT, node_id
-            )
+            self._attempt_after(node_id, self.engine.clock_us)
 
     def queued_data_frames(self) -> list[Frame]:
         """Stream frames still held by the medium (queued or on the air)."""

@@ -17,13 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 from .config import ConfigError, ScenarioConfig, validate
 from .simulation import RunResult, simulate
-
-CSV_COLUMNS = (
-    "scenario_id", "protocol", "balanced", "lambda", "nodes", "streams", "seed",
-    "overall_pdr", "mean_current_pdr",
-    "drop_collision", "drop_queue", "drop_no_route", "drop_ttl", "drop_link",
-    "control_messages", "runtime_events",
-)
+from .traffic import DROP_CAUSES
 
 SWEEP_PARAMETERS = ("lambda", "nodes", "streams")
 
@@ -39,13 +33,16 @@ class ResultRow:
     seed: int
     overall_pdr: float
     mean_current_pdr: float
-    drop_collision: int
+    drop_collision: int  # one drop_<cause> per traffic.DROP_CAUSES entry, in order
     drop_queue: int
     drop_no_route: int
     drop_ttl: int
     drop_link: int
     control_messages: int
     runtime_events: int
+
+
+CSV_COLUMNS = tuple("lambda" if f.name == "lambda_factor" else f.name for f in fields(ResultRow))
 
 
 def quantize(value: float) -> float:
@@ -59,7 +56,6 @@ def scenario_id(config: ScenarioConfig) -> str:
 
 
 def result_row(config: ScenarioConfig, result: RunResult) -> ResultRow:
-    drops = result.drops
     return ResultRow(
         scenario_id=scenario_id(config),
         protocol=config.protocol,
@@ -70,11 +66,7 @@ def result_row(config: ScenarioConfig, result: RunResult) -> ResultRow:
         seed=result.seed,
         overall_pdr=quantize(result.overall_pdr),
         mean_current_pdr=quantize(result.mean_current_pdr),
-        drop_collision=drops.get("collision", 0),
-        drop_queue=drops.get("queue", 0),
-        drop_no_route=drops.get("no_route", 0),
-        drop_ttl=drops.get("ttl", 0),
-        drop_link=drops.get("link", 0),
+        **{f"drop_{cause}": result.drops[cause] for cause in DROP_CAUSES},
         control_messages=result.control_tx,
         runtime_events=result.events_processed,
     )

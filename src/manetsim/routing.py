@@ -19,7 +19,7 @@ receiver list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .channel import max_range_m
@@ -33,8 +33,8 @@ class ControlKind(Enum):
     HELLO = "hello"
     TC = "tc"
 
-    # Identity hashing in C; see EventKind. Hashed on every delivered copy
-    # through the RouterState.forwarded key.
+    # Identity hashing in C; see EventKind. Hashed on every scored copy of a
+    # flooded kind, through the FloodingProtocol.forwarded key.
     __hash__ = object.__hash__
 
 
@@ -44,7 +44,6 @@ class ControlMessage:
     originator: int
     seq: int
     sender_position: Position
-    hops: int = 0
     carried_score: float = 1.0
     originator_position: Position | None = None
     sender_predicted: Position | None = None
@@ -226,37 +225,16 @@ class NeighborRanking:
         return max(live.items(), key=lambda kv: (kv[1], -kv[0]))[0]
 
 
-@dataclass(slots=True)
-class RouterState:
-    """Per-node control-plane state, owned by that node, engine-dispatched only."""
-
-    ranking: NeighborRanking
-    tq_windows: dict[int, TQWindow] = field(default_factory=dict)
-    seq_counters: dict[ControlKind, int] = field(default_factory=dict)
-    # Rebroadcast dedup per (kind, originator): highest seq already forwarded.
-    forwarded: dict[tuple[ControlKind, int], int] = field(default_factory=dict)
-
-    def next_seq(self, kind: ControlKind) -> int:
-        seq = self.seq_counters.get(kind, 0)
-        self.seq_counters[kind] = seq + 1
-        return seq
-
-    def mark_forwarded(self, kind: ControlKind, originator: int, seq: int) -> bool:
-        """True when (kind, originator, seq) has not been forwarded yet."""
-        key = (kind, originator)
-        seen = self.forwarded.get(key, -1)
-        if seq <= seen:
-            return False
-        self.forwarded[key] = seq
-        return True
-
-
 class FloodingProtocol:
     """One flooding process shared by every metric.
 
-    It owns sequence numbers, the per-(kind, originator) rebroadcast dedup,
-    the own-echo check, the ranking update and the rebroadcast stamp. A metric
-    reads its own parameters from the config and supplies only
+    It owns every node's control-plane state: ``rankings[n]``, node n's
+    NeighborRanking, the only thing the balancer reads; and ``forwarded[n]``,
+    the highest seq node n has flooded per (kind, originator). A node's entry
+    for its own messages is also its latest sequence number. It runs the
+    rebroadcast dedup, the own-echo check, the ranking update and the
+    rebroadcast stamp. A metric reads its own parameters from the config,
+    keeps any further per-node state itself, and supplies only
     ``emission_plan``, the (kind, interval_us) pairs every node emits on;
     ``flooded_kinds``, the kinds a receiver rebroadcasts; ``score``, how a
     received copy is scored; and ``hop_penalty``, the factor a forwarder
@@ -274,21 +252,26 @@ class FloodingProtocol:
 
     def __init__(self, config: ScenarioConfig, positions: list[Position]):
         self.positions = positions
+        expiry_us = us_from_s(config.ranking_expiry_s)
+        self.rankings = [NeighborRanking(expiry_us) for _ in positions]
+        self.forwarded: list[dict[tuple[ControlKind, int], int]] = [{} for _ in positions]
 
     def _predicted(self, node: int) -> Position | None:
         return None if self.predicted is None else self.predicted[node]
 
-    def emit(self, state: RouterState, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
-        seq = state.next_seq(kind)
-        state.mark_forwarded(kind, node, seq)  # never re-flood an echo of our own message
+    def emit(self, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
+        # receive skips a message's originator before its dedup step, so only
+        # emit writes this entry: it is the node's latest seq for the kind.
+        forwarded = self.forwarded[node]
+        seq = forwarded[(kind, node)] = forwarded.get((kind, node), -1) + 1
         own_pos = self.positions[node]
         return ControlMessage(
             kind=kind, originator=node, seq=seq, sender_position=own_pos,
             originator_position=own_pos, sender_predicted=self._predicted(node),
         )
 
-    def receive(self, states: list[RouterState], receivers: list[int], msg: ControlMessage,
-                prev_hop: int, now_us: int) -> list[tuple[int, ControlMessage]]:
+    def receive(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
+                now_us: int) -> list[tuple[int, ControlMessage]]:
         """Hand one copy of msg, heard from prev_hop, to every receiver in order.
 
         Each receiver refreshes prev_hop as a live neighbour; the originator
@@ -297,23 +280,24 @@ class FloodingProtocol:
         order.
         """
         kind, originator, seq = msg.kind, msg.originator, msg.seq
+        key = (kind, originator)
         floods = kind in self.flooded_kinds
-        score_fn = self.score
+        score_fn, rankings, forwarded = self.score, self.rankings, self.forwarded
         rebroadcasts = []
         for node in receivers:
-            state = states[node]
-            ranking = state.ranking
+            ranking = rankings[node]
             ranking.touch_neighbor(prev_hop, now_us)
             if node == originator:
                 continue
-            score = score_fn(node, state, msg, prev_hop, now_us)
+            score = score_fn(node, msg, prev_hop, now_us)
             ranking.update(originator, prev_hop, score, now_us)
-            if score > 0.0 and floods and state.mark_forwarded(kind, originator, seq):
+            if score > 0.0 and floods and forwarded[node].get(key, -1) < seq:
+                forwarded[node][key] = seq
                 # Forwarders stamp their own score; the per-hop penalty is
                 # folded in here so every receiver applies the identical rule.
                 rebroadcasts.append((node, ControlMessage(
                     kind=kind, originator=originator, seq=seq,
-                    sender_position=self.positions[node], hops=msg.hops + 1,
+                    sender_position=self.positions[node],
                     carried_score=score * self.hop_penalty,
                     originator_position=msg.originator_position,
                     sender_predicted=self._predicted(node),
@@ -329,13 +313,15 @@ class BatmanProtocol(FloodingProtocol):
         self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
         self.tq_window_len = config.tq_window
         self.hop_penalty = config.hop_penalty
+        self.tq_windows: list[dict[int, TQWindow]] = [{} for _ in positions]
 
-    def score(self, node, state, msg, prev_hop, now_us) -> float:
+    def score(self, node, msg, prev_hop, now_us) -> float:
         """TQ window of the neighbor the copy came through, times the carried score."""
-        window = state.tq_windows.get(prev_hop)
+        windows = self.tq_windows[node]
+        window = windows.get(prev_hop)
         if msg.originator == prev_hop:
             if window is None:
-                window = state.tq_windows[prev_hop] = TQWindow(self.tq_window_len)
+                window = windows[prev_hop] = TQWindow(self.tq_window_len)
             window.update(msg.seq)
         return (window.quality() if window is not None else 0.0) * msg.carried_score
 
@@ -352,7 +338,7 @@ class GeoOlsrProtocol(FloodingProtocol):
         self.diagonal_m = config.diagonal_m()
         self.floor = config.geo_floor
 
-    def score(self, node, state, msg, prev_hop, now_us) -> float:
+    def score(self, node, msg, prev_hop, now_us) -> float:
         """Distance from the last forwarder to the originator; never below the floor."""
         return geo_score(msg.sender_position, msg.originator_position, self.diagonal_m, self.floor)
 
@@ -374,7 +360,7 @@ class BatmobileProtocol(FloodingProtocol):
         self.trends = [ScoreTrend(config.score_buffer, config.trend_clamp, expiry_us)
                        for _ in positions]
 
-    def score(self, node, state, msg, prev_hop, now_us) -> float:
+    def score(self, node, msg, prev_hop, now_us) -> float:
         """Link score times the carried score, admitted through the node's trend clamp."""
         raw = pathscore_link(
             self.positions[node], self.predicted[node], msg.sender_position, msg.sender_predicted,

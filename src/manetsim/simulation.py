@@ -23,7 +23,7 @@ from .mobility import (
     random_position,
     step_waypoint,
 )
-from .routing import PROTOCOLS, NeighborRanking, RouterState
+from .routing import PROTOCOLS, ControlMessage
 from .traffic import (
     DROP_CAUSES,
     StreamSpec,
@@ -105,15 +105,13 @@ class Simulation:
 
         self.protocol = PROTOCOLS[config.protocol](config, self.positions)
         # Position histories feed the prediction, so only a predicting metric
-        # records them.
+        # records them, and each holds the samples one fit reads.
         self.histories: list[MobilityHistory] = []
         if self.protocol.predicted is not None:
             for pos in self.positions:
-                history = MobilityHistory(config.score_buffer)
+                history = MobilityHistory(config.fit_samples)
                 history.record(0, pos)
                 self.histories.append(history)
-        expiry_us = us_from_s(config.ranking_expiry_s)
-        self.routers = [RouterState(ranking=NeighborRanking(expiry_us)) for _ in range(config.nodes)]
         self.rr = [RRState() for _ in range(config.nodes)]
 
         self.medium = Medium(
@@ -177,17 +175,7 @@ class Simulation:
     def _on_control_emit(self, payload: tuple) -> None:
         node, kind, interval_us = payload
         now = self.engine.clock_us
-        msg = self.protocol.emit(self.routers[node], node, kind, now)
-        frame = Frame(
-            kind=FrameKind.CONTROL,
-            dst=None,
-            size_bytes=self.config.control_bytes,
-            prev_hop=node,
-            next_hop=None,
-            ttl=self.config.ttl,
-            payload=msg,
-        )
-        self.medium.enqueue(node, frame)
+        self._flood(node, self.protocol.emit(node, kind, now), self.config.ttl)
         next_emit = now + interval_us
         if next_emit <= self.end_us:
             self.engine.schedule(next_emit, EventKind.CONTROL_EMIT, (node, kind, interval_us))
@@ -214,26 +202,22 @@ class Simulation:
     def _on_frame_delivered(self, receivers: list[int], frame: Frame) -> None:
         now = self.engine.clock_us
         if frame.kind is FrameKind.CONTROL:
-            rebroadcasts = self.protocol.receive(
-                self.routers, receivers, frame.payload, frame.prev_hop, now,
-            )
+            rebroadcasts = self.protocol.receive(receivers, frame.payload, frame.prev_hop, now)
             if frame.ttl > 1:
                 for receiver, msg in rebroadcasts:
-                    self.medium.enqueue(receiver, Frame(
-                        kind=FrameKind.CONTROL,
-                        dst=None,
-                        size_bytes=self.config.control_bytes,
-                        prev_hop=receiver,
-                        next_hop=None,
-                        ttl=frame.ttl - 1,
-                        payload=msg,
-                    ))
+                    self._flood(receiver, msg, frame.ttl - 1)
             return
         (receiver,) = receivers  # data frames are unicast
         if receiver == frame.dst:
             self.stats[frame.stream_idx].record_received(now)
         else:
             self._route(receiver, frame)
+
+    def _flood(self, node: int, msg: ControlMessage, ttl: int) -> None:
+        """Queue one broadcast copy of msg at node, with ttl hops left."""
+        self.medium.enqueue(node, Frame(kind=FrameKind.CONTROL, dst=None,
+                                        size_bytes=self.config.control_bytes,
+                                        prev_hop=node, ttl=ttl, payload=msg))
 
     def _on_unicast_lost(self, frame: Frame, cause: str) -> None:
         if frame.stream_idx is not None:
@@ -243,7 +227,7 @@ class Simulation:
 
     def _route(self, node: int, frame: Frame) -> None:
         now = self.engine.clock_us
-        ranking = self.routers[node].ranking
+        ranking = self.protocol.rankings[node]
         if self.config.balancing:
             choice, sset = postrouting_hook(
                 frame, node, ranking, self.rr[node], self.config.lambda_factor,

@@ -1,11 +1,14 @@
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+from manetsim.balancer import DropReason
 from manetsim.config import ConfigError, ScenarioConfig
 from manetsim.experiment import (
     CSV_COLUMNS,
+    ResultRow,
     compare,
     default_seeds,
     parse_csv,
@@ -18,6 +21,7 @@ from manetsim.experiment import (
     write_csv,
 )
 from manetsim.simulation import simulate
+from manetsim.traffic import DROP_CAUSES
 
 FAST = ScenarioConfig(sim_time_s=6.0, nodes=6, stream_start_s=1.0)
 
@@ -116,6 +120,18 @@ def test_result_row_carries_drop_breakdown():
     assert row.drop_no_route == result.drops["no_route"]
     assert row.runtime_events == result.events_processed
     assert row.control_messages == result.control_tx
+
+
+def test_drop_fields_follow_drop_causes():
+    drop_fields = [f.name for f in fields(ResultRow) if f.name.startswith("drop_")]
+    assert drop_fields == [f"drop_{cause}" for cause in DROP_CAUSES]
+    assert {reason.value for reason in DropReason} <= set(DROP_CAUSES)
+
+
+def test_csv_header_matches_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Result CSV columns:\n\n", 1)[1].split("\n\n", 1)[0]
+    assert rows_to_csv_text([]) == "".join(line.strip() for line in block.splitlines()) + "\n"
 
 
 def test_trace_files_written_per_run(tmp_path):

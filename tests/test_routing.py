@@ -16,7 +16,6 @@ from manetsim.routing import (
     ControlMessage,
     GeoOlsrProtocol,
     NeighborRanking,
-    RouterState,
     ScoreTrend,
     TQWindow,
     geo_score,
@@ -206,7 +205,7 @@ def test_each_protocol_reads_its_own_parameters_from_config():
         nodes=4, ogm_interval_s=0.7, tq_window=6, hop_penalty=0.9, hello_interval_s=0.3,
         tc_interval_s=1.5, geo_floor=1e-4, area_x=300.0, area_y=200.0, area_z=5.0,
         score_buffer=6, prediction_weight=5, trend_clamp=0.2, ranking_expiry_s=4.0,
-        tx_power_dbm=18.0, path_loss_exponent=3.0,
+        tx_power_dbm=18.0, path_loss_exponent=3.0, fit_samples=4,
     )
     positions = [(float(n), 0.0, 0.0) for n in range(config.nodes)]
 
@@ -231,9 +230,17 @@ def test_each_protocol_reads_its_own_parameters_from_config():
         assert protocol.positions is positions
     assert batman.predicted is None and golsr.predicted is None
 
+    # A position history holds what one fit reads: fit_samples, not score_buffer.
     sim = Simulation(replace(config, protocol="batmobile"), 1)
-    assert sim.routers[0].ranking.expiry_us == 4_000_000
-    assert sim.histories[0].capacity == 6
+    assert sim.histories[0].capacity == 4
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_every_protocol_owns_one_ranking_per_node_with_the_config_expiry(name):
+    protocol = make(name, [(0.0, 0.0, 0.0)] * 3, ranking_expiry_s=4.0)
+    assert [ranking.expiry_us for ranking in protocol.rankings] == [4_000_000] * 3
+    assert len({id(ranking) for ranking in protocol.rankings}) == 3
+    assert protocol.forwarded == [{}, {}, {}]
 
 
 # -- control-plane flooding ---------------------------------------------------
@@ -250,88 +257,86 @@ def ogm(originator, seq, sender_pos=(0.0, 0.0, 0.0), carried=1.0):
 
 def test_same_message_via_two_neighbors_updates_both_entries():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
-    state = RouterState(ranking=NeighborRanking())
     me, via_b, via_f, origin = 0, 1, 2, 9
     for neighbor in (via_b, via_f):
-        state.ranking.touch_neighbor(neighbor, 0)
+        protocol.rankings[me].touch_neighbor(neighbor, 0)
         window = TQWindow()
         for seq in range(8):
             window.update(seq)
-        state.tq_windows[neighbor] = window
-    states = {me: state}
-    first = protocol.receive(states, [me], ogm(origin, 0, carried=0.9), via_b, 1000)
-    second = protocol.receive(states, [me], ogm(origin, 0, carried=0.9), via_f, 2000)
+        protocol.tq_windows[me][neighbor] = window
+    first = protocol.receive([me], ogm(origin, 0, carried=0.9), via_b, 1000)
+    second = protocol.receive([me], ogm(origin, 0, carried=0.9), via_f, 2000)
     assert [node for node, _ in first] == [me]  # rebroadcast on first receipt
     assert second == []  # but not on the duplicate
-    assert set(state.ranking.scores(origin, 2000)) == {via_b, via_f}
+    assert set(protocol.rankings[me].scores(origin, 2000)) == {via_b, via_f}
 
 
 def test_rebroadcast_stamps_score_and_penalty():
     protocol = make("batman", [(5.0, 0.0, 0.0)], hop_penalty=0.95)
-    state = RouterState(ranking=NeighborRanking())
-    state.ranking.touch_neighbor(1, 0)
+    protocol.rankings[0].touch_neighbor(1, 0)
     window = TQWindow()
     for seq in range(8):
         window.update(seq)
-    state.tq_windows[1] = window
-    [(_, out)] = protocol.receive({0: state}, [0], ogm(9, 0, carried=0.8), 1, 1000)
+    protocol.tq_windows[0][1] = window
+    [(_, out)] = protocol.receive([0], ogm(9, 0, carried=0.8), 1, 1000)
     assert out.carried_score == pytest.approx(0.8 * 0.95)
     assert out.sender_position == (5.0, 0.0, 0.0)
-    assert out.hops == 1
 
 
 def test_direct_ogm_feeds_tq_window_and_ranking():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
-    state = RouterState(ranking=NeighborRanking())
-    state.ranking.touch_neighbor(3, 0)
+    protocol.rankings[0].touch_neighbor(3, 0)
     for seq in range(4):
-        protocol.receive({0: state}, [0], ogm(3, seq), 3, 1000 + seq)
-    assert state.tq_windows[3].quality() == pytest.approx(4 / 8)
-    assert state.ranking.scores(3, 2000)[3] == pytest.approx(4 / 8)
+        protocol.receive([0], ogm(3, seq), 3, 1000 + seq)
+    assert protocol.tq_windows[0][3].quality() == pytest.approx(4 / 8)
+    assert protocol.rankings[0].scores(3, 2000)[3] == pytest.approx(4 / 8)
 
 
 def test_own_message_echo_is_ignored():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
-    state = RouterState(ranking=NeighborRanking())
-    state.ranking.touch_neighbor(1, 0)
-    msg = protocol.emit(state, 0, ControlKind.OGM, 0)
+    protocol.rankings[0].touch_neighbor(1, 0)
+    msg = protocol.emit(0, ControlKind.OGM, 0)
     echoed = ControlMessage(kind=ControlKind.OGM, originator=0, seq=msg.seq,
                             sender_position=(1.0, 0.0, 0.0), carried_score=0.5)
-    assert protocol.receive({0: state}, [0], echoed, 1, 1000) == []
-    assert state.ranking.scores(0, 1000) == {}
+    assert protocol.receive([0], echoed, 1, 1000) == []
+    assert protocol.rankings[0].scores(0, 1000) == {}
 
 
 def test_geo_protocol_scores_forwarder_distance_to_destination():
     protocol = make("golsr", [(0.0, 0.0, 0.0)])
     assert protocol.diagonal_m == DIAG
-    state = RouterState(ranking=NeighborRanking())
-    state.ranking.touch_neighbor(4, 0)
+    protocol.rankings[0].touch_neighbor(4, 0)
     msg = ControlMessage(kind=ControlKind.TC, originator=9, seq=0,
                          sender_position=(100.0, 0.0, 0.0),
                          originator_position=(200.0, 0.0, 0.0))
-    [(_, out)] = protocol.receive({0: state}, [0], msg, 4, 1000)
+    [(_, out)] = protocol.receive([0], msg, 4, 1000)
     expected = 1 - 100.0 / DIAG
-    assert state.ranking.scores(9, 1000)[4] == pytest.approx(expected)
+    assert protocol.rankings[0].scores(9, 1000)[4] == pytest.approx(expected)
     assert out is not None  # TC floods
     assert out.originator_position == (200.0, 0.0, 0.0)
 
 
 def test_hello_not_rebroadcast():
     protocol = make("golsr", [(0.0, 0.0, 0.0)])
-    state = RouterState(ranking=NeighborRanking())
-    state.ranking.touch_neighbor(4, 0)
+    protocol.rankings[0].touch_neighbor(4, 0)
     msg = ControlMessage(kind=ControlKind.HELLO, originator=4, seq=0,
                          sender_position=(10.0, 0.0, 0.0),
                          originator_position=(10.0, 0.0, 0.0))
-    assert protocol.receive({0: state}, [0], msg, 4, 1000) == []
-    assert state.ranking.scores(4, 1000)[4] == pytest.approx(1.0)
+    assert protocol.receive([0], msg, 4, 1000) == []
+    assert protocol.rankings[0].scores(4, 1000)[4] == pytest.approx(1.0)
 
 
 def test_sequence_numbers_strictly_increase():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
-    state = RouterState(ranking=NeighborRanking())
-    seqs = [protocol.emit(state, 0, ControlKind.OGM, t).seq for t in range(5)]
+    seqs = [protocol.emit(0, ControlKind.OGM, t).seq for t in range(5)]
     assert seqs == [0, 1, 2, 3, 4]
+
+
+def test_golsr_hello_and_tc_sequence_numbers_run_independently():
+    protocol = make("golsr", [(0.0, 0.0, 0.0), (9.0, 0.0, 0.0)])
+    kinds = (ControlKind.HELLO, ControlKind.HELLO, ControlKind.TC)
+    assert [protocol.emit(0, kind, t).seq for t, kind in enumerate(kinds)] == [0, 1, 0]
+    assert protocol.emit(1, ControlKind.TC, 3).seq == 0  # and each node counts its own
 
 
 # -- batched receive: one call per transmission -------------------------------
@@ -361,14 +366,14 @@ transmissions = st.tuples(
 )
 
 
-def snapshot(protocol, states, node):
+def snapshot(protocol, node):
     """A copy of everything receive may change for node, except last_heard."""
-    state = states[node]
+    windows = getattr(protocol, "tq_windows", None)
     trends = getattr(protocol, "trends", None)
     return copy.deepcopy((
-        state.ranking.table,
-        {n: (w.bits, w.last_seq) for n, w in state.tq_windows.items()},
-        state.forwarded,
+        protocol.rankings[node].table,
+        None if windows is None else {n: (w.bits, w.last_seq) for n, w in windows[node].items()},
+        protocol.forwarded[node],
         None if trends is None else trends[node]._buffers,
     ))
 
@@ -380,33 +385,29 @@ def snapshot(protocol, states, node):
 @settings(max_examples=150, deadline=None)
 def test_batched_receive_equals_one_receiver_at_a_time(name, steps):
     overrides, kinds = FLOODERS[name]
-    # Each side has its own protocol, since batmobile keeps its trends there.
+    # Each side has its own protocol, since every node's state lives there.
     together, apart = make(name, SPOT, **overrides), make(name, SPOT, **overrides)
     for protocol in (together, apart):
         if protocol.predicted is not None:
             protocol.predicted[:] = SPOT_PRED
     pred = together.predicted or [None] * len(SPOT)
     nodes = range(len(SPOT))
-    together_states, apart_states = (
-        [RouterState(ranking=NeighborRanking()) for _ in nodes] for _ in range(2))
     for step, (origin, seq, prev_hop, receivers, carried, kind) in enumerate(steps):
         receivers = [r for r in receivers if r != prev_hop]
         now = 1000 + 100_000 * step
         msg = ControlMessage(kind=kinds[kind % len(kinds)], originator=origin, seq=seq,
                              sender_position=SPOT[prev_hop], carried_score=carried,
                              originator_position=SPOT[origin], sender_predicted=pred[prev_hop])
-        echo_before = snapshot(together, together_states, origin)
-        batched = together.receive(together_states, receivers, msg, prev_hop, now)
-        one_by_one = [out for r in receivers
-                      for out in apart.receive(apart_states, [r], msg, prev_hop, now)]
+        echo_before = snapshot(together, origin)
+        batched = together.receive(receivers, msg, prev_hop, now)
+        one_by_one = [out for r in receivers for out in apart.receive([r], msg, prev_hop, now)]
         assert batched == one_by_one
-        assert [snapshot(together, together_states, n) for n in nodes] == \
-            [snapshot(apart, apart_states, n) for n in nodes]
-        assert [together_states[n].ranking.last_heard for n in nodes] == \
-            [apart_states[n].ranking.last_heard for n in nodes]
-        assert all(together_states[r].ranking.last_heard.get(prev_hop) == now for r in receivers)
+        assert [snapshot(together, n) for n in nodes] == [snapshot(apart, n) for n in nodes]
+        assert [together.rankings[n].last_heard for n in nodes] == \
+            [apart.rankings[n].last_heard for n in nodes]
+        assert all(together.rankings[r].last_heard.get(prev_hop) == now for r in receivers)
         if origin in receivers:  # the originator is only touched
-            assert snapshot(together, together_states, origin) == echo_before
+            assert snapshot(together, origin) == echo_before
             assert origin not in [node for node, _ in batched]
 
 
@@ -417,36 +418,31 @@ CHAIN_POS = [(80.0, 0.0, 0.0), (30.0, 0.0, 0.0), (55.0, 10.0, 0.0), (0.0, 0.0, 0
 CHAIN_PRED = [(90.0, 5.0, 0.0), (35.0, 0.0, 0.0), (50.0, 20.0, 0.0), (5.0, 5.0, 0.0)]
 
 
-def chain_states():
-    return [RouterState(ranking=NeighborRanking()) for _ in CHAIN_POS]
-
-
-def relay(protocol, states, msg, path, now_us):
-    """Carry msg from path[0] over each hop of path; return the last receiver's state."""
+def relay(protocol, msg, path, now_us):
+    """Carry msg from path[0] over each hop of path; return the last receiver's ranking."""
     for prev_hop, node in zip(path, path[1:]):
-        out = protocol.receive(states, [node], msg, prev_hop, now_us)
+        out = protocol.receive([node], msg, prev_hop, now_us)
         if node != path[-1]:
             [(_, msg)] = out
-    return states[path[-1]]
+    return protocol.rankings[path[-1]]
 
 
 def test_batman_chain_score_equals_tq_path_score():
     protocol = make("batman", CHAIN_POS, hop_penalty=0.95)
-    states = chain_states()
     heard = {(O, A): {0, 1, 2, 4, 5, 7}, (A, B): {0, 2, 3, 5, 7}, (B, ME): {0, 1, 2, 3, 4, 5, 7}}
     # Each relay's own OGMs build the next hop's TQ window; O's last OGM floods.
     for sender, receiver in ((A, B), (B, ME)):
         for seq in range(8):
-            msg = protocol.emit(states[sender], sender, ControlKind.OGM, seq)
+            msg = protocol.emit(sender, ControlKind.OGM, seq)
             if seq in heard[(sender, receiver)]:
-                relay(protocol, states, msg, [sender, receiver], 1000)
+                relay(protocol, msg, [sender, receiver], 1000)
     for seq in range(8):
-        msg = protocol.emit(states[O], O, ControlKind.OGM, seq)
+        msg = protocol.emit(O, ControlKind.OGM, seq)
         if seq in heard[(O, A)] and seq < 7:
-            relay(protocol, states, msg, [O, A], 1000)
-    me = relay(protocol, states, msg, [O, A, B, ME], 2000)
+            relay(protocol, msg, [O, A], 1000)
+    me = relay(protocol, msg, [O, A, B, ME], 2000)
     qualities = [len(heard[hop]) / 8 for hop in ((O, A), (A, B), (B, ME))]
-    assert me.ranking.scores(O, 2000)[B] == pytest.approx(tq_path_score(qualities, 0.95))
+    assert me.scores(O, 2000)[B] == pytest.approx(tq_path_score(qualities, 0.95))
 
 
 def test_batmobile_chain_score_equals_pathscore_path():
@@ -454,35 +450,34 @@ def test_batmobile_chain_score_equals_pathscore_path():
     # admits the raw score unchanged.
     protocol = make("batmobile", CHAIN_POS)
     protocol.predicted[:] = CHAIN_PRED
-    states = chain_states()
-    msg = protocol.emit(states[O], O, ControlKind.OGM, 0)
-    me = relay(protocol, states, msg, [O, A, B, ME], 1000)
+    msg = protocol.emit(O, ControlKind.OGM, 0)
+    me = relay(protocol, msg, [O, A, B, ME], 1000)
     links = [
         pathscore_link(CHAIN_POS[rx], CHAIN_PRED[rx], CHAIN_POS[tx], CHAIN_PRED[tx],
                        protocol.comm_range_m)
         for tx, rx in ((O, A), (A, B), (B, ME))
     ]
     assert all(link > 0 for link in links)
-    assert me.ranking.scores(O, 1000)[B] == pytest.approx(pathscore_path(links))
+    assert me.scores(O, 1000)[B] == pytest.approx(pathscore_path(links))
 
 
 def test_golsr_chain_scores_last_forwarder_against_originator():
     protocol = make("golsr", CHAIN_POS)
-    states = chain_states()
-    msg = protocol.emit(states[O], O, ControlKind.TC, 0)
-    me = relay(protocol, states, msg, [O, A, B, ME], 1000)
-    assert me.ranking.scores(O, 1000)[B] == pytest.approx(
+    msg = protocol.emit(O, ControlKind.TC, 0)
+    me = relay(protocol, msg, [O, A, B, ME], 1000)
+    assert me.scores(O, 1000)[B] == pytest.approx(
         geo_score(CHAIN_POS[B], CHAIN_POS[O], DIAG))
 
 
 # -- emission cadence (whole-sim) ---------------------------------------------
+# A node's emission count is its own dedup entry for the kind plus one.
 
 def test_batman_emits_twenty_ogms_in_ten_seconds():
     config = ScenarioConfig(sim_time_s=10.0, nodes=5, streams=1, stream_start_s=5.0)
     sim = Simulation(config, seed=1)
     sim.run()
     for node in range(config.nodes):
-        assert sim.routers[node].seq_counters[ControlKind.OGM] == 20
+        assert sim.protocol.forwarded[node][(ControlKind.OGM, node)] + 1 == 20
 
 
 def test_golsr_emits_hellos_and_tcs_on_their_grids():
@@ -490,5 +485,5 @@ def test_golsr_emits_hellos_and_tcs_on_their_grids():
     sim = Simulation(config, seed=1)
     sim.run()
     for node in range(config.nodes):
-        assert sim.routers[node].seq_counters[ControlKind.HELLO] == 20
-        assert sim.routers[node].seq_counters[ControlKind.TC] == 10
+        assert sim.protocol.forwarded[node][(ControlKind.HELLO, node)] + 1 == 20
+        assert sim.protocol.forwarded[node][(ControlKind.TC, node)] + 1 == 10

@@ -104,10 +104,10 @@ def test_flood_depth_limited_by_ttl():
     sim = Simulation(config, 1, initial_positions=positions, streams=[stream])
     sim.run()
     # originator 0 is known three hops out but not four
-    assert 0 in sim.routers[1].ranking.table
-    assert 0 in sim.routers[2].ranking.table
-    assert 0 in sim.routers[3].ranking.table
-    assert 0 not in sim.routers[4].ranking.table
+    assert 0 in sim.protocol.rankings[1].table
+    assert 0 in sim.protocol.rankings[2].table
+    assert 0 in sim.protocol.rankings[3].table
+    assert 0 not in sim.protocol.rankings[4].table
 
 
 def test_ttl_one_copy_still_marks_its_message_forwarded():
@@ -122,7 +122,7 @@ def test_ttl_one_copy_still_marks_its_message_forwarded():
                      prev_hop=1, ttl=ttl, payload=msg)
 
     sim._on_frame_delivered([3], copy(ttl=1))
-    assert 0 in sim.routers[3].ranking.table  # the last-hop copy is still scored
+    assert 0 in sim.protocol.rankings[3].table  # the last-hop copy is still scored
     sim._on_frame_delivered([2, 3], copy(ttl=5))
     queued = [[f.payload.originator for f in st.queue] for st in sim.medium.states]
     assert queued == [[], [], [0], []]  # 2 heard it first at ttl 5; 3 already had it
@@ -203,9 +203,38 @@ def test_mobility_feeds_histories_and_predictions():
     sim = Simulation(config, 1)
     sim.run()
     for node in range(config.nodes):
-        assert len(sim.histories[node]) == 8  # ring full after 2 s
+        # A history holds the fit_samples (5) samples one fit reads, so the
+        # ring is full after 1 s.
+        assert len(sim.histories[node]) == config.fit_samples
         assert sim.protocol.predicted[node] is not None
         assert sim.protocol.predicted[node] != sim.positions[node]
+
+
+def test_a_one_slot_score_buffer_still_predicts():
+    # score_buffer sizes the score trends, not the position histories.
+    config = ScenarioConfig(sim_time_s=3.0, nodes=4, protocol="batmobile", stream_start_s=1.0,
+                            score_buffer=1, prediction_weight=1)
+    validate(config)
+    sim = Simulation(config, 1)
+    sim.run()
+    for node in range(config.nodes):
+        assert len(sim.histories[node]) == config.fit_samples
+        assert sim.protocol.predicted[node] != sim.positions[node]
+
+
+def test_prediction_fits_fit_samples_whatever_the_score_buffer():
+    # Mobility draws from its own RNG stream, so both runs move every node
+    # identically; only a history shorter than fit_samples could tell them apart.
+    config = ScenarioConfig(sim_time_s=3.0, nodes=4, protocol="batmobile", stream_start_s=1.0,
+                            fit_samples=7)
+    sims = [Simulation(replace(config, score_buffer=buffer, prediction_weight=3), 1)
+            for buffer in (4, 8)]
+    for sim in sims:
+        validate(sim.config)
+        sim.run()
+        assert [len(history) for history in sim.histories] == [7] * config.nodes
+    assert sims[0].positions == sims[1].positions
+    assert sims[0].protocol.predicted == sims[1].protocol.predicted
 
 
 @pytest.mark.parametrize("protocol", ["batman", "golsr"])
@@ -230,6 +259,8 @@ def test_emission_counts_survive_queue_pressure():
     config = ScenarioConfig(sim_time_s=10.0, nodes=5, stream_start_s=5.0)
     sim = Simulation(config, 1)
     sim.run()
-    total = sum(sum(router.seq_counters.values()) for router in sim.routers)
+    # Each node's count of its own OGMs is its own dedup entry plus one.
+    total = sum(forwarded[(ControlKind.OGM, node)] + 1
+                for node, forwarded in enumerate(sim.protocol.forwarded))
     assert total == 5 * 20
     assert sim.medium.control_tx > 0
