@@ -79,8 +79,8 @@ def _resolve_seeds(args: argparse.Namespace, config: ScenarioConfig) -> list[int
     return default_seeds(config)
 
 
-def _parse_values(args: argparse.Namespace, fallback: str) -> list[float]:
-    text = args.values if args.values else fallback
+def _parse_values(args: argparse.Namespace) -> list[float]:
+    text = args.values or DEFAULT_SWEEP_VALUES[args.command.removeprefix("sweep-")]
     return [float(part) for part in text.split(",") if part.strip()]
 
 
@@ -97,16 +97,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         seeds = _resolve_seeds(args, config)
+        values = _parse_values(args) if args.command.startswith("sweep-") else None
     except (ConfigError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:
         if args.command == "run":
             rows = run_experiment(config, seeds, args.trace_pdr)
-        elif args.command.startswith("sweep-"):
-            parameter = args.command.removeprefix("sweep-")
-            values = _parse_values(args, DEFAULT_SWEEP_VALUES[parameter])
-            rows = sweep(config, parameter, values, seeds, args.trace_pdr)
+        elif values is not None:
+            rows = sweep(config, args.command.removeprefix("sweep-"), values, seeds, args.trace_pdr)
         else:
             rows = compare(config, seeds, args.trace_pdr)
             _print_compare_summary(rows)

@@ -101,8 +101,6 @@ def _sweep_config(config: ScenarioConfig, parameter: str, value: float) -> Scena
     if not math.isfinite(value):
         raise ConfigError(f"{parameter} sweep value must be finite, got {value}")
     if parameter == "lambda":
-        if value < 0:
-            raise ConfigError(f"lambda sweep value must be >= 0, got {value}")
         return replace(config, lambda_factor=float(value))
     if parameter in ("nodes", "streams"):
         if value != int(value):
@@ -165,22 +163,6 @@ def rows_to_csv_text(rows: list[ResultRow]) -> str:
 def write_csv(rows: list[ResultRow], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(rows_to_csv_text(rows))
-
-
-# Inverse of _format_cell, keyed by ResultRow's field annotations.
-_PARSE_CELL = {"str": str, "bool": lambda cell: cell == "true", "int": int, "float": float}
-
-
-def parse_csv(path: str) -> list[ResultRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
-        return [
-            ResultRow(*(_PARSE_CELL[f.type](cell) for f, cell in zip(fields(ResultRow), record)))
-            for record in reader
-        ]
 
 
 def write_pdr_trace(result: RunResult, path: str) -> None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import s_from_us
@@ -27,25 +26,20 @@ def random_position(area: Area, rng: random.Random) -> Position:
     return (rng.uniform(0.0, area.x), rng.uniform(0.0, area.y), rng.uniform(0.0, area.z))
 
 
-@dataclass
-class MobilityState:
-    position: Position
-    waypoint: Position
-    speed_mps: float
-
-
-def step_waypoint(state: MobilityState, dt: float, rng: random.Random, area: Area) -> MobilityState:
+def step_waypoint(
+    pos: Position, waypoint: Position, speed_mps: float, dt: float,
+    rng: random.Random, area: Area,
+) -> tuple[Position, Position]:
     """Advance speed*dt toward the waypoint; on arrival draw a fresh uniform
-    waypoint and spend the residual distance toward it.
+    waypoint and spend the residual distance toward it. Returns the new
+    (position, waypoint).
 
     Travel distance is conserved exactly across redirects, so total path length
     over a run equals speed * elapsed time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pos = state.position
-    waypoint = state.waypoint
-    budget = state.speed_mps * dt
+    budget = speed_mps * dt
     while budget > 0:
         gap = distance(pos, waypoint)
         if gap <= budget:
@@ -62,11 +56,12 @@ def step_waypoint(state: MobilityState, dt: float, rng: random.Random, area: Are
                 pos[2] + (waypoint[2] - pos[2]) * frac,
             )
             budget = 0.0
-    return MobilityState(position=pos, waypoint=waypoint, speed_mps=state.speed_mps)
+    return pos, waypoint
 
 
 class InsufficientHistoryError(Exception):
-    """Fewer than two samples; caller falls back to the last known position."""
+    """Fewer than two samples to fit. A run never raises it: every history is
+    seeded at t=0 and records before it predicts, and fit_samples >= 2."""
 
 
 class MobilityHistory:

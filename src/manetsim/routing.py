@@ -175,19 +175,17 @@ class ScoreTrend:
 class NeighborRanking:
     """Per-destination map of one-hop neighbor to path-quality score.
 
-    Entries expire after `expiry_us` without refresh, and a neighbor that has
-    not been heard at all within the expiry drops out of every destination's
-    table. Scores are kept in (0, 1]; an update to a non-positive score removes
-    the entry (a dead path is no path).
+    An entry expires after `expiry_us` without refresh; that rule alone
+    decides which forwarders are live. Every scored copy refreshes the entry
+    for the neighbor it came through, so a neighbor that has not been heard
+    within the expiry has no live entry for any destination. Scores are kept
+    in (0, 1]; an update to a non-positive score removes the entry (a dead
+    path is no path).
     """
 
     def __init__(self, expiry_us: int = 3_000_000):
         self.expiry_us = expiry_us
         self.table: dict[int, dict[int, list]] = {}  # dest -> {neighbor: [score, last_us]}
-        self.last_heard: dict[int, int] = {}
-
-    def touch_neighbor(self, neighbor: int, now_us: int) -> None:
-        self.last_heard[neighbor] = now_us
 
     def update(self, dest: int, neighbor: int, score: float, now_us: int) -> None:
         entries = self.table.setdefault(dest, {})
@@ -201,18 +199,12 @@ class NeighborRanking:
             entry[0] = min(1.0, score)
             entry[1] = now_us
 
-    def _alive(self, neighbor: int, last_us: int, now_us: int) -> bool:
-        if now_us - last_us > self.expiry_us:
-            return False
-        heard = self.last_heard.get(neighbor)
-        return heard is not None and now_us - heard <= self.expiry_us
-
     def scores(self, dest: int, now_us: int) -> dict[int, float]:
         """Purge expired entries for dest, then return {neighbor: score}."""
         entries = self.table.get(dest)
         if not entries:
             return {}
-        stale = [n for n, (_, last) in entries.items() if not self._alive(n, last, now_us)]
+        stale = [n for n, (_, last) in entries.items() if now_us - last > self.expiry_us]
         for n in stale:
             del entries[n]
         return {n: entry[0] for n, entry in entries.items()}
@@ -274,10 +266,9 @@ class FloodingProtocol:
                 now_us: int) -> list[tuple[int, ControlMessage]]:
         """Hand one copy of msg, heard from prev_hop, to every receiver in order.
 
-        Each receiver refreshes prev_hop as a live neighbour; the originator
-        does nothing more. Returns (receiver, rebroadcast) for each receiver
-        that forwards its first copy of (kind, originator, seq), in receiver
-        order.
+        The originator ignores its own echo. Returns (receiver, rebroadcast)
+        for each receiver that forwards its first copy of (kind, originator,
+        seq), in receiver order.
         """
         kind, originator, seq = msg.kind, msg.originator, msg.seq
         key = (kind, originator)
@@ -285,12 +276,10 @@ class FloodingProtocol:
         score_fn, rankings, forwarded = self.score, self.rankings, self.forwarded
         rebroadcasts = []
         for node in receivers:
-            ranking = rankings[node]
-            ranking.touch_neighbor(prev_hop, now_us)
             if node == originator:
                 continue
             score = score_fn(node, msg, prev_hop, now_us)
-            ranking.update(originator, prev_hop, score, now_us)
+            rankings[node].update(originator, prev_hop, score, now_us)
             if score > 0.0 and floods and forwarded[node].get(key, -1) < seq:
                 forwarded[node][key] = seq
                 # Forwarders stamp their own score; the per-hop penalty is

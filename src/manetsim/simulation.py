@@ -14,15 +14,7 @@ from .balancer import DropReason, RRState, plain_forward, postrouting_hook
 from .channel import Frame, FrameKind, Medium
 from .config import ScenarioConfig
 from .engine import Engine, EventKind, us_from_s
-from .mobility import (
-    InsufficientHistoryError,
-    MobilityHistory,
-    MobilityState,
-    Position,
-    predict_position,
-    random_position,
-    step_waypoint,
-)
+from .mobility import MobilityHistory, Position, predict_position, random_position, step_waypoint
 from .routing import PROTOCOLS, ControlMessage
 from .traffic import (
     DROP_CAUSES,
@@ -91,17 +83,17 @@ class Simulation:
 
         if initial_positions is not None and len(initial_positions) != config.nodes:
             raise ValueError("initial_positions must cover every node")
+        # Each node's position and the waypoint it is heading for.
         self.positions: list[Position] = []
-        self.mobility: list[MobilityState] = []
+        self.waypoints: list[Position] = []
         for node in range(config.nodes):
             pos = (
                 initial_positions[node]
                 if initial_positions is not None
                 else random_position(self.area, topology_rng)
             )
-            waypoint = random_position(self.area, topology_rng)
             self.positions.append(pos)
-            self.mobility.append(MobilityState(pos, waypoint, config.speed_mps))
+            self.waypoints.append(random_position(self.area, topology_rng))
 
         self.protocol = PROTOCOLS[config.protocol](config, self.positions)
         # Position histories feed the prediction, so only a predicting metric
@@ -154,20 +146,16 @@ class Simulation:
         now = self.engine.clock_us
         config = self.config
         dt = config.mobility_update_s
+        positions, waypoints, rng = self.positions, self.waypoints, self.mobility_rng
         for node in range(config.nodes):
-            state = step_waypoint(self.mobility[node], dt, self.mobility_rng, self.area)
-            self.mobility[node] = state
-            self.positions[node] = state.position
+            positions[node], waypoints[node] = step_waypoint(
+                positions[node], waypoints[node], config.speed_mps, dt, rng, self.area)
         self.medium.refresh_neighbors()
         predicted = self.protocol.predicted
         for node, history in enumerate(self.histories):
-            history.record(now, self.positions[node])
-            try:
-                predicted[node] = predict_position(
-                    history, config.fit_samples, config.prediction_steps, dt,
-                )
-            except InsufficientHistoryError:
-                predicted[node] = self.positions[node]
+            history.record(now, positions[node])
+            predicted[node] = predict_position(
+                history, config.fit_samples, config.prediction_steps, dt)
         next_tick = now + self.tick_us
         if next_tick <= self.end_us:
             self.engine.schedule(next_tick, EventKind.MOBILITY_TICK)
@@ -220,8 +208,7 @@ class Simulation:
                                         prev_hop=node, ttl=ttl, payload=msg))
 
     def _on_unicast_lost(self, frame: Frame, cause: str) -> None:
-        if frame.stream_idx is not None:
-            self.stats[frame.stream_idx].record_drop(cause)
+        self.stats[frame.stream_idx].record_drop(cause)
 
     # -- data-plane forwarding (postrouting hook position) ----------------
 
@@ -252,8 +239,7 @@ class Simulation:
     def _collect(self) -> RunResult:
         pending_by_stream: dict[int, int] = {}
         for frame in self.medium.queued_data_frames():
-            if frame.stream_idx is not None:
-                pending_by_stream[frame.stream_idx] = pending_by_stream.get(frame.stream_idx, 0) + 1
+            pending_by_stream[frame.stream_idx] = pending_by_stream.get(frame.stream_idx, 0) + 1
         conservation_ok = all(
             st.sent == st.received + st.total_drops + pending_by_stream.get(idx, 0)
             for idx, st in enumerate(self.stats)

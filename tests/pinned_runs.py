@@ -3,7 +3,9 @@
 A run's contract is that the same (config, seed) gives the same
 ``RunResult.state_hash`` and the same CSV bytes. These pins were recorded
 from the simulator before any hot-path optimisation; a change that moves one
-changes behaviour and must say so and record them again.
+changes behaviour and must say so and record them again. The state hash
+counts packets but not where they went, so each run is also pinned by a
+digest of its decision trace: every forwarding choice, in order.
 
 Both ``tests/test_pins.py`` and ``scripts/check_portable.py`` read this
 module, so it imports nothing beyond the standard library and ``manetsim``.
@@ -32,35 +34,42 @@ SCENARIOS = {
 
 SEED = 1
 
-# name -> (state_hash, sha256 of the CSV data line)
+# name -> (state_hash, sha256 of the CSV data line, sha256 of the decision trace)
 PINS = {
     "crowd50-batman": (
         "22c2541a5c99ead1e2c1f4c1b8d77b40244c30ae5434a84f6edb40ac6191d668",
         "35484c047a27b9775423217bafce75aa6a90e5a462755dcbc68ede2ea78c0138",
+        "e2f99c8a43b80095d50c7d6f5f17e99803e01a97e3a2115cd35d2ab3011de64c",
     ),
     "dense-batman-balanced": (
         "f7c04ea7b46ecfa16616f8527145aeac96e1e45f6d3bee7f4cb03f2fdbf3cf1c",
         "c93e742cbcbfa7e8aaa3392a1e004d2993a6469c4f1d6479238dfb0b83be7b8e",
+        "e31e635c8a7587732e686c9c76919aca8b4f1515b227886fdbfe587ede873916",
     ),
     "dense-batmobile-plain": (
         "021ea734b9482079a47478c7d78e078babe78f7a3c20b03b304d99d319fd5b28",
         "8e4688c1bce96b5475f8e64ff19a502caaf4cd595f51a06bd1fe962926963aea",
+        "04ab2c40063a64359c4b83104a29a33fe073cb73d73e7093d49edfb747e0cbd3",
     ),
     "dense-golsr-balanced": (
         "99dcb7ee6675f8fd62ce06256b2c47d43acd9da79e6972ec9c4bb4c12465ee93",
         "5ad6e0ee90057c9532ca07ef1a25202c4834e4d952f97bbe74eeb6320a3ce438",
+        "96138e4ea728dbcfc3da35d36b90f8a054deabb54f704079da09cfb2c083d25d",
     ),
     "reference-batman": (
         "20138da4f2b7f6eaa48e1a70ca9ef1480e58f540ee78ec679b699fedbdc7a9c5",
         "46a7fd7f81713dc36137fac8629883d6770924f694f03454363f9658bb83cecb",
+        "625e947a0d0349e382948b219b47cab5d3677e284b01a3bb66b3c980a52cb13c",
     ),
     "reference-batmobile": (
         "879659c2c7dd46abdc5a10239f24d53494e8bb4347f67d1be0e679d238482559",
         "6487396e40e364225c6fc9ab3fbb8ac587194b61cba9c3e93e1977591c6bafaa",
+        "f189a2735735c4428a525ff969262514a5d5b526128c73cba1ad42c9dd4f383e",
     ),
     "reference-golsr": (
         "af0e3b58aeecd6622632f5d6cb88b88c118616c7f1252baa145b835aa62877af",
         "22a7c6393aa77f0042a9135359c66cc1162ef133c4c223216ee6dc6875356ce7",
+        "e8badda3e8d9cc567d34aba073d4e873ce5e25737d945fab0add5d003e843b3f",
     ),
 }
 
@@ -78,9 +87,21 @@ CLI_ARGS = ["--seeds", "1,2"]
 CLI_CSV_SHA256 = "b8593ca24adf3f3186f02f217c379cfff6375bba3d1750109388574ccc4cf25e"
 
 
-def observe(name: str) -> tuple[str, str]:
-    """The (state_hash, CSV-row sha256) that pinned run `name` gives now."""
+def decisions_digest(decisions) -> str:
+    """sha256 of a decision trace, one line per decision; a drop is written as
+    its reason's value, so the digest does not depend on the enum's repr."""
+    digest = hashlib.sha256()
+    for d in decisions:
+        choice = d.choice if isinstance(d.choice, int) else d.choice.value
+        digest.update(f"{d.time_us} {d.node} {d.packet_id} {d.dst} {choice} {d.members}\n".encode())
+    return digest.hexdigest()
+
+
+def observe(name: str) -> tuple[str, str, str]:
+    """The (state_hash, CSV-row sha256, trace sha256) that pinned run `name`
+    gives now. Tracing leaves the state hash and the CSV row as they are."""
     config = SCENARIOS[name]
-    result = simulate(config, SEED)
+    result = simulate(config, SEED, trace=True)
     line = rows_to_csv_text([result_row(config, result)]).splitlines()[1]
-    return result.state_hash, hashlib.sha256(line.encode()).hexdigest()
+    return (result.state_hash, hashlib.sha256(line.encode()).hexdigest(),
+            decisions_digest(result.decisions))

@@ -53,7 +53,6 @@ def verdict(number, name, ok, detail):
 def make_ranking(scores):
     ranking = NeighborRanking()
     for neighbor, score in scores.items():
-        ranking.touch_neighbor(neighbor, 0)
         ranking.update(9, neighbor, score, 0)
     return ranking
 

@@ -18,7 +18,6 @@ from manetsim.routing import NeighborRanking
 def make_ranking(scores, now_us=0):
     ranking = NeighborRanking()
     for neighbor, score in scores.items():
-        ranking.touch_neighbor(neighbor, now_us)
         ranking.update(9, neighbor, score, now_us)
     return ranking
 

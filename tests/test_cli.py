@@ -103,6 +103,14 @@ def test_sweep_nodes_non_finite_value_is_config_error(capsys, tmp_path, value):
     assert "finite" in err
 
 
+def test_sweep_non_numeric_value_is_config_error(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "sweep-lambda", "--config", fast_config(tmp_path),
+        "--values", "abc", "--seeds", "1")
+    assert code == 1
+    assert "configuration error:" in err and "Traceback" not in err
+
+
 def test_non_finite_config_value_is_config_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--config", fast_config(tmp_path, "[batman]\nogm_interval_s = inf\n"))

@@ -10,7 +10,6 @@ from manetsim.mobility import (
     Area,
     InsufficientHistoryError,
     MobilityHistory,
-    MobilityState,
     distance,
     predict_position,
     step_waypoint,
@@ -21,28 +20,27 @@ SPEED = 13.889  # 50 km/h
 
 
 def test_straight_line_kinematics():
-    state = MobilityState((0.0, 0.0, 0.0), (100.0, 0.0, 0.0), SPEED)
-    moved = step_waypoint(state, 1.0, random.Random(0), AREA)
-    assert moved.position == pytest.approx((13.889, 0.0, 0.0))
-    assert moved.waypoint == (100.0, 0.0, 0.0)
+    pos, waypoint = step_waypoint((0.0, 0.0, 0.0), (100.0, 0.0, 0.0), SPEED, 1.0,
+                                  random.Random(0), AREA)
+    assert pos == pytest.approx((13.889, 0.0, 0.0))
+    assert waypoint == (100.0, 0.0, 0.0)
 
 
 def test_arrival_redirect_conserves_path_length():
-    state = MobilityState((0.0, 0.0, 0.0), (5.0, 0.0, 0.0), SPEED)
     rng = random.Random(7)
-    moved = step_waypoint(state, 1.0, rng, AREA)
+    pos, waypoint = step_waypoint((0.0, 0.0, 0.0), (5.0, 0.0, 0.0), SPEED, 1.0, rng, AREA)
     # 5 m to the old waypoint plus the residual 8.889 m toward the new one.
-    assert moved.waypoint != (5.0, 0.0, 0.0)
-    residual = distance((5.0, 0.0, 0.0), moved.position)
+    assert waypoint != (5.0, 0.0, 0.0)
+    residual = distance((5.0, 0.0, 0.0), pos)
     assert 5.0 + residual == pytest.approx(SPEED, rel=1e-9)
 
 
 def test_positions_stay_in_bounds_over_many_steps():
     rng = random.Random(123)
-    state = MobilityState((250.0, 250.0, 5.0), (10.0, 480.0, 2.0), SPEED)
+    pos, waypoint = (250.0, 250.0, 5.0), (10.0, 480.0, 2.0)
     for _ in range(10**5):
-        state = step_waypoint(state, 0.25, rng, AREA)
-        x, y, z = state.position
+        pos, waypoint = step_waypoint(pos, waypoint, SPEED, 0.25, rng, AREA)
+        x, y, z = pos
         assert 0.0 <= x <= AREA.x
         assert 0.0 <= y <= AREA.y
         assert 0.0 <= z <= AREA.z
@@ -50,38 +48,35 @@ def test_positions_stay_in_bounds_over_many_steps():
 
 def test_total_path_length_equals_speed_times_time():
     rng = random.Random(5)
-    state = MobilityState((250.0, 250.0, 5.0), (400.0, 100.0, 3.0), SPEED)
+    pos, waypoint = (250.0, 250.0, 5.0), (400.0, 100.0, 3.0)
     travelled = 0.0
     steps = 4000  # 1000 s at 0.25 s per step
-    last = state.position
     for _ in range(steps):
-        new_state = step_waypoint(state, 0.25, rng, AREA)
+        new_pos, new_waypoint = step_waypoint(pos, waypoint, SPEED, 0.25, rng, AREA)
         # Distance along the leg path, accounting for a possible redirect at
         # the old waypoint.
-        if new_state.waypoint == state.waypoint:
-            travelled += distance(last, new_state.position)
+        if new_waypoint == waypoint:
+            travelled += distance(pos, new_pos)
         else:
-            travelled += distance(last, state.waypoint)
-            travelled += distance(state.waypoint, new_state.position)
-        state = new_state
-        last = state.position
+            travelled += distance(pos, waypoint)
+            travelled += distance(waypoint, new_pos)
+        pos, waypoint = new_pos, new_waypoint
     assert travelled == pytest.approx(SPEED * steps * 0.25, rel=1e-6)
 
 
 def test_many_redirects_within_one_step_stay_in_bounds():
     # speed large enough to cross the area several times per step
     rng = random.Random(2)
-    state = MobilityState((250.0, 250.0, 5.0), (0.0, 0.0, 0.0), 10_000.0)
+    pos, waypoint = (250.0, 250.0, 5.0), (0.0, 0.0, 0.0)
     for _ in range(50):
-        state = step_waypoint(state, 0.25, rng, AREA)
-        x, y, z = state.position
+        pos, waypoint = step_waypoint(pos, waypoint, 10_000.0, 0.25, rng, AREA)
+        x, y, z = pos
         assert 0 <= x <= AREA.x and 0 <= y <= AREA.y and 0 <= z <= AREA.z
 
 
 def test_step_rejects_nonpositive_dt():
-    state = MobilityState((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), SPEED)
     with pytest.raises(ValueError):
-        step_waypoint(state, 0.0, random.Random(0), AREA)
+        step_waypoint((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), SPEED, 0.0, random.Random(0), AREA)
 
 
 def test_history_ring_semantics():
@@ -181,12 +176,9 @@ def test_prediction_not_clamped_to_area():
 @settings(max_examples=30)
 def test_bounds_hold_for_random_walks(seed, steps):
     rng = random.Random(seed)
-    state = MobilityState(
-        (rng.uniform(0, AREA.x), rng.uniform(0, AREA.y), rng.uniform(0, AREA.z)),
-        (rng.uniform(0, AREA.x), rng.uniform(0, AREA.y), rng.uniform(0, AREA.z)),
-        SPEED,
-    )
+    pos = (rng.uniform(0, AREA.x), rng.uniform(0, AREA.y), rng.uniform(0, AREA.z))
+    waypoint = (rng.uniform(0, AREA.x), rng.uniform(0, AREA.y), rng.uniform(0, AREA.z))
     for _ in range(steps):
-        state = step_waypoint(state, 0.25, rng, AREA)
-        x, y, z = state.position
+        pos, waypoint = step_waypoint(pos, waypoint, SPEED, 0.25, rng, AREA)
+        x, y, z = pos
         assert 0 <= x <= AREA.x and 0 <= y <= AREA.y and 0 <= z <= AREA.z

@@ -1,4 +1,5 @@
-"""Behaviour pins: the state hash and result-CSV row of short fixed runs.
+"""Behaviour pins: the state hash, result-CSV row and decision trace of short
+fixed runs.
 
 The runs and their hashes live in ``pinned_runs.py``.
 """

@@ -150,7 +150,6 @@ def test_trend_clamp_resets_after_expiry_gap():
 def make_ranking(entries, now_us=0, expiry_us=3_000_000):
     ranking = NeighborRanking(expiry_us)
     for dest, neighbor, score in entries:
-        ranking.touch_neighbor(neighbor, now_us)
         ranking.update(dest, neighbor, score, now_us)
     return ranking
 
@@ -171,19 +170,10 @@ def test_best_forwarder_empty_table():
 
 def test_expired_entries_purged_before_max():
     ranking = make_ranking([(9, 1, 0.95)])
-    ranking.touch_neighbor(2, 3_500_000)
     ranking.update(9, 2, 0.5, 3_500_000)
     # entry for 1 is 3.5 s old; entry for 2 is fresh
     assert ranking.scores(9, 3_500_000) == {2: 0.5}
     assert ranking.best_forwarder(9, 3_500_000) == 2
-
-
-def test_silent_neighbor_drops_out_everywhere():
-    ranking = make_ranking([(9, 1, 0.95)])
-    # keep the entry refreshed but stop hearing the neighbor itself
-    ranking.update(9, 1, 0.95, 2_900_000)
-    ranking.update(9, 1, 0.95, 3_200_000)
-    assert ranking.scores(9, 3_200_000) == {}
 
 
 def test_zero_score_update_removes_entry():
@@ -259,7 +249,6 @@ def test_same_message_via_two_neighbors_updates_both_entries():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
     me, via_b, via_f, origin = 0, 1, 2, 9
     for neighbor in (via_b, via_f):
-        protocol.rankings[me].touch_neighbor(neighbor, 0)
         window = TQWindow()
         for seq in range(8):
             window.update(seq)
@@ -273,7 +262,6 @@ def test_same_message_via_two_neighbors_updates_both_entries():
 
 def test_rebroadcast_stamps_score_and_penalty():
     protocol = make("batman", [(5.0, 0.0, 0.0)], hop_penalty=0.95)
-    protocol.rankings[0].touch_neighbor(1, 0)
     window = TQWindow()
     for seq in range(8):
         window.update(seq)
@@ -285,7 +273,6 @@ def test_rebroadcast_stamps_score_and_penalty():
 
 def test_direct_ogm_feeds_tq_window_and_ranking():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
-    protocol.rankings[0].touch_neighbor(3, 0)
     for seq in range(4):
         protocol.receive([0], ogm(3, seq), 3, 1000 + seq)
     assert protocol.tq_windows[0][3].quality() == pytest.approx(4 / 8)
@@ -294,7 +281,6 @@ def test_direct_ogm_feeds_tq_window_and_ranking():
 
 def test_own_message_echo_is_ignored():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
-    protocol.rankings[0].touch_neighbor(1, 0)
     msg = protocol.emit(0, ControlKind.OGM, 0)
     echoed = ControlMessage(kind=ControlKind.OGM, originator=0, seq=msg.seq,
                             sender_position=(1.0, 0.0, 0.0), carried_score=0.5)
@@ -305,7 +291,6 @@ def test_own_message_echo_is_ignored():
 def test_geo_protocol_scores_forwarder_distance_to_destination():
     protocol = make("golsr", [(0.0, 0.0, 0.0)])
     assert protocol.diagonal_m == DIAG
-    protocol.rankings[0].touch_neighbor(4, 0)
     msg = ControlMessage(kind=ControlKind.TC, originator=9, seq=0,
                          sender_position=(100.0, 0.0, 0.0),
                          originator_position=(200.0, 0.0, 0.0))
@@ -318,7 +303,6 @@ def test_geo_protocol_scores_forwarder_distance_to_destination():
 
 def test_hello_not_rebroadcast():
     protocol = make("golsr", [(0.0, 0.0, 0.0)])
-    protocol.rankings[0].touch_neighbor(4, 0)
     msg = ControlMessage(kind=ControlKind.HELLO, originator=4, seq=0,
                          sender_position=(10.0, 0.0, 0.0),
                          originator_position=(10.0, 0.0, 0.0))
@@ -367,7 +351,7 @@ transmissions = st.tuples(
 
 
 def snapshot(protocol, node):
-    """A copy of everything receive may change for node, except last_heard."""
+    """A copy of everything receive may change for node."""
     windows = getattr(protocol, "tq_windows", None)
     trends = getattr(protocol, "trends", None)
     return copy.deepcopy((
@@ -403,10 +387,7 @@ def test_batched_receive_equals_one_receiver_at_a_time(name, steps):
         one_by_one = [out for r in receivers for out in apart.receive([r], msg, prev_hop, now)]
         assert batched == one_by_one
         assert [snapshot(together, n) for n in nodes] == [snapshot(apart, n) for n in nodes]
-        assert [together.rankings[n].last_heard for n in nodes] == \
-            [apart.rankings[n].last_heard for n in nodes]
-        assert all(together.rankings[r].last_heard.get(prev_hop) == now for r in receivers)
-        if origin in receivers:  # the originator is only touched
+        if origin in receivers:  # the originator ignores its own echo
             assert snapshot(together, origin) == echo_before
             assert origin not in [node for node, _ in batched]
 
