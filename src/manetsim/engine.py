@@ -83,6 +83,11 @@ class Engine:
         """Run ``handler(payload)`` for every event of ``kind``."""
         self._handlers[kind] = handler
 
+    def drop_handlers(self) -> None:
+        """Forget the handlers registered with ``on()``: they are bound methods
+        of the engine's owners, so they tie those owners and it into cycles."""
+        self._handlers = {EventKind.CALLBACK: _call}
+
     def schedule(self, fire_time_us: int, kind: EventKind, payload: Any = None) -> None:
         if fire_time_us < self.clock_us:
             raise SchedulingError(

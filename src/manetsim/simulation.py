@@ -1,7 +1,9 @@
 """Full simulation run: mobility, control plane, data plane, accounting.
 
-One Simulation owns one Engine and is strictly single-threaded; experiments
-parallelize only by running independent seeds in independent instances.
+One Simulation owns one Engine and is strictly single-threaded. A run
+depends on nothing but its (config, seed), so ``experiment.simulate_all``
+fans a batch out over forked worker processes, one instance per run, with
+the results of a serial batch. A finished run is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -234,7 +236,13 @@ class Simulation:
 
     def run(self) -> RunResult:
         self.engine.run_until(self.end_us)
-        return self._collect()
+        result = self._collect()
+        # The engine and the medium hold this simulation's bound handlers, and
+        # the engine the medium's. Without these cycles a finished run is
+        # freed at once, not at a later gc pass, so a batch holds no dead runs.
+        self.engine.drop_handlers()
+        self.medium.on_deliver = self.medium.on_unicast_lost = None
+        return result
 
     def _collect(self) -> RunResult:
         pending_by_stream: dict[int, int] = {}

@@ -153,12 +153,24 @@ def test_identical_invocations_identical_output(capsys, tmp_path):
     assert first == second
 
 
+def modules_loaded_by_cli_import(*roots):
+    """Names of the modules under ``roots`` that a fresh ``import manetsim.cli`` loads."""
+    src = str(Path(manetsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, manetsim.cli; "
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip()
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # scipy is needed only by traffic.confidence_interval, and importing it
     # costs more than a short run, so `manetsim run` must not pay for it.
-    src = str(Path(manetsim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, manetsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # A batch of two or more runs imports these to fan out; they cost ~30 ms,
+    # so `manetsim run` pays that only when it has runs to split.
+    assert modules_loaded_by_cli_import("multiprocessing", "concurrent") == "[]"

@@ -1,11 +1,14 @@
+import concurrent.futures
 import os
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from manetsim import experiment
 from manetsim.balancer import DropReason
 from manetsim.config import ConfigError, ScenarioConfig
+from manetsim.engine import Engine, SchedulingError
 from manetsim.experiment import (
     CSV_COLUMNS,
     ResultRow,
@@ -136,3 +139,72 @@ def test_trace_files_written_per_run(tmp_path):
 def test_csv_text_deterministic_for_same_rows():
     rows = run_experiment(FAST, [1])
     assert rows_to_csv_text(rows) == rows_to_csv_text(rows)
+
+
+# -- fan-out over worker processes ----------------------------------------------
+
+def run_batches(trace_root):
+    """Each batch function on a few seeds: name -> (rows, CSV text, trace files)."""
+    out = {}
+    for name, batch in (
+        ("run_experiment", lambda trace_dir: run_experiment(FAST, [1, 2, 3], trace_dir)),
+        ("compare", lambda trace_dir: compare(FAST, [1, 2], trace_dir)),
+        ("sweep", lambda trace_dir: sweep(FAST, "lambda", [0.0, 0.9], [1, 2], trace_dir)),
+    ):
+        trace_dir = trace_root / name
+        rows = batch(str(trace_dir))
+        traces = {path.name: path.read_bytes() for path in trace_dir.iterdir()}
+        out[name] = (rows, rows_to_csv_text(rows), traces)
+    return out
+
+
+def test_fanned_out_batches_equal_serial_ones(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fanned = run_batches(tmp_path / "fanned")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = run_batches(tmp_path / "serial")
+    assert fanned == serial
+    assert [len(traces) for _, _, traces in serial.values()] == [3, 4, 4]
+
+
+def test_a_replaced_simulate_sees_every_run(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen = []
+
+    def recording(config, seed, **kwargs):
+        seen.append((config, seed))
+        return simulate(config, seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "simulate", recording)
+    rows = run_experiment(FAST, [1, 2, 3])
+    assert seen == [(FAST, 1), (FAST, 2), (FAST, 3)]
+    assert [row.seed for row in rows] == [1, 2, 3]
+
+
+def test_one_run_or_no_fork_starts_no_process(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert len(run_experiment(FAST, [1])) == 1
+    with pytest.raises(AssertionError, match="process pool started"):
+        run_experiment(FAST, [1, 2])
+    monkeypatch.delattr(os, "fork")
+    assert len(run_experiment(FAST, [1, 2])) == 2
+
+
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_until = Engine.run_until
+
+    def failing(engine, t_end_us):
+        if engine.master_seed == 2:
+            raise SchedulingError(f"seed 2 failed in process {os.getpid()}")
+        return run_until(engine, t_end_us)
+
+    monkeypatch.setattr(Engine, "run_until", failing)  # forked workers inherit it
+    with pytest.raises(SchedulingError, match="seed 2 failed") as failure:
+        run_experiment(FAST, [1, 2, 3])
+    assert int(str(failure.value).rsplit(" ", 1)[1]) != os.getpid()

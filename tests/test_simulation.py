@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -264,3 +266,25 @@ def test_emission_counts_survive_queue_pressure():
                 for node, forwarded in enumerate(sim.protocol.forwarded))
     assert total == 5 * 20
     assert sim.medium.control_tx > 0
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_finished_simulation_is_freed_without_a_gc_pass(protocol, monkeypatch):
+    # The engine and the medium hold a run's bound handlers; run() must break
+    # those cycles, or every dead run of a batch waits for the cyclic gc.
+    runs = []
+    run = Simulation.run
+
+    def remembering(sim):
+        runs.append(weakref.ref(sim))
+        return run(sim)
+
+    monkeypatch.setattr(Simulation, "run", remembering)
+    config = ScenarioConfig(sim_time_s=3.0, nodes=5, protocol=protocol, stream_start_s=1.0)
+    gc.disable()
+    try:
+        result = simulate(config, 1)
+        assert runs[0]() is None
+    finally:
+        gc.enable()
+    assert result.conservation_ok and result.sent > 0
