@@ -15,12 +15,37 @@ The confidence intervals need scipy: install the ``analysis`` extra.
 """
 
 import argparse
+import math
 import os
 from dataclasses import replace
 
 from manetsim.config import ScenarioConfig
 from manetsim.experiment import run_experiment, sweep, write_csv
-from manetsim.traffic import confidence_interval
+
+
+def confidence_interval(samples: list[float], level: float = 0.95) -> tuple[float, float, float]:
+    """Student-t interval (mean, lo, hi) over independent run samples.
+
+    scipy is imported here, not at module level, so that ``--help`` and a
+    rejected argument do not pay for it.
+    """
+    n = len(samples)
+    if n < 2:
+        raise ValueError("confidence interval needs at least 2 samples")
+    from scipy import stats
+
+    mean = sum(samples) / n
+    variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    half = stats.t.ppf((1 + level) / 2, n - 1) * math.sqrt(variance / n)
+    return (mean, mean - half, mean + half)
+
+
+def seed_count(text: str) -> int:
+    """--seeds: each interval needs at least two samples."""
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 seeds for an interval, got {count}")
+    return count
 
 
 def summarize(label, rows):
@@ -55,14 +80,15 @@ def paired_comparison(config, seeds, out_dir, tag):
         print(f"  {protocol}: balanced improved {wins}/{len(plain)} paired seeds")
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--seeds", type=int, default=10, help="seeds per configuration")
+    parser.add_argument("--seeds", type=seed_count, default=10,
+                        help="seeds per configuration, at least 2")
     parser.add_argument("--sim-time", type=float, default=100.0)
     parser.add_argument("--dense", action="store_true",
                         help="also run the dense 150 x 150 m, 3-stream variant")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     seeds = list(range(1, args.seeds + 1))
 

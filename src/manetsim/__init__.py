@@ -7,14 +7,14 @@ from .engine import Engine, EventKind, SchedulingError, us_from_s
 from .mobility import Area, MobilityHistory, predict_position, step_waypoint
 from .routing import NeighborRanking, geo_score, pathscore_link, pathscore_path, tq_path_score
 from .simulation import Decision, RunResult, Simulation, simulate
-from .traffic import StreamSpec, StreamStats, confidence_interval, current_pdr
+from .traffic import StreamSpec, StreamStats
 
 __all__ = [
     "Area", "ConfigError", "Decision", "DropReason", "Engine", "EventKind",
     "Frame", "FrameKind", "MobilityHistory",
     "NeighborRanking", "RRState", "RunResult", "ScenarioConfig", "SchedulableSet",
     "SchedulingError", "Simulation", "StreamSpec", "StreamStats",
-    "airtime_s", "confidence_interval", "current_pdr", "geo_score", "load_scenario",
+    "airtime_s", "geo_score", "load_scenario",
     "max_range_m", "parse_scenario_text",
     "path_loss_db", "pathscore_link", "pathscore_path", "postrouting_hook",
     "predict_position", "receivable", "schedulable_set", "simulate", "step_waypoint",

@@ -29,7 +29,6 @@ class DropReason(Enum):
 class SchedulableSet:
     dest: int
     members: tuple[int, ...]  # ascending node id; deterministic rotation order
-    phi_max: float
     fallback: bool = False  # True when the threshold filter came up empty
 
 
@@ -48,14 +47,14 @@ def schedulable_set(
     """
     live = ranking.scores(dest, now_us)
     if not live:
-        return SchedulableSet(dest, (), 0.0)
+        return SchedulableSet(dest, ())
     phi_max = max(live.values())
     threshold = likelihood * phi_max
     members = tuple(sorted(n for n, s in live.items() if s >= threshold and n != exclude))
     if members:
-        return SchedulableSet(dest, members, phi_max)
+        return SchedulableSet(dest, members)
     best = ranking.best_forwarder(dest, now_us)
-    return SchedulableSet(dest, (best,), phi_max, fallback=True)
+    return SchedulableSet(dest, (best,), fallback=True)
 
 
 class RRState:

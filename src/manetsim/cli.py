@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=doc)
         _add_common(cmd)
         if name.startswith("sweep-"):
-            cmd.add_argument("--values", help="comma-separated sweep values")
+            cmd.add_argument("--values", default=DEFAULT_SWEEP_VALUES[name.removeprefix("sweep-")],
+                             help="comma-separated sweep values (default: %(default)s)")
     return parser
 
 
@@ -80,8 +81,7 @@ def _resolve_seeds(args: argparse.Namespace, config: ScenarioConfig) -> list[int
 
 
 def _parse_values(args: argparse.Namespace) -> list[float]:
-    text = args.values or DEFAULT_SWEEP_VALUES[args.command.removeprefix("sweep-")]
-    return [float(part) for part in text.split(",") if part.strip()]
+    return [float(part) for part in args.values.split(",") if part.strip()]
 
 
 def _emit(rows, args: argparse.Namespace) -> None:

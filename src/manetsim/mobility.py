@@ -59,16 +59,10 @@ def step_waypoint(
     return pos, waypoint
 
 
-class InsufficientHistoryError(Exception):
-    """Fewer than two samples to fit. A run never raises it: every history is
-    seeded at t=0 and records before it predicts, and fit_samples >= 2."""
-
-
 class MobilityHistory:
     """Ring buffer of timestamped positions; oldest sample evicted at capacity."""
 
     def __init__(self, capacity: int = 8):
-        self.capacity = capacity
         self.samples: deque[tuple[int, Position]] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
@@ -95,7 +89,7 @@ def predict_position(
     """
     n = min(fit_samples, len(history))
     if n < 2:
-        raise InsufficientHistoryError(f"need >= 2 samples, have {len(history)}")
+        raise ValueError(f"need >= 2 samples, have {len(history)}")
     tail = list(history.samples)[-n:]
     t_last = s_from_us(tail[-1][0])
     # Center times on the last sample for numerical stability.

@@ -97,22 +97,16 @@ def geo_score(
 
 def pathscore_link(
     own_pos: Position,
-    own_predicted: Position | None,
+    own_predicted: Position,
     neighbor_pos: Position,
-    neighbor_predicted: Position | None,
+    neighbor_predicted: Position,
     comm_range_m: float,
     prediction_weight: int = 7,
     weight_scale: int = 8,
 ) -> float:
-    """Single-link score mixing current and predicted normalized distances.
-
-    Missing predictions (either side) fall back to the current-distance score
-    alone.
-    """
+    """Single-link score mixing current and predicted normalized distances."""
     d_now = distance(own_pos, neighbor_pos)
     s_now = min(1.0, max(0.0, 1.0 - d_now / comm_range_m))
-    if own_predicted is None or neighbor_predicted is None:
-        return s_now
     d_pred = distance(own_predicted, neighbor_predicted)
     s_pred = min(1.0, max(0.0, 1.0 - d_pred / comm_range_m))
     return (prediction_weight * s_pred + (weight_scale - prediction_weight) * s_now) / weight_scale

@@ -249,7 +249,7 @@ class Simulation:
         for frame in self.medium.queued_data_frames():
             pending_by_stream[frame.stream_idx] = pending_by_stream.get(frame.stream_idx, 0) + 1
         conservation_ok = all(
-            st.sent == st.received + st.total_drops + pending_by_stream.get(idx, 0)
+            st.sent == st.received + sum(st.drops.values()) + pending_by_stream.get(idx, 0)
             for idx, st in enumerate(self.stats)
         )
         sent = sum(st.sent for st in self.stats)

@@ -84,18 +84,6 @@ class StreamStats:
     def record_drop(self, cause: str) -> None:
         self.drops[cause] += 1
 
-    @property
-    def total_drops(self) -> int:
-        return sum(self.drops.values())
-
-
-def current_pdr(stats: StreamStats, window_idx: int) -> float | None:
-    """Windowed PDR; None (absent sample) when nothing was sent in the window."""
-    sent = stats.sent_w.get(window_idx, 0)
-    if sent == 0:
-        return None
-    return stats.received_w.get(window_idx, 0) / sent
-
 
 def pdr_series(streams: list[StreamStats], window_us: int,
                horizon_us: int) -> list[tuple[float, int, int, float | None]]:
@@ -120,21 +108,3 @@ def mean_current_pdr(series: list[tuple[float, int, int, float | None]]) -> floa
     if not samples:
         return 0.0
     return sum(samples) / len(samples)
-
-
-def confidence_interval(samples: list[float], level: float = 0.95) -> tuple[float, float, float]:
-    """Student-t interval (mean, lo, hi) over independent run samples.
-
-    Needs scipy (the ``analysis`` extra). It is imported here, not at module
-    level, because it costs more than a short simulation run and nothing
-    else in the simulator uses it.
-    """
-    n = len(samples)
-    if n < 2:
-        raise ValueError("confidence interval needs at least 2 samples")
-    from scipy import stats
-
-    mean = sum(samples) / n
-    variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    half = stats.t.ppf((1 + level) / 2, n - 1) * math.sqrt(variance / n)
-    return (mean, mean - half, mean + half)

@@ -20,7 +20,7 @@ from manetsim.engine import EventKind, us_from_s
 from manetsim.experiment import rows_to_csv_text, run_experiment, simulate_all
 from manetsim.routing import ControlKind, ControlMessage, NeighborRanking
 from manetsim.simulation import Simulation, simulate
-from manetsim.traffic import StreamSpec, current_pdr
+from manetsim.traffic import StreamSpec
 
 SEEDS = list(range(1, 11))
 
@@ -304,7 +304,7 @@ def test_criterion_10_windowed_pdr_exceeds_one_after_stall():
     result = sim.run()
     ALL_RESULTS.append(result)
     stats = result.per_stream[0]
-    pdrs = [current_pdr(stats, idx) for idx in range(12)]
+    pdrs = [pdr for *_, pdr in result.pdr_trace]
     spikes = [p for p in pdrs if p is not None and p > 1.0]
     stalled = [p for p in pdrs if p == 0.0]
     ok = (bool(spikes) and bool(stalled) and result.overall_pdr <= 1.0

@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,9 +61,9 @@ def test_empty_ranking_signals_no_route():
 
 
 def test_phi_max_computed_before_exclusion():
-    sset = schedulable_set(make_ranking({1: 1.0, 5: 0.95, 7: 0.91}), 9, 0.9, 0, exclude=1)
-    assert sset.phi_max == pytest.approx(1.0)
-    assert sset.members == (5, 7)
+    # Threshold 0.9 * 1.0 keeps 5 only; a phi_max taken after excluding 1
+    # would be 0.95, and its threshold 0.855 would keep 7 as well.
+    assert members({1: 1.0, 5: 0.95, 7: 0.88}, 0.9, exclude=1) == (5,)
 
 
 def brute_force_set(scores, likelihood, exclude):

@@ -86,6 +86,22 @@ def test_sweep_lambda_row_count(capsys, tmp_path):
     assert len(out.splitlines()) == 1 + 4
 
 
+def test_sweep_without_values_runs_the_default_values(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "sweep-streams", "--config", fast_config(tmp_path), "--seeds", "1")
+    assert code == 0
+    assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("value", ["", " "])
+def test_sweep_with_empty_values_is_config_error(capsys, tmp_path, value):
+    code, out, err = run_cli(
+        capsys, "sweep-lambda", "--config", fast_config(tmp_path),
+        "--values", value, "--seeds", "1")
+    assert (code, out) == (1, "")
+    assert "sweep needs at least one value" in err
+
+
 def test_sweep_nodes_invalid_value_is_config_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "sweep-nodes", "--config", fast_config(tmp_path),
@@ -153,11 +169,12 @@ def test_identical_invocations_identical_output(capsys, tmp_path):
     assert first == second
 
 
-def modules_loaded_by_cli_import(*roots):
-    """Names of the modules under ``roots`` that a fresh ``import manetsim.cli`` loads."""
+def modules_loaded_by_cli_import(*roots, then="pass"):
+    """Names of the modules under ``roots`` that a fresh ``import manetsim.cli``
+    loads, followed by the statement ``then``."""
     src = str(Path(manetsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = ("import sys, manetsim.cli; "
+    probe = (f"import sys, manetsim, manetsim.cli; {then}; "
              f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -165,9 +182,12 @@ def modules_loaded_by_cli_import(*roots):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy is needed only by traffic.confidence_interval, and importing it
-    # costs more than a short run, so `manetsim run` must not pay for it.
-    assert modules_loaded_by_cli_import("scipy") == "[]"
+    # Only scripts/run_trends.py needs scipy, for its confidence intervals, and
+    # importing it costs more than a short run, so neither the import nor a run
+    # of `manetsim` may load it. The run predicts, so that path is covered too.
+    run = ("manetsim.simulate(manetsim.ScenarioConfig(protocol='batmobile', nodes=4, "
+           "sim_time_s=2.0, stream_start_s=1.0), 1)")
+    assert modules_loaded_by_cli_import("scipy", then=run) == "[]"
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from manetsim.engine import us_from_s
 from manetsim.mobility import (
     Area,
-    InsufficientHistoryError,
     MobilityHistory,
     distance,
     predict_position,
@@ -159,7 +158,7 @@ def test_prediction_matches_independent_least_squares_on_noisy_track():
 def test_prediction_requires_two_samples():
     history = MobilityHistory()
     history.record(0, (0.0, 0.0, 0.0))
-    with pytest.raises(InsufficientHistoryError):
+    with pytest.raises(ValueError, match="need >= 2 samples"):
         predict_position(history, 5, 15, 0.25)
 
 

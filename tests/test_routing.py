@@ -100,12 +100,6 @@ def test_pathscore_link_monotone_in_predicted_distance():
     assert scores == sorted(scores, reverse=True)
 
 
-def test_pathscore_link_missing_prediction_falls_back_to_now():
-    own = (0.0, 0.0, 0.0)
-    score = pathscore_link(own, None, (20.0, 0.0, 0.0), None, 55.4)
-    assert score == pytest.approx(1 - 20 / 55.4)
-
-
 def test_pathscore_path_examples():
     assert pathscore_path([0.9, 0.8]) == pytest.approx(0.72)
     assert pathscore_path([0.9, 0.0, 0.8]) == 0.0
@@ -222,7 +216,7 @@ def test_each_protocol_reads_its_own_parameters_from_config():
 
     # A position history holds what one fit reads: fit_samples, not score_buffer.
     sim = Simulation(replace(config, protocol="batmobile"), 1)
-    assert sim.histories[0].capacity == 4
+    assert sim.histories[0].samples.maxlen == 4
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))

@@ -9,8 +9,6 @@ from manetsim.traffic import (
     DROP_CAUSES,
     StreamSpec,
     StreamStats,
-    confidence_interval,
-    current_pdr,
     draw_endpoints,
     mean_current_pdr,
     pdr_series,
@@ -69,12 +67,17 @@ def make_stats(window_s=1.0):
     return StreamStats(us_from_s(window_s))
 
 
+def window_pdr(stats, idx):
+    """The stream's current PDR in window idx, as pdr_series reports it."""
+    return pdr_series([stats], stats.window_us, (idx + 1) * stats.window_us)[idx][3]
+
+
 def test_current_pdr_plain_window():
     stats = make_stats()
     for k in range(171):
         stats.record_sent(1000 * k)
         stats.record_received(1000 * k + 500)
-    assert current_pdr(stats, 0) == pytest.approx(1.0)
+    assert window_pdr(stats, 0) == pytest.approx(1.0)
 
 
 def test_current_pdr_exceeds_one_with_late_arrivals():
@@ -89,17 +92,15 @@ def test_current_pdr_exceeds_one_with_late_arrivals():
         stats.record_received(t)
     for k in range(9):
         stats.record_received(us_from_s(1.0) + k)
-    assert current_pdr(stats, 1) == pytest.approx(180 / 171)
-    assert current_pdr(stats, 1) > 1.0
+    assert window_pdr(stats, 1) == pytest.approx(180 / 171)
+    assert window_pdr(stats, 1) > 1.0
     assert stats.received <= stats.sent
 
 
 def test_current_pdr_absent_when_nothing_sent():
     stats = make_stats()
     stats.record_received(500_000)
-    assert current_pdr(stats, 1) is None
-    series = pdr_series([stats], stats.window_us, us_from_s(2.0))
-    assert series[1][3] is None
+    assert window_pdr(stats, 1) is None
 
 
 def test_pdr_series_pools_streams_window_by_window():
@@ -175,27 +176,8 @@ def test_conservation_counters():
     stats.record_drop("collision")
     stats.record_drop("queue")
     stats.record_drop("no_route")
-    assert stats.total_drops == 3
-    assert stats.sent - stats.received - stats.total_drops == 1  # one still in flight
-
-
-def test_confidence_interval_zero_variance():
-    assert confidence_interval([0.8, 0.8, 0.8]) == pytest.approx((0.8, 0.8, 0.8))
-
-
-def test_confidence_interval_two_samples_against_t_table():
-    mean, lo, hi = confidence_interval([0.6, 0.8])
-    assert mean == pytest.approx(0.7)
-    # half-width = t(0.975, df=1) * s / sqrt(n) = 12.706 * 0.1414 / 1.414
-    assert hi - mean == pytest.approx(1.2706, abs=1e-3)
-    assert (lo, hi) == pytest.approx((-0.571, 1.971), abs=1e-3)
-
-
-def test_confidence_interval_contains_mean():
-    mean, lo, hi = confidence_interval([0.1, 0.5, 0.9, 0.4])
-    assert lo <= mean <= hi
-
-
-def test_confidence_interval_needs_two_samples():
-    with pytest.raises(ValueError):
-        confidence_interval([0.5])
+    assert sum(stats.drops.values()) == 3
+    assert stats.sent - stats.received - sum(stats.drops.values()) == 1  # one still in flight
+    assert not collected(stats).conservation_ok  # no queued frame accounts for it
+    stats.record_drop("ttl")
+    assert collected(stats).conservation_ok
