@@ -1,15 +1,16 @@
 """Scenario configuration: reference defaults, file parsing, validation.
 
 Config files are flat ``key = value`` text with optional ``[section]``
-headers; keys before any header belong to [scenario]. Unknown keys, type
-mismatches and invariant violations raise ConfigError with the offending
-line. An empty file yields the full reference default scenario.
+headers; keys before any header belong to [scenario]. Unknown keys and type
+mismatches raise ConfigError with the offending line, invariant violations
+with the rule they break. An empty file yields the full reference default scenario.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 
 from .engine import us_from_s
 from .mobility import Area
@@ -22,54 +23,58 @@ class ConfigError(Exception):
     pass
 
 
+_SYMBOLS = {"gt": ">", "ge": ">=", "le": "<="}
+
+
+def _key(default, *sections: str, key: str | None = None, **bounds: float):
+    """A field set by file key ``key`` (default: its name) in each of ``sections``
+    (default: [scenario]), with the one-field bounds gt, ge, le that validate() checks."""
+    return field(default=default, metadata={
+        "sections": sections or ("scenario",), "key": key, "bounds": bounds})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    # [scenario]
-    area_x: float = 500.0
-    area_y: float = 500.0
-    area_z: float = 10.0
-    nodes: int = 15
-    speed_mps: float = 13.889  # 50 km/h
-    sim_time_s: float = 600.0
-    runs: int = 25
-    lambda_factor: float = 0.9
-    protocol: str = "batman"
-    balancing: bool = True
-    seed: int = 1
-    streams: int = 1
-    stream_start_s: float = 5.0
-    bitrate_bps: float = 2e6
-    payload_bytes: int = 1460  # MTU
-    window_s: float = 1.0
-    ttl: int = 16
-    exclude_prev_hop: bool = True
-    ranking_expiry_s: float = 3.0
-    # [channel]
-    tx_power_dbm: float = 20.0  # 100 mW
-    path_loss_exponent: float = 2.75
-    frequency_hz: float = 2.4e9
-    sensitivity_dbm: float = -83.0
-    # [mac]
-    mac_rate_bps: float = 24e6
-    mac_overhead_bytes: int = 64
-    mac_jitter_us: int = 200
-    queue_capacity: int = 50
-    control_bytes: int = 64
-    # [batman]
-    ogm_interval_s: float = 0.5
-    tq_window: int = 8
-    hop_penalty: float = 0.95
-    # [golsr]
-    hello_interval_s: float = 0.5
-    tc_interval_s: float = 1.0
-    geo_floor: float = 1e-6
-    # [batmobile]
-    score_buffer: int = 8
-    mobility_update_s: float = 0.25
-    fit_samples: int = 5
-    prediction_steps: int = 15
-    prediction_weight: int = 7
-    trend_clamp: float = 0.1
+    area_x: float = _key(500.0, gt=0)
+    area_y: float = _key(500.0, gt=0)
+    area_z: float = _key(10.0, gt=0)
+    nodes: int = _key(15, ge=2)
+    speed_mps: float = _key(13.889, ge=0)  # 50 km/h
+    sim_time_s: float = _key(600.0, gt=0)
+    runs: int = _key(25, ge=1)
+    lambda_factor: float = _key(0.9, key="lambda", ge=0)
+    protocol: str = _key("batman")
+    balancing: bool = _key(True)
+    seed: int = _key(1)
+    streams: int = _key(1, ge=1)
+    stream_start_s: float = _key(5.0)
+    bitrate_bps: float = _key(2e6, gt=0)
+    payload_bytes: int = _key(1460, ge=1, le=1460)  # MTU
+    window_s: float = _key(1.0, gt=0)
+    ttl: int = _key(16, ge=1)
+    exclude_prev_hop: bool = _key(True)
+    ranking_expiry_s: float = _key(3.0, gt=0)
+    tx_power_dbm: float = _key(20.0, "channel")  # 100 mW
+    path_loss_exponent: float = _key(2.75, "channel", gt=2)
+    frequency_hz: float = _key(2.4e9, "channel", gt=0)
+    sensitivity_dbm: float = _key(-83.0, "channel")
+    mac_rate_bps: float = _key(24e6, "mac", key="rate_bps", gt=0)
+    mac_overhead_bytes: int = _key(64, "mac", key="overhead_bytes", ge=0)
+    mac_jitter_us: int = _key(200, "mac", key="jitter_us", ge=0)
+    queue_capacity: int = _key(50, "mac", ge=1)
+    control_bytes: int = _key(64, "mac", ge=1)
+    ogm_interval_s: float = _key(0.5, "batman", "batmobile", gt=0)
+    tq_window: int = _key(8, "batman", ge=1)
+    hop_penalty: float = _key(0.95, "batman", gt=0, le=1)
+    hello_interval_s: float = _key(0.5, "golsr", gt=0)
+    tc_interval_s: float = _key(1.0, "golsr", gt=0)
+    geo_floor: float = _key(1e-6, "golsr", gt=0)
+    score_buffer: int = _key(8, "batmobile", ge=1)
+    mobility_update_s: float = _key(0.25, "batmobile", gt=0)
+    fit_samples: int = _key(5, "batmobile", ge=2)
+    prediction_steps: int = _key(15, "batmobile", ge=1)
+    prediction_weight: int = _key(7, "batmobile", ge=0)
+    trend_clamp: float = _key(0.1, "batmobile", ge=0)
 
     def area(self) -> Area:
         return Area(self.area_x, self.area_y, self.area_z)
@@ -90,30 +95,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# Section -> the file keys it accepts. A key sets the ScenarioConfig field of
-# the same name unless _FIELD_OF_KEY renames it; the field's annotation picks
-# the parser.
-_SECTION_KEYS = {
-    "scenario": (
-        "area_x", "area_y", "area_z", "nodes", "speed_mps", "sim_time_s", "runs", "lambda",
-        "protocol", "balancing", "seed", "streams", "stream_start_s", "bitrate_bps",
-        "payload_bytes", "window_s", "ttl", "exclude_prev_hop", "ranking_expiry_s",
-    ),
-    "channel": ("tx_power_dbm", "path_loss_exponent", "frequency_hz", "sensitivity_dbm"),
-    "mac": ("rate_bps", "overhead_bytes", "jitter_us", "queue_capacity", "control_bytes"),
-    "batman": ("ogm_interval_s", "tq_window", "hop_penalty"),
-    "golsr": ("hello_interval_s", "tc_interval_s", "geo_floor"),
-    "batmobile": (
-        "ogm_interval_s", "score_buffer", "mobility_update_s", "fit_samples",
-        "prediction_steps", "prediction_weight", "trend_clamp",
-    ),
-}
-_FIELD_OF_KEY = {"lambda": "lambda_factor", "rate_bps": "mac_rate_bps",
-                 "overhead_bytes": "mac_overhead_bytes", "jitter_us": "mac_jitter_us"}
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+# (section, file key) -> the ScenarioConfig field it sets; the field's
+# annotation picks the parser.
+_KEYS = {(section, f.metadata["key"] or f.name): f
+         for f in fields(ScenarioConfig) for section in f.metadata["sections"]}
+_SECTIONS = {section for section, _ in _KEYS}
 _PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
-_KEYS = {(section, key): _FIELD_OF_KEY.get(key, key)
-         for section, keys in _SECTION_KEYS.items() for key in keys}
 
 
 def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -125,7 +112,7 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SECTION_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"{source}:{line_no}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -133,11 +120,11 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        attr = _KEYS.get((section, key))
-        if attr is None:
+        target = _KEYS.get((section, key))
+        if target is None:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r} in section [{section}]")
         try:
-            overrides[attr] = _PARSERS[_FIELD_TYPES[attr]](value)
+            overrides[target.name] = _PARSERS[target.type](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{line_no}: bad value for {key!r}: {exc}") from exc
     config = replace(ScenarioConfig(), **overrides)
@@ -154,21 +141,17 @@ def validate(config: ScenarioConfig) -> None:
     def fail(message: str) -> None:
         raise ConfigError(f"invalid scenario: {message}")
 
-    # First, so that no later check or run-time conversion sees inf or nan.
-    for name, kind in _FIELD_TYPES.items():
-        if kind == "float" and not math.isfinite(getattr(config, name)):
-            fail(f"{name} must be finite, got {getattr(config, name)}")
-    if config.nodes < 2:
-        fail(f"nodes must be >= 2, got {config.nodes}")
-    if config.lambda_factor < 0:
-        fail(f"lambda must be >= 0, got {config.lambda_factor}")
+    # First, so that no later check or run-time conversion sees inf, nan or a
+    # value outside its field's bounds.
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            fail(f"{f.name} must be finite, got {value}")
+        for relation, bound in f.metadata["bounds"].items():
+            if not getattr(operator, relation)(value, bound):
+                fail(f"{f.name} must be {_SYMBOLS[relation]} {bound}, got {value}")
     if config.protocol not in PROTOCOLS:
         fail(f"protocol must be one of {PROTOCOLS}, got {config.protocol!r}")
-    for name in ("area_x", "area_y", "area_z", "sim_time_s", "window_s", "bitrate_bps",
-                 "ogm_interval_s", "hello_interval_s", "tc_interval_s", "mobility_update_s",
-                 "mac_rate_bps", "ranking_expiry_s"):
-        if getattr(config, name) <= 0:
-            fail(f"{name} must be positive, got {getattr(config, name)}")
     # Mobility and the medium square coordinate differences; past this size
     # the squares overflow a float.
     if not math.isfinite(config.area_x * config.area_x + config.area_y * config.area_y
@@ -181,8 +164,6 @@ def validate(config: ScenarioConfig) -> None:
                  "mobility_update_s"):
         if us_from_s(getattr(config, name)) < 1:
             fail(f"{name} must be at least 1 us, got {getattr(config, name)}")
-    if config.speed_mps < 0:
-        fail("speed_mps must be >= 0")
     # A waypoint step spends its travel budget leg by leg; a budget too large
     # next to the legs is not reduced by subtracting one, and the step never ends.
     travel_m = config.speed_mps * config.mobility_update_s
@@ -190,14 +171,10 @@ def validate(config: ScenarioConfig) -> None:
         fail(f"speed_mps {config.speed_mps} covers {travel_m:g} m per "
              f"{config.mobility_update_s} s mobility tick, more than the "
              f"{config.diagonal_m():g} m area diagonal")
-    if config.streams < 1:
-        fail("streams must be >= 1")
     if 2 * config.streams > config.nodes:
         fail(f"{config.streams} streams need {2 * config.streams} nodes, have {config.nodes}")
     if not 0 <= config.stream_start_s < config.sim_time_s:
         fail("stream_start_s must lie inside the simulated interval")
-    if not 0 < config.payload_bytes <= 1460:
-        fail(f"payload_bytes must be in (0, 1460], got {config.payload_bytes}")
     try:
         interval_us = send_interval_us(config.payload_bytes, config.bitrate_bps)
     except OverflowError:
@@ -205,27 +182,26 @@ def validate(config: ScenarioConfig) -> None:
     if interval_us < 1:
         fail(f"bitrate_bps {config.bitrate_bps} sends {config.payload_bytes}-byte packets "
              "less than 1 us apart")
-    if config.runs < 1:
-        fail("runs must be >= 1")
-    if config.queue_capacity < 1 or config.ttl < 1:
-        fail("queue_capacity and ttl must be >= 1")
-    if config.mac_jitter_us < 0 or config.mac_overhead_bytes < 0 or config.control_bytes < 1:
-        fail("mac_jitter_us/overhead_bytes must be >= 0 and control_bytes >= 1")
     if config.sensitivity_dbm >= config.tx_power_dbm:
         fail("receiver sensitivity must lie below the transmit power")
-    if config.path_loss_exponent <= 2:
-        fail(f"path_loss_exponent must exceed 2, got {config.path_loss_exponent}")
-    if not 0 < config.hop_penalty <= 1:
-        fail("hop_penalty must be in (0, 1]")
-    if config.tq_window < 1 or config.score_buffer < 1:
-        fail("tq_window and score_buffer must be >= 1")
-    if config.fit_samples < 2:
-        fail("fit_samples must be >= 2")
-    if config.prediction_steps < 1:
-        fail("prediction_steps must be >= 1")
-    if not 0 <= config.prediction_weight <= config.score_buffer:
-        fail("prediction_weight must be within the score buffer scale")
-    if config.trend_clamp < 0:
-        fail("trend_clamp must be >= 0")
-    if config.geo_floor <= 0:
-        fail("geo_floor must be positive")
+    # channel.max_range_m and channel.airtime_s, inline because channel imports
+    # this module: the medium squares the range and puts airtimes on the us clock.
+    try:
+        range_m = 3.0e8 / (4.0 * math.pi * config.frequency_hz) * 10.0 ** (
+            (config.tx_power_dbm - config.sensitivity_dbm) / (10.0 * config.path_loss_exponent))
+    except OverflowError:
+        range_m = math.inf
+    if not math.isfinite(range_m * range_m):
+        fail("tx_power_dbm, sensitivity_dbm, path_loss_exponent and frequency_hz give a "
+             "range whose square overflows a float")
+    try:
+        airtime_us = (max(config.payload_bytes, config.control_bytes)
+                      + config.mac_overhead_bytes) * 8.0 / config.mac_rate_bps * 1e6
+    except OverflowError:
+        airtime_us = math.inf
+    if not math.isfinite(airtime_us):
+        fail("mac_rate_bps, mac_overhead_bytes and control_bytes give the largest frame an "
+             "airtime that overflows a float")
+    if config.prediction_weight > config.score_buffer:
+        fail(f"prediction_weight {config.prediction_weight} exceeds "
+             f"score_buffer {config.score_buffer}")

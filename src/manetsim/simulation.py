@@ -85,6 +85,8 @@ class Simulation:
 
         if initial_positions is not None and len(initial_positions) != config.nodes:
             raise ValueError("initial_positions must cover every node")
+        if any(node not in range(config.nodes) for s in streams or () for node in (s.src, s.dst)):
+            raise ValueError("stream endpoints must be nodes")
         # Each node's position and the waypoint it is heading for.
         self.positions: list[Position] = []
         self.waypoints: list[Position] = []

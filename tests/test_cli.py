@@ -144,6 +144,22 @@ def test_speed_past_the_area_per_tick_is_config_error(capsys, tmp_path, speed):
     assert "configuration error" in err and "area diagonal" in err
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("[channel]\nfrequency_hz = 0\n", "frequency_hz"),  # divided by zero in the range
+    ("[channel]\nfrequency_hz = -2.4e9\n", "frequency_hz"),  # ran on a negative range
+    ("[channel]\ntx_power_dbm = 100000\n", "tx_power_dbm"),  # the range overflowed
+    ("[mac]\nrate_bps = 1e-300\n", "rate_bps"),  # an infinite airtime
+    ("[mac]\noverhead_bytes = 1" + "0" * 400 + "\n", "overhead_bytes"),  # no float holds it
+    ("[mac]\ncontrol_bytes = 1" + "0" * 400 + "\n", "control_bytes"),
+], ids=["frequency-0", "frequency-negative", "tx-power-1e5", "rate-1e-300", "overhead-1e400",
+        "control-1e400"])
+def test_link_budget_or_airtime_past_a_float_is_config_error(capsys, tmp_path, extra, key):
+    # Each of these used to pass validation, then crash or run on a nonsense range.
+    code, _, err = run_cli(capsys, "run", "--config", fast_config(tmp_path, extra), "--seed", "1")
+    assert code == 1
+    assert "configuration error" in err and key in err and "Traceback" not in err
+
+
 def test_compare_writes_one_trace_per_run(capsys, tmp_path):
     trace_dir = tmp_path / "traces"
     code, _, _ = run_cli(

@@ -142,6 +142,60 @@ def test_validate_accepts_defaults():
     validate(ScenarioConfig())
 
 
+# Every one-field bound validate() enforces: (section, key, rejected, accepted),
+# each value set alone on top of the defaults.
+BOUNDS = [
+    ("scenario", "nodes", "1", "2"),
+    ("scenario", "runs", "0", "1"),
+    ("scenario", "streams", "0", "1"),
+    ("scenario", "ttl", "0", "1"),
+    ("scenario", "payload_bytes", "0", "1"),
+    ("scenario", "payload_bytes", "1461", "1460"),
+    ("scenario", "speed_mps", "-0.001", "0"),
+    ("scenario", "lambda", "-1e-9", "0"),
+    ("scenario", "area_x", "0", "1e-9"),
+    ("scenario", "area_y", "0", "1e-9"),
+    ("scenario", "area_z", "0", "1e-9"),
+    ("scenario", "sim_time_s", "0", "5.5"),  # must also outlast stream_start_s = 5
+    ("scenario", "window_s", "0", "1e-6"),
+    ("scenario", "bitrate_bps", "0", "1"),
+    ("scenario", "ranking_expiry_s", "0", "1e-9"),
+    ("channel", "path_loss_exponent", "2", "2.0000001"),
+    ("channel", "frequency_hz", "0", "1"),
+    ("mac", "rate_bps", "0", "1"),
+    ("mac", "overhead_bytes", "-1", "0"),
+    ("mac", "jitter_us", "-1", "0"),
+    ("mac", "queue_capacity", "0", "1"),
+    ("mac", "control_bytes", "0", "1"),
+    ("batman", "ogm_interval_s", "0", "1e-6"),
+    ("batman", "tq_window", "0", "1"),
+    ("batman", "hop_penalty", "0", "1e-9"),
+    ("batman", "hop_penalty", "1.0000001", "1"),
+    ("golsr", "hello_interval_s", "0", "1e-6"),
+    ("golsr", "tc_interval_s", "0", "1e-6"),
+    ("golsr", "geo_floor", "0", "1e-300"),
+    ("batmobile", "ogm_interval_s", "0", "1e-6"),
+    ("batmobile", "mobility_update_s", "0", "1e-6"),
+    ("batmobile", "score_buffer", "0", "7"),  # must also hold prediction_weight = 7
+    ("batmobile", "fit_samples", "1", "2"),
+    ("batmobile", "prediction_steps", "0", "1"),
+    ("batmobile", "prediction_weight", "-1", "0"),
+    ("batmobile", "trend_clamp", "-1e-9", "0"),
+]
+
+
+@pytest.mark.parametrize("section, key, rejected, accepted", BOUNDS)
+def test_each_one_field_bound_rejects_and_accepts_at_its_edge(section, key, rejected, accepted):
+    with pytest.raises(ConfigError) as info:
+        parse_scenario_text(f"[{section}]\n{key} = {rejected}\n")
+    message = str(info.value)
+    # The bound itself rejects the value: not the 1 us period check, which
+    # also rejects every period <= 0, nor a check that reads another field.
+    assert key in message and re.search(r"must (be|exceed)", message), message
+    assert "1 us" not in message, message
+    parse_scenario_text(f"[{section}]\n{key} = {accepted}\n")
+
+
 def readme_config_block() -> str:
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
     match = re.search(r"^    \[scenario\]\n(?:^(?:    .*)?\n)*?^    trend_clamp = .*$",

@@ -256,6 +256,15 @@ def test_minimum_two_node_scenario_runs():
     assert result.overall_pdr > 0.5  # 40 m box keeps the pair in range
 
 
+@pytest.mark.parametrize("src, dst", [(-1, 2), (0, 9), (9, 2)])
+def test_stream_endpoints_outside_the_nodes_rejected(src, dst):
+    # -1 used to send as the last node, unheard by carrier sense; dst 9 dropped
+    # every packet as no_route; src 9 raised IndexError at the first send.
+    stream = StreamSpec(src, dst, us_from_s(1.0), us_from_s(2.0))
+    with pytest.raises(ValueError, match="stream endpoints"):
+        Simulation(static_config(6), 1, streams=[stream])
+
+
 def test_emission_counts_survive_queue_pressure():
     # emission counting is independent of whether the frame made it to air
     config = ScenarioConfig(sim_time_s=10.0, nodes=5, stream_start_s=5.0)
