@@ -5,7 +5,8 @@
 Standard library only: the simulator is imported from ``src/`` next to this
 directory, never from an installed copy, and neither pytest nor hypothesis is
 needed. It reruns the pinned runs of ``tests/pinned_runs.py`` (state hash,
-CSV row and decision trace), then one ``manetsim run`` through the command
+CSV row and decision trace) and checks the medium's jitter draw against
+``randrange`` on the same stream, then one ``manetsim run`` through the command
 line in a child process of the same interpreter, and compares the CSV file's
 sha256 with its pin. It prints one line per check and exits 0 when all of
 them hold, 1 otherwise.
@@ -55,6 +56,11 @@ def main() -> int:
         ok = ok and held
         print(f"{'ok  ' if held else 'FAIL'} pin {name}: state_hash {observed[0][:12]}, "
               f"row sha256 {observed[1][:12]}, trace sha256 {observed[2][:12]}")
+    for span in pinned_runs.JITTER_SPANS:
+        drawn, expected = pinned_runs.jitter_draws(span)
+        held = drawn == expected
+        ok = ok and held
+        print(f"{'ok  ' if held else 'FAIL'} jitter draw over {span} values equals randrange")
     held, seen = check_cli()
     ok = ok and held
     print(f"{'ok  ' if held else 'FAIL'} cli run: {seen}")

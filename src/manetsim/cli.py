@@ -10,7 +10,7 @@ import sys
 import traceback
 from dataclasses import replace
 
-from .config import PROTOCOLS, ConfigError, ScenarioConfig, load_scenario, validate
+from .config import PROTOCOLS, ConfigError, ScenarioConfig, load_scenario
 from .experiment import (
     compare,
     default_seeds,
@@ -65,10 +65,7 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         overrides["balancing"] = args.balancing == "on"
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
-        validate(config)
-    return config
+    return replace(config, **overrides)
 
 
 def _resolve_seeds(args: argparse.Namespace, config: ScenarioConfig) -> list[int]:

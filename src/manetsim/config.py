@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .engine import us_from_s
 from .mobility import Area
-from .traffic import send_interval_us
+from .traffic import MTU_BYTES, send_interval_us
 
 PROTOCOLS = ("batman", "golsr", "batmobile")
 
@@ -49,7 +49,7 @@ class ScenarioConfig:
     streams: int = _key(1, ge=1)
     stream_start_s: float = _key(5.0)
     bitrate_bps: float = _key(2e6, gt=0)
-    payload_bytes: int = _key(1460, ge=1, le=1460)  # MTU
+    payload_bytes: int = _key(MTU_BYTES, ge=1, le=MTU_BYTES)
     window_s: float = _key(1.0, gt=0)
     ttl: int = _key(16, ge=1)
     exclude_prev_hop: bool = _key(True)

@@ -182,16 +182,14 @@ class NeighborRanking:
         self.table: dict[int, dict[int, list]] = {}  # dest -> {neighbor: [score, last_us]}
 
     def update(self, dest: int, neighbor: int, score: float, now_us: int) -> None:
-        entries = self.table.setdefault(dest, {})
+        entries = self.table.get(dest)
         if score <= 0.0:
-            entries.pop(neighbor, None)
-            return
-        entry = entries.get(neighbor)
-        if entry is None:
-            entries[neighbor] = [min(1.0, score), now_us]
+            if entries:
+                entries.pop(neighbor, None)
+        elif entries is None:
+            self.table[dest] = {neighbor: [min(1.0, score), now_us]}
         else:
-            entry[0] = min(1.0, score)
-            entry[1] = now_us
+            entries[neighbor] = [min(1.0, score), now_us]
 
     def scores(self, dest: int, now_us: int) -> dict[int, float]:
         """Purge expired entries for dest, then return {neighbor: score}."""

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 DROP_CAUSES = ("collision", "queue", "no_route", "ttl", "link")
+MTU_BYTES = 1460  # the largest stream payload
 
 
 @dataclass(frozen=True)
@@ -22,11 +23,18 @@ class StreamSpec:
     start_us: int
     stop_us: int
     bitrate_bps: float = 2e6
-    payload_bytes: int = 1460
+    payload_bytes: int = MTU_BYTES
 
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError("stream endpoints must differ")
+        # The bounds config.validate() puts on the same fields, in its words.
+        if not 1 <= self.payload_bytes <= MTU_BYTES:
+            rule = ">= 1" if self.payload_bytes < 1 else f"<= {MTU_BYTES}"
+            raise ValueError(f"payload_bytes must be {rule}, got {self.payload_bytes}")
+        if not (math.isfinite(self.bitrate_bps) and self.bitrate_bps > 0):
+            rule = "> 0" if math.isfinite(self.bitrate_bps) else "finite"
+            raise ValueError(f"bitrate_bps must be {rule}, got {self.bitrate_bps}")
         if self.interval_us < 1:
             # A zero interval would resend at one timestamp forever.
             raise ValueError(f"{self.bitrate_bps} bps sends {self.payload_bytes}-byte "

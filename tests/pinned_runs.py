@@ -7,13 +7,17 @@ changes behaviour and must say so and record them again. The state hash
 counts packets but not where they went, so each run is also pinned by a
 digest of its decision trace: every forwarding choice, in order.
 
-Both ``tests/test_pins.py`` and ``scripts/check_portable.py`` read this
-module, so it imports nothing beyond the standard library and ``manetsim``.
+The medium's jitter draw is pinned too: it must equal ``randrange`` on the
+same stream. Both ``tests/test_pins.py`` and ``scripts/check_portable.py``
+read this module, so it imports nothing beyond the standard library and ``manetsim``.
 """
 
 import hashlib
+import random
 
+from manetsim.channel import Medium
 from manetsim.config import ScenarioConfig
+from manetsim.engine import Engine, stream_seed
 from manetsim.experiment import result_row, rows_to_csv_text
 from manetsim.simulation import simulate
 
@@ -105,3 +109,23 @@ def observe(name: str) -> tuple[str, str, str]:
     line = rows_to_csv_text([result_row(config, result)]).splitlines()[1]
     return (result.state_hash, hashlib.sha256(line.encode()).hexdigest(),
             decisions_digest(result.decisions))
+
+
+# The jitter spans (mac_jitter_us + 1) whose draws are checked: 1 still
+# consumes bits, and a power of two and one past it bracket each bit length.
+JITTER_SPANS = (1, 2, 3, 16, 17, 1001)
+
+
+def jitter_draws(span: int, count: int = 300) -> tuple[list[int], list[int]]:
+    """The medium's first `count` jitter draws for a jitter of `span` values,
+    and `randrange(span)` on a fresh copy of the same "mac" stream."""
+    engine = Engine(master_seed=SEED)
+    drawn: list[int] = []
+    engine.schedule = lambda t_us, kind, payload=None: drawn.append(t_us)
+    medium = Medium(engine, [(0.0, 0.0, 0.0)], ScenarioConfig(mac_jitter_us=span - 1),
+                    on_deliver=lambda receivers, frame: None,
+                    on_unicast_lost=lambda frame, cause: None)
+    for _ in range(count):
+        medium._attempt_after(0, 0)
+    reference = random.Random(stream_seed(SEED, "mac"))
+    return drawn, [reference.randrange(span) for _ in range(count)]

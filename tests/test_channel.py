@@ -15,7 +15,7 @@ from manetsim.channel import (
     receivable,
 )
 from manetsim.config import ScenarioConfig
-from manetsim.engine import Engine, us_from_s
+from manetsim.engine import Engine, EventKind, us_from_s
 from manetsim.simulation import Simulation
 
 PARAMS = ScenarioConfig()
@@ -233,6 +233,90 @@ def test_lost_unicast_reaches_only_the_loss_callback():
     h.run()
     assert h.deliveries == []
     assert h.lost == [(frame, "collision")]
+
+
+# -- reception bookkeeping edges ----------------------------------------------
+# Three senders 50 m from receiver 0 at 120-degree spacing, 86.6 m from one
+# another: each reaches 0, none hears the others.
+STAR = [(0.0, 0.0, 0.0), (50.0, 0.0, 0.0), (-25.0, 43.3, 0.0), (-25.0, -43.3, 0.0)]
+NO_JITTER = ScenarioConfig(mac_jitter_us=0)
+T_FULL = airtime_us(1460, NO_JITTER)
+
+
+def send_at(h, t_us, node, frame):
+    h.engine.schedule(t_us, EventKind.CALLBACK, lambda: h.send(node, frame))
+
+
+def star_unicasts(starts):
+    """Harness for STAR where sender i + 1 unicasts a full frame to 0 at starts[i]."""
+    h = Harness(STAR, config=NO_JITTER)
+    frames = []
+    for i, t_us in enumerate(starts):
+        frame = data_frame(i + 1, 0)
+        frame.packet_id = i + 1
+        frames.append(frame)
+        send_at(h, t_us, i + 1, frame)
+    return h, frames
+
+
+def test_reception_ending_as_another_starts_is_delivered():
+    # 1 <-> 2 <-> 3 in a row, 0 hidden from 2 and 3, 3 hidden from 1. Node 2
+    # defers on 3's frame until it ends, while 0's shorter frame, timed to end
+    # then too, is still registered at 1: the two touch at 1 and do not overlap.
+    h = Harness([(0.0, 0.0, 0.0), (50.0, 0.0, 0.0), (100.0, 0.0, 0.0), (140.0, 0.0, 0.0)],
+                config=NO_JITTER)
+    h.send(3, broadcast_frame(3, size=1460))
+    h.send(2, data_frame(2, 1))
+    first = data_frame(0, 1, size=100)
+    send_at(h, T_FULL - airtime_us(100, NO_JITTER), 0, first)
+    h.run()
+    assert [(node, f.prev_hop) for node, f in h.delivered] == [(2, 3), (1, 0), (1, 2)]
+    assert h.delivered_at_us[1] == T_FULL
+    assert h.lost == []
+
+
+def test_chain_of_receptions_overlapping_pairwise_loses_all_three():
+    # The third overlaps only the second, after the first has ended.
+    h, frames = star_unicasts([0, T_FULL // 2, T_FULL + T_FULL // 4])
+    h.run()
+    assert h.delivered == []
+    assert h.lost == [(f, "collision") for f in frames]
+
+
+def test_reception_after_a_collided_pair_is_delivered():
+    h, frames = star_unicasts([0, T_FULL // 2, 2 * T_FULL])
+    h.run()
+    assert h.deliveries == [([0], frames[2])]
+    assert h.lost == [(f, "collision") for f in frames[:2]]
+
+
+def test_hidden_broadcasts_lose_only_the_shared_receiver():
+    # 0 and 2 are hidden from each other; 1 hears both, 3 only 0, 4 only 2.
+    h = Harness([(0.0, 0.0, 0.0), (50.0, 0.0, 0.0), (100.0, 0.0, 0.0), (-40.0, 0.0, 0.0),
+                 (140.0, 0.0, 0.0)], config=NO_JITTER)
+    first, second = broadcast_frame(0), broadcast_frame(2)
+    h.send(0, first)
+    h.send(2, second)
+    h.run()
+    assert h.deliveries == [([3], first), ([4], second)]
+
+
+def test_delivered_receiver_list_belongs_to_the_callback():
+    seen = []
+
+    def mutate(receivers, frame):
+        seen.append(list(receivers))
+        receivers.clear()
+        receivers.append(99)
+
+    engine = Engine(master_seed=0)
+    medium = Medium(engine, [(0.0, 0.0, 0.0), (30.0, 0.0, 0.0), (40.0, 0.0, 0.0)], PARAMS,
+                    on_deliver=mutate, on_unicast_lost=lambda frame, cause: None)
+    medium.enqueue(0, broadcast_frame(0))
+    medium.enqueue(0, broadcast_frame(0))
+    engine.run_until(us_from_s(1.0))
+    assert seen == [[1, 2], [1, 2]]
+    assert medium.neighbors[0] == [1, 2]
 
 
 def brute_force_neighbors(positions, range2):

@@ -55,12 +55,17 @@ def test_empty_seed_list_is_success(capsys, tmp_path):
     assert out.splitlines() == [",".join(CSV_COLUMNS)]
 
 
-def test_config_error_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["run", "sweep-lambda", "sweep-nodes", "sweep-streams",
+                                     "compare"])
+@pytest.mark.parametrize("overrides", [[], ["--seed", "2", "--protocol", "golsr",
+                                            "--balancing", "on"]])
+def test_config_error_exit_code(capsys, tmp_path, command, overrides):
     path = tmp_path / "bad.cfg"
     path.write_text("nodes = 1\n")
-    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    code, out, err = run_cli(capsys, command, "--config", str(path), *overrides)
     assert code == 1
     assert "configuration error" in err
+    assert out == ""
 
 
 def test_missing_config_file_exit_code(capsys):

@@ -176,6 +176,46 @@ def test_zero_score_update_removes_entry():
     assert ranking.scores(9, 100) == {}
 
 
+def test_zero_score_update_for_an_unknown_destination_adds_no_key():
+    ranking = make_ranking([(9, 1, 0.95)])
+    ranking.update(4, 1, 0.0, 100)
+    ranking.update(9, 2, -0.5, 100)
+    assert list(ranking.table) == [9]
+    assert ranking.scores(4, 100) == {}
+
+
+class SetdefaultRanking(NeighborRanking):
+    """Reference: creates a destination's map on every update, scored or not."""
+
+    def update(self, dest, neighbor, score, now_us):
+        entries = self.table.setdefault(dest, {})
+        if score <= 0.0:
+            entries.pop(neighbor, None)
+        else:
+            entries[neighbor] = [min(1.0, score), now_us]
+
+
+ranking_ops = st.lists(st.tuples(
+    st.booleans(), st.integers(0, 3), st.integers(0, 3),
+    st.sampled_from([0.0, 0.3, 1.0, 1.5]), st.integers(0, 2_000_000)), max_size=40)
+
+
+@given(ranking_ops)
+@settings(max_examples=200, deadline=None)
+def test_ranking_scores_equal_a_setdefault_reference(ops):
+    ranking, reference = NeighborRanking(1_000_000), SetdefaultRanking(1_000_000)
+    now = 0
+    for is_update, dest, neighbor, score, step in ops:
+        now += step
+        if is_update:
+            ranking.update(dest, neighbor, score, now)
+            reference.update(dest, neighbor, score, now)
+        else:
+            assert ranking.scores(dest, now) == reference.scores(dest, now)
+    for dest in range(4):
+        assert ranking.scores(dest, now) == reference.scores(dest, now)
+
+
 # -- protocols from config ---------------------------------------------------
 
 def test_protocol_table_covers_the_config_names_in_order():

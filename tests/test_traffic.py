@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -51,6 +52,32 @@ def test_stream_rejects_equal_endpoints():
 def test_stream_rejects_sub_microsecond_interval():
     with pytest.raises(ValueError, match="less than 1 us apart"):
         StreamSpec(0, 1, 0, 1000, bitrate_bps=1e12)
+
+
+@pytest.mark.parametrize("payload, message", [
+    (0, "payload_bytes must be >= 1, got 0"),
+    (1461, "payload_bytes must be <= 1460, got 1461"),
+    (2000, "payload_bytes must be <= 1460, got 2000"),
+])
+def test_stream_rejects_payload_outside_one_to_the_mtu(payload, message):
+    with pytest.raises(ValueError, match=message):
+        StreamSpec(0, 1, 0, 1000, payload_bytes=payload)
+
+
+@pytest.mark.parametrize("payload", [1, 1460])
+def test_stream_accepts_payload_at_the_edges(payload):
+    assert StreamSpec(0, 1, 0, 1000, payload_bytes=payload).payload_bytes == payload
+
+
+@pytest.mark.parametrize("bitrate, message", [
+    (0.0, "bitrate_bps must be > 0, got 0.0"),
+    (-2e6, "bitrate_bps must be > 0, got -2000000.0"),
+    (math.inf, "bitrate_bps must be finite, got inf"),
+    (math.nan, "bitrate_bps must be finite, got nan"),
+])
+def test_stream_rejects_bitrate_not_finite_or_not_positive(bitrate, message):
+    with pytest.raises(ValueError, match=message):
+        StreamSpec(0, 1, 0, 1000, bitrate_bps=bitrate)
 
 
 def test_endpoints_disjoint_and_deterministic():
