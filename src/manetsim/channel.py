@@ -1,13 +1,11 @@
 """Radio link budget, frames, per-node transmit queues, and the shared medium.
 
 The medium implements an abstract CSMA broadcast channel: a transmission
-occupies [t, t + airtime] and reaches every node inside the reception range;
-two receptions overlapping at a receiver destroy both; a node defers its own
-start while it can hear an ongoing transmission, with a small random jitter
-drawn from the "mac" RNG stream. Each transmission ends in at most one
-delivery call, listing its collision-free receivers in ascending order.
-As an overlap destroys both, a node keeps only its latest reception end and
-its one clean reception on the air: a reception costs O(1) per receiver.
+occupies [t, t + airtime] and reaches every node inside the reception range.
+Two receptions overlapping at a receiver destroy both, so a node keeps only
+its latest reception end and its one clean reception. A node defers its start
+while it hears a transmission, plus a random jitter from the "mac" RNG stream.
+Each transmission ends in at most one delivery call, clean receivers ascending.
 """
 
 from __future__ import annotations
@@ -202,16 +200,16 @@ class Medium:
         lost: list[int] = []
         for other in receivers:
             other_st = self.states[other]
-            if other_st.rx_until > now:
+            if other_st.rx_until <= now:
+                other_st.rx_clean = lost
+            else:
                 lost.append(other)
                 if other_st.rx_clean is not None:
                     other_st.rx_clean.append(other)
                     other_st.rx_clean = None
-                if t_end > other_st.rx_until:
-                    other_st.rx_until = t_end
-            else:
+            # Always true for a clean reception: t_end > now >= rx_until.
+            if t_end > other_st.rx_until:
                 other_st.rx_until = t_end
-                other_st.rx_clean = lost
         entry = [node_id, t_end]
         self.active.append(entry)
         self.engine.schedule(t_end, EventKind.PACKET_ARRIVAL,

@@ -188,8 +188,11 @@ class NeighborRanking:
                 entries.pop(neighbor, None)
         elif entries is None:
             self.table[dest] = {neighbor: [min(1.0, score), now_us]}
-        else:
+        elif (entry := entries.get(neighbor)) is None:
             entries[neighbor] = [min(1.0, score), now_us]
+        else:
+            entry[0] = min(1.0, score)
+            entry[1] = now_us
 
     def scores(self, dest: int, now_us: int) -> dict[int, float]:
         """Purge expired entries for dest, then return {neighbor: score}."""
