@@ -55,11 +55,20 @@ def test_empty_seed_list_is_success(capsys, tmp_path):
     assert out.splitlines() == [",".join(CSV_COLUMNS)]
 
 
+def test_config_error_exit_code(capsys, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("nodes = 1\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 1
+    assert "configuration error" in err
+
+
 @pytest.mark.parametrize("command", ["run", "sweep-lambda", "sweep-nodes", "sweep-streams",
                                      "compare"])
 @pytest.mark.parametrize("overrides", [[], ["--seed", "2", "--protocol", "golsr",
                                             "--balancing", "on"]])
-def test_config_error_exit_code(capsys, tmp_path, command, overrides):
+def test_bad_scenario_file_exits_1_through_every_subcommand(capsys, tmp_path, command,
+                                                            overrides):
     path = tmp_path / "bad.cfg"
     path.write_text("nodes = 1\n")
     code, out, err = run_cli(capsys, command, "--config", str(path), *overrides)
