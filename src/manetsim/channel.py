@@ -14,11 +14,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .config import ScenarioConfig
 from .engine import Engine, EventKind
 from .mobility import Position
+
+if TYPE_CHECKING:  # config imports this module to check a run's link budget and airtime
+    from .config import ScenarioConfig
 
 SPEED_OF_LIGHT = 3.0e8  # free-space simplification used throughout the link budget
 

@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 1 configuration error, 2 run failure.
+Exit codes: 0 success, 1 configuration error or unwritable output, 2 run failure.
 """
 
 from __future__ import annotations
@@ -110,7 +110,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except Exception:
+    except Exception as exc:
+        # Only writing --out or a --trace-pdr file fails with a file name.
+        if isinstance(exc, OSError) and exc.filename is not None:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 1
         traceback.print_exc()
         return 2
     return 0

@@ -12,6 +12,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 
+from .channel import airtime_us, max_range_m
 from .engine import us_from_s
 from .mobility import Area
 from .traffic import MTU_BYTES, send_interval_us
@@ -176,30 +177,23 @@ def validate(config: ScenarioConfig) -> None:
     if not 0 <= config.stream_start_s < config.sim_time_s:
         fail("stream_start_s must lie inside the simulated interval")
     try:
-        interval_us = send_interval_us(config.payload_bytes, config.bitrate_bps)
-    except OverflowError:
-        fail(f"bitrate_bps {config.bitrate_bps} sends packets too far apart for the us clock")
-    if interval_us < 1:
-        fail(f"bitrate_bps {config.bitrate_bps} sends {config.payload_bytes}-byte packets "
-             "less than 1 us apart")
+        send_interval_us(config.payload_bytes, config.bitrate_bps)
+    except ValueError as exc:
+        fail(str(exc))
     if config.sensitivity_dbm >= config.tx_power_dbm:
         fail("receiver sensitivity must lie below the transmit power")
-    # channel.max_range_m and channel.airtime_s, inline because channel imports
-    # this module: the medium squares the range and puts airtimes on the us clock.
+    # The medium's own arithmetic: it squares the range and puts each frame's
+    # airtime on the us clock.
     try:
-        range_m = 3.0e8 / (4.0 * math.pi * config.frequency_hz) * 10.0 ** (
-            (config.tx_power_dbm - config.sensitivity_dbm) / (10.0 * config.path_loss_exponent))
+        range2 = max_range_m(config) ** 2
     except OverflowError:
-        range_m = math.inf
-    if not math.isfinite(range_m * range_m):
+        range2 = math.inf
+    if not math.isfinite(range2):
         fail("tx_power_dbm, sensitivity_dbm, path_loss_exponent and frequency_hz give a "
              "range whose square overflows a float")
     try:
-        airtime_us = (max(config.payload_bytes, config.control_bytes)
-                      + config.mac_overhead_bytes) * 8.0 / config.mac_rate_bps * 1e6
+        airtime_us(max(config.payload_bytes, config.control_bytes), config)
     except OverflowError:
-        airtime_us = math.inf
-    if not math.isfinite(airtime_us):
         fail("mac_rate_bps, mac_overhead_bytes and control_bytes give the largest frame an "
              "airtime that overflows a float")
     if config.prediction_weight > config.score_buffer:

@@ -35,10 +35,7 @@ class StreamSpec:
         if not (math.isfinite(self.bitrate_bps) and self.bitrate_bps > 0):
             rule = "> 0" if math.isfinite(self.bitrate_bps) else "finite"
             raise ValueError(f"bitrate_bps must be {rule}, got {self.bitrate_bps}")
-        if self.interval_us < 1:
-            # A zero interval would resend at one timestamp forever.
-            raise ValueError(f"{self.bitrate_bps} bps sends {self.payload_bytes}-byte "
-                             "packets less than 1 us apart")
+        send_interval_us(self.payload_bytes, self.bitrate_bps)  # raises off the µs clock
 
     @property
     def interval_us(self) -> int:
@@ -46,8 +43,18 @@ class StreamSpec:
 
 
 def send_interval_us(payload_bytes: int, bitrate_bps: float) -> int:
-    """Gap between a constant-bitrate stream's packets, on the engine's µs grid."""
-    return round(payload_bytes * 8 / bitrate_bps * 1e6)
+    """Gap between a constant-bitrate stream's packets on the engine's µs grid, else ValueError."""
+    # The one statement of this rule: StreamSpec and config.validate() both call
+    # here, and validate() reports the message as it stands.
+    try:
+        interval_us = round(payload_bytes * 8 / bitrate_bps * 1e6)
+    except OverflowError:
+        raise ValueError(f"bitrate_bps {bitrate_bps} sends packets too far apart "
+                         "for the us clock") from None
+    if interval_us < 1:  # a zero gap would resend at one timestamp forever
+        raise ValueError(f"bitrate_bps {bitrate_bps} sends {payload_bytes}-byte packets "
+                         "less than 1 us apart")
+    return interval_us
 
 
 def draw_endpoints(node_count: int, stream_count: int, rng: random.Random) -> list[tuple[int, int]]:

@@ -174,6 +174,43 @@ def test_link_budget_or_airtime_past_a_float_is_config_error(capsys, tmp_path, e
     assert "configuration error" in err and key in err and "Traceback" not in err
 
 
+def output_error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("output error: ")]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unwritable_out_path_exits_1_naming_it(capsys, tmp_path, command):
+    out = tmp_path / "missing" / "rows.csv"
+    code, _, err = run_cli(capsys, command, "--config", fast_config(tmp_path), "--seed", "1",
+                           "--out", str(out))
+    assert code == 1
+    [line] = output_error_lines(err)
+    assert str(out) in line and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_trace_dir_under_a_regular_file_exits_1_naming_it(capsys, tmp_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, command, "--config", fast_config(tmp_path), "--seed", "1",
+                             "--trace-pdr", str(blocker / "sub"))
+    assert (code, out) == (1, "")
+    [line] = output_error_lines(err)
+    assert str(blocker / "sub") in line and "Traceback" not in err
+    assert err.splitlines() == [line]
+
+
+def test_an_os_error_without_a_file_is_a_run_failure(capsys, tmp_path, monkeypatch):
+    # Forking the batch's workers fails like this when the host is out of
+    # processes; that is not an output the user named.
+    def no_fork(*args):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr("manetsim.cli.run_experiment", no_fork)
+    code, _, err = run_cli(capsys, "run", "--config", fast_config(tmp_path), "--seeds", "1,2")
+    assert code == 2
+    assert "Traceback" in err and "output error" not in err
+
+
 def test_compare_writes_one_trace_per_run(capsys, tmp_path):
     trace_dir = tmp_path / "traces"
     code, _, _ = run_cli(

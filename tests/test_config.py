@@ -1,13 +1,30 @@
+import contextlib
+import io
 import math
 import pathlib
 import re
+import signal
+import struct
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manetsim import config as config_module
-from manetsim.config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text, validate
-from manetsim.simulation import simulate
+from manetsim.channel import airtime_us, max_range_m
+from manetsim.cli import main as cli_main
+from manetsim.config import (
+    PROTOCOLS,
+    ConfigError,
+    ScenarioConfig,
+    load_scenario,
+    parse_scenario_text,
+    validate,
+)
+from manetsim.engine import us_from_s
+from manetsim.simulation import Simulation, simulate
+from manetsim.traffic import send_interval_us
 
 REFERENCE_DEFAULTS = {
     # mission area and movement
@@ -318,3 +335,216 @@ def test_periods_of_one_microsecond_accepted_and_run():
     result = simulate(config, 1)
     assert result.sent == 2000
     assert result.conservation_ok
+
+
+def last_ok(ok, good, bad):
+    """The value nearest ``bad``, going from ``good``, at which ``ok`` still holds.
+
+    ``ok`` holds at good, fails at bad and changes once between them. Ints are
+    bisected as they are; floats of one sign by their bit patterns, which are
+    monotone in the value, so the answer is exact to the last float.
+    """
+    if isinstance(good, float):
+        def to_int(x): return struct.unpack("<q", struct.pack("<d", x))[0]
+        def to_value(i): return struct.unpack("<d", struct.pack("<q", i))[0]
+    else:
+        to_int = to_value = int
+    lo, hi = to_int(good), to_int(bad)
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        if ok(to_value(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return to_value(lo)
+
+
+def step_past(edge, bad):
+    """The value right after edge on the way to bad."""
+    if isinstance(edge, float):
+        return math.nextafter(edge, bad)
+    return edge + (1 if bad > edge else -1)
+
+
+def fits(compute) -> bool:
+    """Whether compute() gives a finite value, as the medium needs it."""
+    try:
+        return math.isfinite(compute())
+    except OverflowError:
+        return False
+
+
+def range_fits(**change) -> bool:
+    # The medium's own expression for its squared reception range.
+    return fits(lambda: max_range_m(replace(ScenarioConfig(), **change)) ** 2)
+
+
+def airtime_fits(**change) -> bool:
+    config = replace(ScenarioConfig(), **change)
+    return fits(lambda: airtime_us(max(config.payload_bytes, config.control_bytes), config))
+
+
+def area_fits(**change) -> bool:
+    # Mobility and the medium square coordinate differences as large as a side.
+    return fits(lambda: sum(side * side for side in replace(ScenarioConfig(), **change).area()))
+
+
+def interval_fits(bitrate_bps: float) -> bool:
+    """Whether 1460-byte packets at bitrate_bps go on the us clock."""
+    try:
+        return send_interval_us(1460, bitrate_bps) >= 1
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("name, fits_with, good, bad", [
+    ("tx_power_dbm", range_fits, 20.0, 1e5),
+    ("mac_rate_bps", airtime_fits, 24e6, 1e-300),
+], ids=["tx_power_dbm", "rate_bps"])
+def test_validate_and_the_medium_agree_at_the_overflow_edge(name, fits_with, good, bad):
+    # validate() must accept the last value the medium can compute with, and
+    # reject the next float: a copy of the arithmetic could be one ulp off.
+    edge = last_ok(lambda value: fits_with(**{name: value}), good, bad)
+    accepted = replace(ScenarioConfig(), **{name: edge})
+    validate(accepted)
+    Simulation(accepted, 1)
+    with pytest.raises(ConfigError, match="overflows a float"):
+        validate(replace(ScenarioConfig(), **{name: math.nextafter(edge, bad)}))
+
+
+# Scenario text drawn key by key. Each key draws from ordinary values, both
+# sides of each edge validate() draws for it (a float overflow, the 1 us
+# clock, the area diagonal), and inf, nan, zero and negative values, which an
+# int key rejects as it parses.
+def _edge_texts(ok, good, bad) -> list[str]:
+    edge = last_ok(ok, good, bad)
+    return [repr(edge), repr(step_past(edge, bad))]
+
+
+_ODD_FLOATS = ["inf", "-inf", "nan", "-1", "0"]
+_PERIOD = st.sampled_from(_edge_texts(lambda v: us_from_s(v) >= 1, 1e-6, 1e-7)
+                          + ["1e-6", "5e-7", "1e-7", "1e300"] + _ODD_FLOATS) | st.floats(
+    0.01, 1.0).map(repr)
+TEXT_KEYS = {
+    ("channel", "tx_power_dbm"): st.sampled_from(
+        _edge_texts(lambda v: range_fits(tx_power_dbm=v), 20.0, 1e5)
+        + ["-83", "-82.999", "1e5"] + _ODD_FLOATS) | st.floats(-80.0, 60.0).map(repr),
+    ("channel", "sensitivity_dbm"): st.sampled_from(
+        _edge_texts(lambda v: range_fits(sensitivity_dbm=v), -83.0, -1e5)
+        + ["20", "19.999"] + _ODD_FLOATS) | st.floats(-120.0, 0.0).map(repr),
+    ("channel", "frequency_hz"): st.sampled_from(
+        _edge_texts(lambda v: range_fits(frequency_hz=v), 2.4e9, 1e-300)
+        + ["1e-300", "1e308", "1.7976931348623157e308"] + _ODD_FLOATS)
+    | st.floats(1e8, 1e10).map(repr),
+    ("channel", "path_loss_exponent"): st.sampled_from(["2", "2.0000001", "1e308"] + _ODD_FLOATS)
+    | st.floats(2.01, 6.0).map(repr),
+    ("mac", "rate_bps"): st.sampled_from(
+        _edge_texts(lambda v: airtime_fits(mac_rate_bps=v), 24e6, 1e-300)
+        + ["1e-300", "1e300"] + _ODD_FLOATS) | st.floats(1e5, 1e9).map(repr),
+    ("mac", "overhead_bytes"): st.sampled_from(
+        _edge_texts(lambda v: airtime_fits(mac_overhead_bytes=v), 64, 10**400)
+        + ["1" + "0" * 400] + _ODD_FLOATS) | st.integers(0, 2000).map(str),
+    ("mac", "control_bytes"): st.sampled_from(
+        _edge_texts(lambda v: airtime_fits(control_bytes=v), 64, 10**400)
+        + ["1" + "0" * 400] + _ODD_FLOATS) | st.integers(1, 2000).map(str),
+    ("scenario", "bitrate_bps"): st.sampled_from(
+        _edge_texts(interval_fits, 2e6, 1e-300) + _edge_texts(interval_fits, 11.68e9, 1e12)
+        + ["1e-300", "1e12"] + _ODD_FLOATS) | st.floats(1e4, 1e7).map(repr),
+    ("scenario", "payload_bytes"): st.sampled_from(["1", "1460", "1461"] + _ODD_FLOATS)
+    | st.integers(1, 1460).map(str),
+    ("scenario", "window_s"): _PERIOD,
+    ("batman", "ogm_interval_s"): _PERIOD,
+    ("batmobile", "ogm_interval_s"): _PERIOD,
+    ("golsr", "hello_interval_s"): _PERIOD,
+    ("golsr", "tc_interval_s"): _PERIOD,
+    ("batmobile", "mobility_update_s"): _PERIOD,
+    ("scenario", "speed_mps"): st.sampled_from(
+        _edge_texts(lambda v: v * ScenarioConfig().mobility_update_s
+                    <= ScenarioConfig().diagonal_m(), 13.889, 1e300)
+        + ["1e300"] + _ODD_FLOATS) | st.floats(0.0, 50.0).map(repr),
+    **{("scenario", side): st.sampled_from(
+        _edge_texts(lambda v, side=side: area_fits(**{side: v}), 500.0, 1e300)
+        + ["1e-9", "1e200"] + _ODD_FLOATS) | st.floats(1.0, 600.0).map(repr)
+       for side in ("area_x", "area_y", "area_z")},
+}
+
+
+@st.composite
+def scenario_texts(draw) -> dict[tuple[str, str], str]:
+    nodes = draw(st.integers(2, 6))
+    entries = {("scenario", "nodes"): str(nodes),
+               ("scenario", "streams"): str(draw(st.integers(1, nodes // 2))),
+               ("scenario", "protocol"): draw(st.sampled_from(PROTOCOLS))}
+    for key in draw(st.lists(st.sampled_from(sorted(TEXT_KEYS)), max_size=3, unique=True)):
+        entries[key] = draw(TEXT_KEYS[key])
+    return entries
+
+
+def render(entries: dict[tuple[str, str], str]) -> str:
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{section}]\n" + "".join(line + "\n" for line in lines)
+                   for section, lines in sections.items())
+
+
+MAX_EVENTS = 20_000
+
+
+def run_seconds(config: ScenarioConfig) -> float:
+    """A simulated time whose run stays near MAX_EVENTS events, and as many
+    PDR windows, on a generous count: each flooded control message is sent by
+    up to every node, and each send costs about three events."""
+    def per_s(period_s):
+        return 1e6 / us_from_s(period_s)
+    control_hz = (per_s(config.hello_interval_s) + per_s(config.tc_interval_s)
+                  if config.protocol == "golsr" else per_s(config.ogm_interval_s))
+    data_hz = config.streams * 1e6 / send_interval_us(config.payload_bytes, config.bitrate_bps)
+    events_per_s = (per_s(config.mobility_update_s)
+                    + config.nodes * control_hz * (1 + 3 * config.nodes)
+                    + data_hz * (1 + 3 * min(config.ttl, config.nodes)))
+    return min(2.0, MAX_EVENTS / events_per_s, MAX_EVENTS * config.window_s)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@given(scenario_texts(), st.sampled_from([0.0, 0.25, 0.5]), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_scenario_text_runs_to_its_end_or_exits_1_through_the_cli(
+        tmp_path_factory, entries, start_share, seed):
+    # The verdict does not depend on the run length, so a first parse sizes it.
+    try:
+        seconds = run_seconds(parse_scenario_text(render(entries) + "[scenario]\nsim_time_s = 1\n"
+                                                  "stream_start_s = 0\n"))
+    except ConfigError:
+        seconds = 1.0
+    text = (render(entries) + f"[scenario]\nsim_time_s = {seconds!r}\n"
+            f"stream_start_s = {start_share * seconds!r}\n")
+    with time_limit(10.0):
+        try:
+            config = parse_scenario_text(text)
+        except ConfigError:
+            path = tmp_path_factory.getbasetemp() / "scenario_text.cfg"
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(["run", "--config", str(path), "--seed", "1"])
+            lines = err.getvalue().splitlines()
+            assert (code, out.getvalue()) == (1, ""), text
+            assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines
+        else:
+            result = Simulation(config, seed).run()
+            assert result.conservation_ok, text
+            assert result.events_processed <= 5 * MAX_EVENTS, text

@@ -54,6 +54,18 @@ def test_stream_rejects_sub_microsecond_interval():
         StreamSpec(0, 1, 0, 1000, bitrate_bps=1e12)
 
 
+def test_stream_rejects_an_interval_past_the_clock():
+    # The interval overflows the us clock: a ValueError naming the field, as
+    # for every other rejected StreamSpec.
+    with pytest.raises(ValueError, match="bitrate_bps 1e-300 sends packets too far apart"):
+        StreamSpec(0, 1, 0, 1000, bitrate_bps=1e-300)
+
+
+def test_stream_accepts_packets_exactly_one_microsecond_apart():
+    spec = StreamSpec(0, 1, 0, 1000, bitrate_bps=11.68e9, payload_bytes=1460)
+    assert spec.interval_us == 1
+
+
 @pytest.mark.parametrize("payload, message", [
     (0, "payload_bytes must be >= 1, got 0"),
     (1461, "payload_bytes must be <= 1460, got 1461"),
