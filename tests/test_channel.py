@@ -367,3 +367,138 @@ def test_neighbor_cache_follows_moving_nodes():
     assert sim.histories[0].samples[-1][0] == sim.end_us  # a mobility tick fired at the very end
     assert_cache_matches(sim.medium)
     assert sim.medium.neighbors != start
+
+
+# -- brute-force medium oracle --------------------------------------------------
+# A static topology and a schedule of enqueues with zero jitter. The reference
+# reads each transmission's start and end from the engine's heap, replays
+# carrier sense for every start, and decides each receiver's outcome by
+# half-open overlap against every other transmission that node hears.
+
+
+def checked_harness(positions, schedule):
+    """Harness that enqueues ``schedule``'s (t_us, node, frame) entries, and
+    after every event records each transmission that starts and checks the
+    pending-attempt invariant: an idle node with a non-empty queue has exactly
+    one attempt pending, and a transmitting node has none."""
+    h = Harness(positions, config=NO_JITTER)
+    for t_us, node, frame in schedule:
+        send_at(h, t_us, node, frame)
+    h.calls, h.losses = [], []  # (end_us, packet_id, receivers or cause)
+    h.medium.on_deliver = lambda receivers, frame: h.calls.append(
+        (h.engine.clock_us, frame.packet_id, list(receivers)))
+    h.medium.on_unicast_lost = lambda frame, cause: h.losses.append(
+        (h.engine.clock_us, frame.packet_id, cause))
+    heap = h.engine._heap
+    h.starts = []  # (node, start_us, end_us) in start order
+    seen = set()
+
+    def check():
+        attempts = [0] * len(positions)
+        airing = [0] * len(positions)
+        for t_us, seq, kind, payload in heap:
+            if kind is EventKind.TX_ATTEMPT:
+                attempts[payload] += 1
+            elif kind is EventKind.PACKET_ARRIVAL:
+                airing[payload[0]] += 1
+                if seq not in seen:
+                    seen.add(seq)
+                    h.starts.append((payload[0], h.engine.clock_us, t_us))
+        for node, mac in enumerate(h.medium.states):
+            idle_with_work = not airing[node] and bool(mac.queue)
+            assert airing[node] <= 1 and attempts[node] == idle_with_work, (node, h.engine.clock_us)
+
+    def checked(handler):
+        def run(payload):
+            handler(payload)
+            check()
+        return run
+
+    handlers = h.engine._handlers
+    for kind in list(handlers):
+        handlers[kind] = checked(handlers[kind])
+    return h
+
+
+def reference_outcomes(positions, schedule, starts):
+    """What the medium must deliver and lose, given the observed transmissions.
+
+    Checks on the way that each start is the one carrier sense gives: a node's
+    k-th frame is ready at its enqueue or at the node's previous end, whichever
+    is later, and starts at the first moment after that when no node it hears
+    is on the air. Returns (end_us, packet_id, receivers) per delivery call and
+    (end_us, packet_id, cause) per lost unicast, sorted.
+    """
+    hears = brute_force_neighbors(positions, max_range_m(NO_JITTER) ** 2)
+    frames_of = [[] for _ in positions]
+    for t_us, node, frame in sorted(schedule, key=lambda entry: entry[0]):
+        frames_of[node].append((t_us, frame))
+    starts_of = [[(s, e) for n, s, e in starts if n == node] for node in range(len(positions))]
+    txs = []  # (sender, start, end, frame)
+    for node, frames in enumerate(frames_of):
+        assert len(starts_of[node]) == len(frames)
+        previous_end = 0
+        for (queued_us, frame), (start, end) in zip(frames, starts_of[node]):
+            t = max(queued_us, previous_end)
+            while True:
+                busy = [e for n, s, e in starts if n in hears[node] and s <= t < e]
+                if not busy:
+                    break
+                t = max(busy)
+            assert (start, end) == (t, t + airtime_us(frame.size_bytes, NO_JITTER)), node
+            txs.append((node, start, end, frame))
+            previous_end = end
+    delivered, lost = [], []
+    for sender, start, end, frame in txs:
+        clean = [r for r in hears[sender]
+                 if not any(r in hears[n] and s < end and start < e
+                            for n, s, e, f in txs if f is not frame)]
+        hop = frame.next_hop
+        if hop is None:
+            if clean:
+                delivered.append((end, frame.packet_id, clean))
+        elif hop in clean:
+            delivered.append((end, frame.packet_id, [hop]))
+        else:
+            lost.append((end, frame.packet_id, "collision" if hop in hears[sender] else "link"))
+    return sorted(delivered), sorted(lost)
+
+
+# 30 m grid steps: neighbours, diagonal neighbours and two-step hidden
+# terminals are all common at a ~55 m range.
+_COORDINATE = st.sampled_from([0.0, 30.0, 60.0, 90.0]) | st.floats(0.0, 100.0)
+_ENQUEUE = st.tuples(
+    st.sampled_from([0, 43, 77, 508]) | st.integers(0, 1000),  # enqueue time, us
+    st.integers(0, 7),  # sender, modulo the node count
+    st.sampled_from([64, 100, 1460]) | st.integers(1, 1460),  # frame size
+    st.none() | st.integers(0, 6),  # unicast hop among the other nodes; None = broadcast
+)
+
+
+@st.composite
+def medium_schedules(draw):
+    n, count = draw(st.integers(2, 8)), draw(st.integers(1, 12))
+    positions = [(x, y, 0.0) for x, y in draw(
+        st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=n, max_size=n))]
+    schedule = []
+    for packet_id, (t_us, node, size, hop) in enumerate(
+            draw(st.lists(_ENQUEUE, min_size=count, max_size=count))):
+        node %= n
+        if hop is None:
+            frame = broadcast_frame(node, size)
+        else:
+            hop %= n - 1
+            frame = data_frame(node, hop + (hop >= node), size)
+        frame.packet_id = packet_id
+        schedule.append((t_us, node, frame))
+    return positions, schedule
+
+
+@given(medium_schedules())
+@settings(max_examples=200, deadline=None)
+def test_medium_equals_brute_force_reference(case):
+    positions, schedule = case
+    h = checked_harness(positions, schedule)
+    h.run(1.0)
+    assert not h.engine._heap
+    assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(positions, schedule, h.starts)
