@@ -80,20 +80,17 @@ class Frame:
 
 
 class _MacState:
-    __slots__ = ("queue", "queue_drops", "attempt_scheduled", "rx_until", "rx_clean",
-                 "current_frame")
+    __slots__ = ("queue", "queue_drops", "rx_until", "rx_clean")
 
     def __init__(self) -> None:
         self.queue: deque[Frame] = deque()
         self.queue_drops = 0
-        self.attempt_scheduled = False
         # Latest end of any reception registered at this node. A reception
         # that starts before it overlaps one still in the air here.
         self.rx_until = 0
         # The lost-receiver list of the transmission behind this node's one
         # clean reception; None once that reception is hit. It ends at rx_until.
         self.rx_clean: list[int] | None = None
-        self.current_frame: Frame | None = None  # on the air; None while idle
 
 
 class Medium:
@@ -120,8 +117,8 @@ class Medium:
         self._jitter_bits = self._jitter_span.bit_length()
         self.range2 = max_range_m(config) ** 2
         self.states = [_MacState() for _ in positions]
-        # Active transmissions: [sender_id, t_end_us], removed at arrival.
-        self.active: list[list] = []
+        # Each transmitting node's (t_end_us, frame), removed at arrival.
+        self.on_air: dict[int, tuple[int, Frame]] = {}
         self.control_tx = 0
         self.data_tx = 0
         self.refresh_neighbors()
@@ -152,7 +149,8 @@ class Medium:
 
     def _attempt_after(self, node_id: int, t_us: int) -> None:
         """Schedule node_id's next transmit attempt at t_us plus a fresh jitter."""
-        self.states[node_id].attempt_scheduled = True
+        # Every caller keeps one invariant: an idle node with a non-empty queue
+        # has exactly one attempt pending, and a transmitting node has none.
         jitter = self._getrandbits(self._jitter_bits)
         while jitter >= self._jitter_span:
             jitter = self._getrandbits(self._jitter_bits)
@@ -165,27 +163,22 @@ class Medium:
             st.queue_drops += 1
             return False
         st.queue.append(frame)
-        if st.current_frame is None and not st.attempt_scheduled:
+        if len(st.queue) == 1 and node_id not in self.on_air:
             self._attempt_after(node_id, self.engine.clock_us)
         return True
 
     def _on_attempt(self, node_id: int) -> None:
-        st = self.states[node_id]
-        st.attempt_scheduled = False
-        if st.current_frame is not None or not st.queue:
-            return
         now = self.engine.clock_us
         # Carrier sense: defer while any receivable transmission is in progress.
         busy_until = now
         audible = self.neighbor_sets[node_id]
-        for sender_id, t_end in self.active:
+        for sender_id, (t_end, _) in self.on_air.items():
             if t_end > now and sender_id in audible:
                 busy_until = max(busy_until, t_end)
         if busy_until > now:
             self._attempt_after(node_id, busy_until)
             return
-        frame = st.queue.popleft()
-        st.current_frame = frame
+        frame = self.states[node_id].queue.popleft()
         t_end = now + airtime_us(frame.size_bytes, self.config)
         if frame.kind is FrameKind.CONTROL:
             self.control_tx += 1
@@ -212,16 +205,12 @@ class Medium:
             # Always true for a clean reception: t_end > now >= rx_until.
             if t_end > other_st.rx_until:
                 other_st.rx_until = t_end
-        entry = [node_id, t_end]
-        self.active.append(entry)
-        self.engine.schedule(t_end, EventKind.PACKET_ARRIVAL,
-                             (node_id, frame, receivers, lost, entry))
+        self.on_air[node_id] = (t_end, frame)
+        self.engine.schedule(t_end, EventKind.PACKET_ARRIVAL, (node_id, receivers, lost))
 
     def _on_arrival(self, payload: tuple) -> None:
-        node_id, frame, receivers, lost, entry = payload
-        self.active.remove(entry)
-        st = self.states[node_id]
-        st.current_frame = None
+        node_id, receivers, lost = payload
+        _, frame = self.on_air.pop(node_id)
         addressed = frame.next_hop
         if addressed is None:
             # A copy either way: the callback owns the list it is given.
@@ -231,16 +220,13 @@ class Medium:
                 self.on_deliver(clean, frame)
         elif addressed not in lost and addressed in receivers:
             self.on_deliver([addressed], frame)
-        elif frame.kind is FrameKind.DATA:
+        else:
             self.on_unicast_lost(frame, "collision" if addressed in receivers else "link")
-        if st.queue and not st.attempt_scheduled:
+        if self.states[node_id].queue:
             self._attempt_after(node_id, self.engine.clock_us)
 
     def queued_data_frames(self) -> list[Frame]:
         """Stream frames still held by the medium (queued or on the air)."""
-        pending = []
-        for st in self.states:
-            pending.extend(f for f in st.queue if f.kind is FrameKind.DATA)
-            if st.current_frame is not None and st.current_frame.kind is FrameKind.DATA:
-                pending.append(st.current_frame)
+        pending = [f for st in self.states for f in st.queue if f.kind is FrameKind.DATA]
+        pending.extend(f for _, f in self.on_air.values() if f.kind is FrameKind.DATA)
         return pending
