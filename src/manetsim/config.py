@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .channel import airtime_us, max_range_m
 from .engine import us_from_s
-from .mobility import Area
+from .mobility import Area, distance
 from .traffic import MTU_BYTES, send_interval_us
 
 PROTOCOLS = ("batman", "golsr", "batmobile")
@@ -159,6 +159,10 @@ def validate(config: ScenarioConfig) -> None:
                          + config.area_z * config.area_z):
         fail(f"area {config.area_x} x {config.area_y} x {config.area_z} m is too large: "
              "its squared diagonal overflows a float")
+    # golsr divides by the diagonal, which is 0 once the sides' squares underflow.
+    if config.diagonal_m() == 0:
+        fail(f"area {config.area_x} x {config.area_y} x {config.area_z} m is too small: "
+             "its diagonal underflows to 0 m")
     # The engine clock counts whole microseconds: a period that rounds to 0 us
     # would reschedule at one timestamp forever or divide by zero mid-run.
     for name in ("window_s", "ogm_interval_s", "hello_interval_s", "tc_interval_s",
@@ -191,11 +195,28 @@ def validate(config: ScenarioConfig) -> None:
     if not math.isfinite(range2):
         fail("tx_power_dbm, sensitivity_dbm, path_loss_exponent and frequency_hz give a "
              "range whose square overflows a float")
+    # batmobile divides distances by the range, which is 0 once 4*pi*f overflows.
+    if max_range_m(config) == 0:
+        fail("tx_power_dbm, sensitivity_dbm, path_loss_exponent and frequency_hz give a "
+             "reception range of 0 m")
     try:
         airtime_us(max(config.payload_bytes, config.control_bytes), config)
     except OverflowError:
         fail("mac_rate_bps, mac_overhead_bytes and control_bytes give the largest frame an "
              "airtime that overflows a float")
+    # A prediction lies at most speed x (prediction_steps + fit_samples) ticks
+    # of travel outside the area, and batmobile squares the distance between two.
+    if config.protocol == "batmobile":
+        try:
+            reach_m = (config.speed_mps * (config.prediction_steps + config.fit_samples)
+                       * config.mobility_update_s)
+            spread_m = distance((-reach_m, -reach_m, -reach_m), (
+                config.area_x + reach_m, config.area_y + reach_m, config.area_z + reach_m))
+        except OverflowError:
+            spread_m = math.inf
+        if not math.isfinite(spread_m):
+            fail("speed_mps, prediction_steps, fit_samples and mobility_update_s let batmobile "
+                 "predict positions whose squared distance overflows a float")
     if config.prediction_weight > config.score_buffer:
         fail(f"prediction_weight {config.prediction_weight} exceeds "
              f"score_buffer {config.score_buffer}")

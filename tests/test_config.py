@@ -412,6 +412,30 @@ def test_validate_and_the_medium_agree_at_the_overflow_edge(name, fits_with, goo
         validate(replace(ScenarioConfig(), **{name: math.nextafter(edge, bad)}))
 
 
+SMALL_RUN = "nodes = 4\nsim_time_s = 2\nstream_start_s = 0.5\n"
+TINY_AREA = "speed_mps = 0\narea_x = {0}\narea_y = {0}\narea_z = {0}\n"
+
+
+@pytest.mark.parametrize("rejected, verdict, accepted", [
+    # golsr's geo_score divides by the area diagonal: 0 once the squares underflow.
+    ("protocol = golsr\n" + TINY_AREA.format("1e-200"), "diagonal underflows to 0 m",
+     "protocol = golsr\n" + TINY_AREA.format("1e-161")),
+    # batmobile's pathscore_link divides by the range: 0 once 4*pi*f overflows.
+    ("protocol = batmobile\n" + TINY_AREA.format("1e-161") + "[channel]\nfrequency_hz = 1e308\n",
+     "reception range of 0 m",
+     "protocol = batmobile\n" + TINY_AREA.format("1e-161") + "[channel]\nfrequency_hz = 1e307\n"),
+    # batmobile squares the distance between two predictions far outside the area.
+    ("protocol = batmobile\n[batmobile]\nprediction_steps = 1" + "0" * 200 + "\n",
+     "predict positions whose squared distance overflows",
+     "protocol = batmobile\n[batmobile]\nprediction_steps = 1" + "0" * 150 + "\n"),
+], ids=["zero-diagonal", "zero-range", "prediction-overflow"])
+def test_configs_that_crashed_mid_run_are_rejected(rejected, verdict, accepted):
+    with pytest.raises(ConfigError, match=verdict):
+        parse_scenario_text(SMALL_RUN + rejected)
+    result = simulate(parse_scenario_text(SMALL_RUN + accepted), 1)
+    assert result.conservation_ok
+
+
 # Scenario text drawn key by key. Each key draws from ordinary values, both
 # sides of each edge validate() draws for it (a float overflow, the 1 us
 # clock, the area diagonal), and inf, nan, zero and negative values, which an
