@@ -106,6 +106,7 @@ _PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
 
 def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
     overrides: dict[str, object] = {}
+    set_by: dict[str, tuple[int, str]] = {}  # field -> (line number, line) that set it
     section = "scenario"
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -125,9 +126,16 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
         if target is None:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r} in section [{section}]")
         try:
-            overrides[target.name] = _PARSERS[target.type](value)
+            parsed = _PARSERS[target.type](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{line_no}: bad value for {key!r}: {exc}") from exc
+        # A repeat must agree with the first setting; repr, because nan != nan.
+        if target.name in set_by and repr(parsed) != repr(overrides[target.name]):
+            first_no, first_line = set_by[target.name]
+            raise ConfigError(f"{source}:{line_no}: {raw.strip()!r} sets {target.name} to another "
+                              f"value than line {first_no}, {first_line!r}")
+        overrides[target.name] = parsed
+        set_by.setdefault(target.name, (line_no, raw.strip()))
     config = replace(ScenarioConfig(), **overrides)
     validate(config)
     return config

@@ -95,6 +95,22 @@ def test_sections_route_keys():
     assert config.queue_capacity == 10
 
 
+@pytest.mark.parametrize("text, second, first", [
+    ("[batman]\nogm_interval_s = 0.5\n[batmobile]\nogm_interval_s = 2.0\n", 4, 2),
+    ("nodes = 10\n\nnodes = 20\n", 3, 1),
+    ("balancing = on\n[batman]\ntq_window = 4\n[scenario]\nbalancing = false\n", 5, 1),
+], ids=["ogm_interval_s", "nodes", "balancing"])
+def test_a_field_set_to_two_values_names_both_lines(text, second, first):
+    with pytest.raises(ConfigError, match=rf"^<config>:{second}: .* than line {first}, "):
+        parse_scenario_text(text)
+
+
+def test_a_field_set_twice_to_one_value_is_accepted():
+    text = ("nodes = 10\nnodes = 10\n"
+            "[batman]\nogm_interval_s = 0.5\n[batmobile]\nogm_interval_s = 0.50\n")
+    assert parse_scenario_text(text) == replace(ScenarioConfig(), nodes=10)
+
+
 def test_comments_and_blank_lines_ignored():
     config = parse_scenario_text("# comment\n\nnodes = 6  # trailing\n")
     assert config.nodes == 6
