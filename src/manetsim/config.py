@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import airtime_us, max_range_m
@@ -162,15 +163,16 @@ def validate(config: ScenarioConfig) -> None:
     if config.protocol not in PROTOCOLS:
         fail(f"protocol must be one of {PROTOCOLS}, got {config.protocol!r}")
     # Mobility and the medium square coordinate differences; past this size
-    # the squares overflow a float.
-    if not math.isfinite(config.area_x * config.area_x + config.area_y * config.area_y
-                         + config.area_z * config.area_z):
-        fail(f"area {config.area_x} x {config.area_y} x {config.area_z} m is too large: "
-             "its squared diagonal overflows a float")
-    # golsr divides by the diagonal, which is 0 once the sides' squares underflow.
-    if config.diagonal_m() == 0:
-        fail(f"area {config.area_x} x {config.area_y} x {config.area_z} m is too small: "
-             "its diagonal underflows to 0 m")
+    # the squares overflow a float. Below the smallest normal float, distances
+    # inside the area underflow to 0: golsr divides by the diagonal, and a
+    # waypoint step that covers no distance per leg never ends.
+    diagonal2 = (config.area_x * config.area_x + config.area_y * config.area_y
+                 + config.area_z * config.area_z)
+    area = f"area {config.area_x} x {config.area_y} x {config.area_z} m"
+    if not math.isfinite(diagonal2):
+        fail(f"{area} is too large: its squared diagonal overflows a float")
+    if diagonal2 < sys.float_info.min:
+        fail(f"{area} is too small: its squared diagonal underflows the smallest normal float")
     # The engine clock counts whole microseconds: a period that rounds to 0 us
     # would reschedule at one timestamp forever or divide by zero mid-run.
     for name in ("window_s", "ogm_interval_s", "hello_interval_s", "tc_interval_s",

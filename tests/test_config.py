@@ -429,22 +429,24 @@ def test_validate_and_the_medium_agree_at_the_overflow_edge(name, fits_with, goo
 
 
 SMALL_RUN = "nodes = 4\nsim_time_s = 2\nstream_start_s = 0.5\n"
-TINY_AREA = "speed_mps = 0\narea_x = {0}\narea_y = {0}\narea_z = {0}\n"
+CUBE = "area_x = {0}\narea_y = {0}\narea_z = {0}\nspeed_mps = {1}\n"
 
 
 @pytest.mark.parametrize("rejected, verdict, accepted", [
     # golsr's geo_score divides by the area diagonal: 0 once the squares underflow.
-    ("protocol = golsr\n" + TINY_AREA.format("1e-200"), "diagonal underflows to 0 m",
-     "protocol = golsr\n" + TINY_AREA.format("1e-161")),
+    ("protocol = golsr\n" + CUBE.format("1e-200", 0), "squared diagonal underflows",
+     "protocol = golsr\n" + CUBE.format("1e-150", 0)),
+    # Distances inside the area underflow to 0, so a waypoint step never ends.
+    (CUBE.format("1.5717277847026288e-162", "1.5399724348305664e-161"),
+     "squared diagonal underflows", CUBE.format("1e-150", "1e-150")),
     # batmobile's pathscore_link divides by the range: 0 once 4*pi*f overflows.
-    ("protocol = batmobile\n" + TINY_AREA.format("1e-161") + "[channel]\nfrequency_hz = 1e308\n",
-     "reception range of 0 m",
-     "protocol = batmobile\n" + TINY_AREA.format("1e-161") + "[channel]\nfrequency_hz = 1e307\n"),
+    ("protocol = batmobile\n[channel]\nfrequency_hz = 1e308\n", "reception range of 0 m",
+     "protocol = batmobile\n[channel]\nfrequency_hz = 1e307\n"),
     # batmobile squares the distance between two predictions far outside the area.
     ("protocol = batmobile\n[batmobile]\nprediction_steps = 1" + "0" * 200 + "\n",
      "predict positions whose squared distance overflows",
      "protocol = batmobile\n[batmobile]\nprediction_steps = 1" + "0" * 150 + "\n"),
-], ids=["zero-diagonal", "zero-range", "prediction-overflow"])
+], ids=["zero-diagonal", "zero-gaps", "zero-range", "prediction-overflow"])
 def test_configs_that_crashed_mid_run_are_rejected(rejected, verdict, accepted):
     with pytest.raises(ConfigError, match=verdict):
         parse_scenario_text(SMALL_RUN + rejected)
@@ -452,60 +454,110 @@ def test_configs_that_crashed_mid_run_are_rejected(rejected, verdict, accepted):
     assert result.conservation_ok
 
 
-# Scenario text drawn key by key. Each key draws from ordinary values, both
-# sides of each edge validate() draws for it (a float overflow, the 1 us
-# clock, the area diagonal), and inf, nan, zero and negative values, which an
-# int key rejects as it parses.
-def _edge_texts(ok, good, bad) -> list[str]:
+# Scenario text drawn key by key. Each key draws from ordinary values, or from
+# its wild values: both sides of each edge validate() draws for it (a float
+# overflow or underflow, the 1 us clock, the area diagonal, the batmobile
+# prediction), and inf, nan, zero and negative values, which an int key
+# rejects as it parses.
+def _edge_texts(ok, good, bad, cast=float) -> list[str]:
     edge = last_ok(ok, good, bad)
-    return [repr(edge), repr(step_past(edge, bad))]
+    return [str(cast(edge)), str(cast(step_past(edge, bad)))]
 
 
 _ODD_FLOATS = ["inf", "-inf", "nan", "-1", "0"]
-_PERIOD = st.sampled_from(_edge_texts(lambda v: us_from_s(v) >= 1, 1e-6, 1e-7)
-                          + ["1e-6", "5e-7", "1e-7", "1e300"] + _ODD_FLOATS) | st.floats(
-    0.01, 1.0).map(repr)
-TEXT_KEYS = {
-    ("channel", "tx_power_dbm"): st.sampled_from(
+_PERIOD = (_edge_texts(lambda v: us_from_s(v) >= 1, 1e-6, 1e-7)
+           + ["1e-6", "5e-7", "1e-7", "1e300"] + _ODD_FLOATS, st.floats(0.01, 1.0).map(repr))
+TEXT_KEYS = {  # (section, key) -> (wild values, ordinary values)
+    ("channel", "tx_power_dbm"): (
         _edge_texts(lambda v: range_fits(tx_power_dbm=v), 20.0, 1e5)
-        + ["-83", "-82.999", "1e5"] + _ODD_FLOATS) | st.floats(-80.0, 60.0).map(repr),
-    ("channel", "sensitivity_dbm"): st.sampled_from(
+        + ["-83", "-82.999", "1e5"] + _ODD_FLOATS, st.floats(-80.0, 60.0).map(repr)),
+    ("channel", "sensitivity_dbm"): (
         _edge_texts(lambda v: range_fits(sensitivity_dbm=v), -83.0, -1e5)
-        + ["20", "19.999"] + _ODD_FLOATS) | st.floats(-120.0, 0.0).map(repr),
-    ("channel", "frequency_hz"): st.sampled_from(
+        + ["20", "19.999"] + _ODD_FLOATS, st.floats(-120.0, 0.0).map(repr)),
+    ("channel", "frequency_hz"): (
         _edge_texts(lambda v: range_fits(frequency_hz=v), 2.4e9, 1e-300)
-        + ["1e-300", "1e308", "1.7976931348623157e308"] + _ODD_FLOATS)
-    | st.floats(1e8, 1e10).map(repr),
-    ("channel", "path_loss_exponent"): st.sampled_from(["2", "2.0000001", "1e308"] + _ODD_FLOATS)
-    | st.floats(2.01, 6.0).map(repr),
-    ("mac", "rate_bps"): st.sampled_from(
+        + _edge_texts(lambda v: max_range_m(replace(ScenarioConfig(), frequency_hz=v)) > 0,
+                      2.4e9, 1.7976931348623157e308)
+        + ["1e-300", "1e308", "1.7976931348623157e308"] + _ODD_FLOATS,
+        st.floats(1e8, 1e10).map(repr)),
+    ("channel", "path_loss_exponent"): (
+        ["2", "2.0000001", "1e308"] + _ODD_FLOATS, st.floats(2.01, 6.0).map(repr)),
+    ("mac", "rate_bps"): (
         _edge_texts(lambda v: airtime_fits(mac_rate_bps=v), 24e6, 1e-300)
-        + ["1e-300", "1e300"] + _ODD_FLOATS) | st.floats(1e5, 1e9).map(repr),
-    ("mac", "overhead_bytes"): st.sampled_from(
+        + ["1e-300", "1e300"] + _ODD_FLOATS, st.floats(1e5, 1e9).map(repr)),
+    ("mac", "overhead_bytes"): (
         _edge_texts(lambda v: airtime_fits(mac_overhead_bytes=v), 64, 10**400)
-        + ["1" + "0" * 400] + _ODD_FLOATS) | st.integers(0, 2000).map(str),
-    ("mac", "control_bytes"): st.sampled_from(
+        + ["1" + "0" * 400] + _ODD_FLOATS, st.integers(0, 2000).map(str)),
+    ("mac", "control_bytes"): (
         _edge_texts(lambda v: airtime_fits(control_bytes=v), 64, 10**400)
-        + ["1" + "0" * 400] + _ODD_FLOATS) | st.integers(1, 2000).map(str),
-    ("scenario", "bitrate_bps"): st.sampled_from(
+        + ["1" + "0" * 400] + _ODD_FLOATS, st.integers(1, 2000).map(str)),
+    ("scenario", "bitrate_bps"): (
         _edge_texts(interval_fits, 2e6, 1e-300) + _edge_texts(interval_fits, 11.68e9, 1e12)
-        + ["1e-300", "1e12"] + _ODD_FLOATS) | st.floats(1e4, 1e7).map(repr),
-    ("scenario", "payload_bytes"): st.sampled_from(["1", "1460", "1461"] + _ODD_FLOATS)
-    | st.integers(1, 1460).map(str),
+        + ["1e-300", "1e12"] + _ODD_FLOATS, st.floats(1e4, 1e7).map(repr)),
+    ("scenario", "payload_bytes"): (
+        ["1", "1460", "1461"] + _ODD_FLOATS, st.integers(1, 1460).map(str)),
     ("scenario", "window_s"): _PERIOD,
     ("batman", "ogm_interval_s"): _PERIOD,
     ("batmobile", "ogm_interval_s"): _PERIOD,
     ("golsr", "hello_interval_s"): _PERIOD,
     ("golsr", "tc_interval_s"): _PERIOD,
     ("batmobile", "mobility_update_s"): _PERIOD,
-    ("scenario", "speed_mps"): st.sampled_from(
-        _edge_texts(lambda v: v * ScenarioConfig().mobility_update_s
-                    <= ScenarioConfig().diagonal_m(), 13.889, 1e300)
-        + ["1e300"] + _ODD_FLOATS) | st.floats(0.0, 50.0).map(repr),
-    **{("scenario", side): st.sampled_from(
+    **{("scenario", side): (
         _edge_texts(lambda v, side=side: area_fits(**{side: v}), 500.0, 1e300)
-        + ["1e-9", "1e200"] + _ODD_FLOATS) | st.floats(1.0, 600.0).map(repr)
+        + ["1e-9", "1e200"] + _ODD_FLOATS, st.floats(1.0, 600.0).map(repr))
        for side in ("area_x", "area_y", "area_z")},
+}
+
+
+def accepted(config: ScenarioConfig) -> bool:
+    try:
+        validate(config)
+    except ConfigError:
+        return False
+    return True
+
+
+# One side for all three, around and below the point where validate() finds
+# the area too small, and where its squared diagonal underflows to 0.
+_TINY_SIDE = st.sampled_from(_edge_texts(
+    lambda v: accepted(replace(ScenarioConfig(), area_x=v, area_y=v, area_z=v, speed_mps=0.0)),
+    1e-100, 5e-324) + ["1e-161", "1e-200", "5e-324"])
+_SPEED = ("scenario", "speed_mps")
+
+
+def drawn_config(entries: dict[tuple[str, str], str]) -> ScenarioConfig:
+    """The defaults with each drawn value that validate() accepts on its own."""
+    config = ScenarioConfig()
+    for (section, key), text in entries.items():
+        target = config_module._KEYS[(section, key)]
+        try:
+            value = config_module._PARSERS[target.type](text)
+        except ValueError:
+            continue
+        if accepted(replace(ScenarioConfig(), **{target.name: value})):
+            config = replace(config, **{target.name: value})
+    return config
+
+
+def validate_edge_texts(config: ScenarioConfig, name: str, good: float, bad: float,
+                        cast=float) -> list[str]:
+    """Both sides of the value of ``name`` at which validate() stops accepting
+    config, found over floats; none if good is rejected or bad accepted."""
+    def ok(value):
+        return accepted(replace(config, **{name: cast(value)}))
+    return _edge_texts(ok, good, bad, cast) if ok(good) and not ok(bad) else []
+
+
+# Keys whose edges move with the keys drawn before them (the area, the tick,
+# the speed): drawn last, from the config drawn so far.
+LATE_KEYS = {
+    _SPEED: lambda config: (
+        validate_edge_texts(config, "speed_mps", 0.0, 1e300) + ["1e300"] + _ODD_FLOATS,
+        st.floats(0.0, 50.0).map(repr)),
+    ("batmobile", "prediction_steps"): lambda config: (
+        validate_edge_texts(config, "prediction_steps", 1.0, 1.7976931348623157e308, int)
+        + ["1" + "0" * 150, "1" + "0" * 200, "1" + "0" * 400, "0", "-1"],
+        st.integers(1, 30).map(str)),
 }
 
 
@@ -515,8 +567,28 @@ def scenario_texts(draw) -> dict[tuple[str, str], str]:
     entries = {("scenario", "nodes"): str(nodes),
                ("scenario", "streams"): str(draw(st.integers(1, nodes // 2))),
                ("scenario", "protocol"): draw(st.sampled_from(PROTOCOLS))}
-    for key in draw(st.lists(st.sampled_from(sorted(TEXT_KEYS)), max_size=3, unique=True)):
-        entries[key] = draw(TEXT_KEYS[key])
+    keys = draw(st.lists(st.sampled_from(sorted(TEXT_KEYS) + sorted(LATE_KEYS)),
+                         max_size=8, unique=True))
+    # At most two keys draw wild values, so that most texts are accepted and run.
+    wild = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)) if keys else []
+    if draw(st.integers(0, 4)) == 0:
+        side = draw(_TINY_SIDE)
+        entries.update({("scenario", name): side for name in ("area_x", "area_y", "area_z")})
+        keys = [key for key in keys if key[1] not in ("area_x", "area_y", "area_z")]
+        # Only a speed at or below the edge this diagonal sets is accepted.
+        keys.append(_SPEED)
+        wild.append(_SPEED)
+
+    def value(key, choices):
+        wild_texts, ordinary = choices
+        return draw(st.sampled_from(wild_texts) if key in wild else ordinary)
+
+    for key in keys:
+        if key in TEXT_KEYS:
+            entries[key] = value(key, TEXT_KEYS[key])
+    for key, choices in LATE_KEYS.items():
+        if key in keys:
+            entries[key] = value(key, choices(drawn_config(entries)))
     return entries
 
 
