@@ -172,9 +172,12 @@ class Medium:
         # Carrier sense: defer while any receivable transmission is in progress.
         busy_until = now
         audible = self.neighbor_sets[node_id]
-        for sender_id, (t_end, _) in self.on_air.items():
-            if t_end > now and sender_id in audible:
-                busy_until = max(busy_until, t_end)
+        on_air = self.on_air
+        for sender_id in on_air:
+            if sender_id in audible:
+                t_end = on_air[sender_id][0]
+                if t_end > busy_until:
+                    busy_until = t_end
         if busy_until > now:
             self._attempt_after(node_id, busy_until)
             return
