@@ -130,13 +130,13 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
             parsed = _PARSERS[target.type](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{line_no}: bad value for {key!r}: {exc}") from exc
-        # A repeat must agree with the first setting; repr, because nan != nan.
-        if target.name in set_by and repr(parsed) != repr(overrides[target.name]):
+        if target.name not in set_by:
+            set_by[target.name] = (line_no, raw.strip())
+        elif repr(parsed) != repr(overrides[target.name]):  # repr, because nan != nan
             first_no, first_line = set_by[target.name]
             raise ConfigError(f"{source}:{line_no}: {raw.strip()!r} sets {target.name} to another "
                               f"value than line {first_no}, {first_line!r}")
         overrides[target.name] = parsed
-        set_by.setdefault(target.name, (line_no, raw.strip()))
     config = replace(ScenarioConfig(), **overrides)
     validate(config)
     return config
@@ -214,8 +214,8 @@ def validate(config: ScenarioConfig) -> None:
     except OverflowError:
         fail("mac_rate_bps, mac_overhead_bytes and control_bytes give the largest frame an "
              "airtime that overflows a float")
-    # A prediction lies at most speed x (prediction_steps + fit_samples) ticks
-    # of travel outside the area, and batmobile squares the distance between two.
+    # A prediction lies at most speed_mps x (prediction_steps + fit_samples) x
+    # mobility_update_s outside the area; batmobile squares the distance between two.
     if config.protocol == "batmobile":
         try:
             reach_m = (config.speed_mps * (config.prediction_steps + config.fit_samples)
