@@ -170,6 +170,7 @@ class Medium:
     def _on_attempt(self, node_id: int) -> None:
         now = self.engine.clock_us
         # Carrier sense: defer while any receivable transmission is in progress.
+        # One that ends at now is over, though its arrival may not have run yet.
         busy_until = now
         audible = self.neighbor_sets[node_id]
         on_air = self.on_air
@@ -223,7 +224,7 @@ class Medium:
                 self.on_deliver(clean, frame)
         elif addressed not in lost and addressed in receivers:
             self.on_deliver([addressed], frame)
-        else:
+        else:  # only data frames carry a next hop
             self.on_unicast_lost(frame, "collision" if addressed in receivers else "link")
         if self.states[node_id].queue:
             self._attempt_after(node_id, self.engine.clock_us)
