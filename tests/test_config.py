@@ -459,9 +459,9 @@ def test_configs_that_crashed_mid_run_are_rejected(rejected, verdict, accepted):
 # overflow or underflow, the 1 us clock, the area diagonal, the batmobile
 # prediction), and inf, nan, zero and negative values, which an int key
 # rejects as it parses.
-def _edge_texts(ok, good, bad, cast=float) -> list[str]:
+def _edge_texts(ok, good, bad) -> list[str]:
     edge = last_ok(ok, good, bad)
-    return [str(cast(edge)), str(cast(step_past(edge, bad)))]
+    return [repr(edge), repr(step_past(edge, bad))]
 
 
 _ODD_FLOATS = ["inf", "-inf", "nan", "-1", "0"]
@@ -545,7 +545,10 @@ def validate_edge_texts(config: ScenarioConfig, name: str, good: float, bad: flo
     config, found over floats; none if good is rejected or bad accepted."""
     def ok(value):
         return accepted(replace(config, **{name: cast(value)}))
-    return _edge_texts(ok, good, bad, cast) if ok(good) and not ok(bad) else []
+    if not ok(good) or ok(bad):
+        return []
+    edge = last_ok(ok, good, bad)
+    return [repr(cast(edge)), repr(cast(step_past(edge, bad)))]
 
 
 # Keys whose edges move with the keys drawn before them (the area, the tick,
