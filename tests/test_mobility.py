@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manetsim.engine import us_from_s
+from manetsim.engine import s_from_us, us_from_s
 from manetsim.mobility import (
     Area,
     MobilityHistory,
@@ -169,6 +169,51 @@ def test_prediction_not_clamped_to_area():
         history.record(us_from_s(0.25 * k), (490.0 + 5.0 * k, 0.0, 0.0))
     predicted = predict_position(history, 5, 15, 0.25)
     assert predicted[0] > 500.0
+
+
+def _sliced_reference(samples, fit_samples, horizon_steps, update_interval_s):
+    """The prediction as written when a history could outgrow its fit: it fits
+    the newest min(fit_samples, len(samples)) samples, in the same arithmetic."""
+    n = min(fit_samples, len(samples))
+    if n < 2:
+        raise ValueError(f"need >= 2 samples, have {len(samples)}")
+    tail = list(samples)[-n:]
+    t_last = s_from_us(tail[-1][0])
+    ts = [s_from_us(t) - t_last for t, _ in tail]
+    t_mean = sum(ts) / n
+    var = sum((t - t_mean) ** 2 for t in ts)
+    horizon = horizon_steps * update_interval_s
+    predicted = []
+    for axis in range(3):
+        xs = [p[axis] for _, p in tail]
+        x_mean = sum(xs) / n
+        slope = sum((t - t_mean) * (x - x_mean) for t, x in zip(ts, xs)) / var
+        intercept = x_mean - slope * t_mean
+        predicted.append(intercept + slope * horizon)
+    return (predicted[0], predicted[1], predicted[2])
+
+
+COORD = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@given(
+    tick_us=st.integers(min_value=1, max_value=1_000_000),
+    first_tick=st.integers(min_value=0, max_value=10_000),
+    fit_samples=st.integers(min_value=2, max_value=9),
+    track=st.lists(st.tuples(COORD, COORD, COORD), min_size=2, max_size=20),
+    horizon_steps=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_prediction_equals_the_sliced_reference_bit_for_bit(
+        tick_us, first_tick, fit_samples, track, horizon_steps):
+    # The track is sampled once per tick, as the mobility tick records it.
+    samples = [((first_tick + k) * tick_us, pos) for k, pos in enumerate(track)]
+    dt = s_from_us(tick_us)
+    expected = _sliced_reference(samples, fit_samples, horizon_steps, dt)
+    history = MobilityHistory(capacity=len(samples))
+    for t_us, pos in samples:
+        history.record(t_us, pos)
+    assert predict_position(history, fit_samples, horizon_steps, dt) == expected
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=200))
