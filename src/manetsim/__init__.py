@@ -4,14 +4,14 @@ from .balancer import DropReason, RRState, SchedulableSet, postrouting_hook, sch
 from .channel import Frame, FrameKind, airtime_s, max_range_m, path_loss_db, receivable
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text, validate
 from .engine import Engine, EventKind, SchedulingError, us_from_s
-from .mobility import Area, MobilityHistory, predict_position, step_waypoint
+from .mobility import Area, predict_position, step_waypoint
 from .routing import NeighborRanking, geo_score, pathscore_link, pathscore_path, tq_path_score
 from .simulation import Decision, RunResult, Simulation, simulate
 from .traffic import StreamSpec, StreamStats
 
 __all__ = [
     "Area", "ConfigError", "Decision", "DropReason", "Engine", "EventKind",
-    "Frame", "FrameKind", "MobilityHistory",
+    "Frame", "FrameKind",
     "NeighborRanking", "RRState", "RunResult", "ScenarioConfig", "SchedulableSet",
     "SchedulingError", "Simulation", "StreamSpec", "StreamStats",
     "airtime_s", "geo_score", "load_scenario",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .engine import s_from_us
@@ -59,47 +59,30 @@ def step_waypoint(
     return pos, waypoint
 
 
-class MobilityHistory:
-    """Ring buffer of timestamped positions; oldest sample evicted at capacity."""
-
-    def __init__(self, capacity: int = 8):
-        self.samples: deque[tuple[int, Position]] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def record(self, t_us: int, position: Position) -> None:
-        if self.samples and t_us <= self.samples[-1][0]:
-            raise ValueError(f"sample timestamp {t_us} not after {self.samples[-1][0]}")
-        self.samples.append((t_us, position))
-
-
 def predict_position(
-    history: MobilityHistory,
-    fit_samples: int,
+    samples: Sequence[tuple[int, Position]],
     horizon_steps: int,
     update_interval_s: float,
 ) -> Position:
-    """Least-squares linear fit per coordinate over the newest fit_samples
-    entries, evaluated horizon_steps * update_interval_s past the last sample.
+    """Least-squares linear fit per coordinate over every (t_us, position)
+    sample, evaluated horizon_steps * update_interval_s past the last one.
 
     The result is deliberately not clamped to the mission area: a node heading
     for the boundary is predicted to cross it, which is what makes the
     prediction useful as a link-break indicator.
     """
-    n = min(fit_samples, len(history))
+    n = len(samples)
     if n < 2:
-        raise ValueError(f"need >= 2 samples, have {len(history)}")
-    tail = list(history.samples)[-n:]
-    t_last = s_from_us(tail[-1][0])
+        raise ValueError(f"need >= 2 samples, have {n}")
+    t_last = s_from_us(samples[-1][0])
     # Center times on the last sample for numerical stability.
-    ts = [s_from_us(t) - t_last for t, _ in tail]
+    ts = [s_from_us(t) - t_last for t, _ in samples]
     t_mean = sum(ts) / n
     var = sum((t - t_mean) ** 2 for t in ts)
     horizon = horizon_steps * update_interval_s
     predicted = []
     for axis in range(3):
-        xs = [p[axis] for _, p in tail]
+        xs = [p[axis] for _, p in samples]
         x_mean = sum(xs) / n
         slope = sum((t - t_mean) * (x - x_mean) for t, x in zip(ts, xs)) / var
         intercept = x_mean - slope * t_mean

@@ -9,6 +9,7 @@ the results of a serial batch. A finished run is freed by reference counting.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -16,7 +17,7 @@ from .balancer import DropReason, RRState, plain_forward, postrouting_hook
 from .channel import Frame, FrameKind, Medium
 from .config import ScenarioConfig
 from .engine import Engine, EventKind, us_from_s
-from .mobility import MobilityHistory, Position, predict_position, random_position, step_waypoint
+from .mobility import Position, predict_position, random_position, step_waypoint
 from .routing import PROTOCOLS, ControlMessage
 from .traffic import (
     DROP_CAUSES,
@@ -101,13 +102,11 @@ class Simulation:
 
         self.protocol = PROTOCOLS[config.protocol](config, self.positions)
         # Position histories feed the prediction, so only a predicting metric
-        # records them, and each holds the samples one fit reads.
-        self.histories: list[MobilityHistory] = []
+        # records them. Each holds the (t_us, position) samples one fit reads.
+        self.histories: list[deque[tuple[int, Position]]] = []
         if self.protocol.predicted is not None:
-            for pos in self.positions:
-                history = MobilityHistory(config.fit_samples)
-                history.record(0, pos)
-                self.histories.append(history)
+            self.histories = [deque([(0, pos)], maxlen=config.fit_samples)
+                              for pos in self.positions]
         self.rr = [RRState() for _ in range(config.nodes)]
 
         self.medium = Medium(
@@ -157,9 +156,8 @@ class Simulation:
         self.medium.refresh_neighbors()
         predicted = self.protocol.predicted
         for node, history in enumerate(self.histories):
-            history.record(now, positions[node])
-            predicted[node] = predict_position(
-                history, config.fit_samples, config.prediction_steps, dt)
+            history.append((now, positions[node]))
+            predicted[node] = predict_position(history, config.prediction_steps, dt)
         next_tick = now + self.tick_us
         if next_tick <= self.end_us:
             self.engine.schedule(next_tick, EventKind.MOBILITY_TICK)

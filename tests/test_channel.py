@@ -364,7 +364,7 @@ def test_neighbor_cache_follows_moving_nodes():
     sim = Simulation(config, 5)
     start = [list(near) for near in sim.medium.neighbors]
     sim.run()
-    assert sim.histories[0].samples[-1][0] == sim.end_us  # a mobility tick fired at the very end
+    assert sim.histories[0][-1][0] == sim.end_us  # a mobility tick fired at the very end
     assert_cache_matches(sim.medium)
     assert sim.medium.neighbors != start
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from manetsim.engine import s_from_us, us_from_s
 from manetsim.mobility import (
     Area,
-    MobilityHistory,
     distance,
     predict_position,
     step_waypoint,
@@ -78,47 +78,20 @@ def test_step_rejects_nonpositive_dt():
         step_waypoint((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), SPEED, 0.0, random.Random(0), AREA)
 
 
-def test_history_ring_semantics():
-    history = MobilityHistory(capacity=8)
-    for k in range(9):
-        history.record(us_from_s(0.25 * (k + 1)), (float(k), 0.0, 0.0))
-    assert len(history) == 8
-    # the first sample was evicted
-    assert history.samples[0][1] == (1.0, 0.0, 0.0)
-    assert history.samples[-1][1] == (8.0, 0.0, 0.0)
-
-
-def test_history_rejects_duplicate_timestamp():
-    history = MobilityHistory()
-    history.record(1000, (0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        history.record(1000, (1.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        history.record(999, (1.0, 0.0, 0.0))
-
-
-def test_history_single_sample():
-    history = MobilityHistory()
-    history.record(0, (1.0, 2.0, 3.0))
-    assert len(history) == 1
-
-
 def test_prediction_constant_velocity():
-    # 10 m/s along x, sampled every 250 ms, last x = 100.
-    history = MobilityHistory(capacity=8)
+    # 10 m/s along x, sampled every 250 ms, last x = 100; the window keeps 5.
+    history = deque(maxlen=5)
     for k in range(8):
         t = 0.25 * k
-        history.record(us_from_s(t), (100.0 - 10.0 * (1.75 - t), 0.0, 0.0))
-    predicted = predict_position(history, fit_samples=5, horizon_steps=15, update_interval_s=0.25)
+        history.append((us_from_s(t), (100.0 - 10.0 * (1.75 - t), 0.0, 0.0)))
+    predicted = predict_position(history, horizon_steps=15, update_interval_s=0.25)
     assert predicted[0] == pytest.approx(137.5, abs=1e-9)
     assert predicted[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_prediction_stationary_node():
-    history = MobilityHistory()
-    for k in range(5):
-        history.record(us_from_s(0.25 * (k + 1)), (42.0, 17.0, 3.0))
-    predicted = predict_position(history, 5, 15, 0.25)
+    history = [(us_from_s(0.25 * (k + 1)), (42.0, 17.0, 3.0)) for k in range(5)]
+    predicted = predict_position(history, 15, 0.25)
     assert predicted == pytest.approx((42.0, 17.0, 3.0), abs=1e-9)
 
 
@@ -139,7 +112,7 @@ def _lstsq_oracle(samples, horizon_s):
 
 def test_prediction_matches_independent_least_squares_on_noisy_track():
     rng = random.Random(99)
-    history = MobilityHistory(capacity=8)
+    history = deque(maxlen=5)
     truth = []
     for k in range(8):
         t = 0.25 * k
@@ -148,26 +121,22 @@ def test_prediction_matches_independent_least_squares_on_noisy_track():
             100.0 - 2.0 * t + rng.gauss(0, 0.05),
             5.0 + rng.gauss(0, 0.01),
         )
-        history.record(us_from_s(t), pos)
+        history.append((us_from_s(t), pos))
         truth.append((t, pos))
-    predicted = predict_position(history, 5, 15, 0.25)
+    predicted = predict_position(history, 15, 0.25)
     expected = _lstsq_oracle(truth[-5:], 15 * 0.25)
     assert predicted == pytest.approx(expected, abs=1e-9)
 
 
 def test_prediction_requires_two_samples():
-    history = MobilityHistory()
-    history.record(0, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="need >= 2 samples"):
-        predict_position(history, 5, 15, 0.25)
+        predict_position([(0, (0.0, 0.0, 0.0))], 15, 0.25)
 
 
 def test_prediction_not_clamped_to_area():
-    history = MobilityHistory()
     # Heading off the east edge at 20 m/s.
-    for k in range(5):
-        history.record(us_from_s(0.25 * k), (490.0 + 5.0 * k, 0.0, 0.0))
-    predicted = predict_position(history, 5, 15, 0.25)
+    history = [(us_from_s(0.25 * k), (490.0 + 5.0 * k, 0.0, 0.0)) for k in range(5)]
+    predicted = predict_position(history, 15, 0.25)
     assert predicted[0] > 500.0
 
 
@@ -210,10 +179,8 @@ def test_prediction_equals_the_sliced_reference_bit_for_bit(
     samples = [((first_tick + k) * tick_us, pos) for k, pos in enumerate(track)]
     dt = s_from_us(tick_us)
     expected = _sliced_reference(samples, fit_samples, horizon_steps, dt)
-    history = MobilityHistory(capacity=len(samples))
-    for t_us, pos in samples:
-        history.record(t_us, pos)
-    assert predict_position(history, fit_samples, horizon_steps, dt) == expected
+    history = deque(samples, maxlen=fit_samples)
+    assert predict_position(history, horizon_steps, dt) == expected
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=200))

@@ -256,7 +256,7 @@ def test_each_protocol_reads_its_own_parameters_from_config():
 
     # A position history holds what one fit reads: fit_samples, not score_buffer.
     sim = Simulation(replace(config, protocol="batmobile"), 1)
-    assert sim.histories[0].samples.maxlen == 4
+    assert sim.histories[0].maxlen == 4
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))

@@ -208,6 +208,11 @@ def test_mobility_feeds_histories_and_predictions():
         # A history holds the fit_samples (5) samples one fit reads, so the
         # ring is full after 1 s.
         assert len(sim.histories[node]) == config.fit_samples
+        # The mobility tick is the only writer: its samples are the last
+        # fit_samples tick times, one tick apart, the newest at the run's end.
+        assert [t for t, _ in sim.histories[node]] == [
+            sim.end_us - k * sim.tick_us for k in reversed(range(config.fit_samples))]
+        assert sim.histories[node][-1][1] == sim.positions[node]
         assert sim.protocol.predicted[node] is not None
         assert sim.protocol.predicted[node] != sim.positions[node]
 
