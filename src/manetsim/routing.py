@@ -221,26 +221,26 @@ class FloodingProtocol:
     for its own messages is also its latest sequence number. It runs the
     rebroadcast dedup, the own-echo check, the ranking update and the
     rebroadcast stamp. A metric reads its own parameters from the config,
-    keeps any further per-node state itself, and supplies only
-    ``emission_plan``, the (kind, interval_us) pairs every node emits on;
-    ``flooded_kinds``, the kinds a receiver rebroadcasts; ``score``, how a
-    received copy is scored; and ``hop_penalty``, the factor a forwarder
-    applies to the score it carries on.
+    keeps any further per-node state itself, and supplies only ``score``,
+    how a received copy is scored. It may override ``emission_plan``, the
+    (kind, interval_us) pairs every node emits on (one OGM per interval by
+    default); ``flooded_kinds``, the kinds a receiver rebroadcasts (OGMs);
+    and ``hop_penalty``, the factor a forwarder applies to a carried score.
 
     ``positions`` is the run's position list, updated in place by the
     mobility tick. ``predicted`` is None unless the metric predicts; then the
     tick writes each node's predicted position into it.
     """
 
-    emission_plan: list[tuple[ControlKind, int]]
     flooded_kinds = frozenset({ControlKind.OGM})
     hop_penalty = 1.0
     predicted: list[Position] | None = None
 
     def __init__(self, config: ScenarioConfig, positions: list[Position]):
         self.positions = positions
-        expiry_us = us_from_s(config.ranking_expiry_s)
-        self.rankings = [NeighborRanking(expiry_us) for _ in positions]
+        self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
+        self.expiry_us = us_from_s(config.ranking_expiry_s)
+        self.rankings = [NeighborRanking(self.expiry_us) for _ in positions]
         self.forwarded: list[dict[tuple[ControlKind, int], int]] = [{} for _ in positions]
 
     def _predicted(self, node: int) -> Position | None:
@@ -294,7 +294,6 @@ class BatmanProtocol(FloodingProtocol):
 
     def __init__(self, config: ScenarioConfig, positions: list[Position]):
         super().__init__(config, positions)
-        self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
         self.tq_window_len = config.tq_window
         self.hop_penalty = config.hop_penalty
         self.tq_windows: list[dict[int, TQWindow]] = [{} for _ in positions]
@@ -335,13 +334,11 @@ class BatmobileProtocol(FloodingProtocol):
 
     def __init__(self, config: ScenarioConfig, positions: list[Position]):
         super().__init__(config, positions)
-        self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
         self.comm_range_m = max_range_m(config)
         self.prediction_weight = config.prediction_weight
         self.weight_scale = config.score_buffer
         self.predicted = list(positions)
-        expiry_us = us_from_s(config.ranking_expiry_s)
-        self.trends = [ScoreTrend(config.score_buffer, config.trend_clamp, expiry_us)
+        self.trends = [ScoreTrend(config.score_buffer, config.trend_clamp, self.expiry_us)
                        for _ in positions]
 
     def score(self, node, msg, prev_hop, now_us) -> float:
