@@ -426,6 +426,171 @@ def test_batched_receive_equals_one_receiver_at_a_time(name, steps):
             assert origin not in [node for node, _ in batched]
 
 
+# -- receive against the per-copy reference ----------------------------------
+# The flooding path as it was when every copy cost three calls: each metric's
+# score(node, msg, prev_hop, now_us), TQWindow.quality() and
+# NeighborRanking.update, copied verbatim. receive must return the same
+# rebroadcasts and leave every node's state exactly as this path does.
+
+class ReferenceTQWindow:
+    __slots__ = ("length", "bits", "last_seq")
+
+    def __init__(self, length: int = 8):
+        self.length = length
+        self.bits = 0
+        self.last_seq = None
+
+    def update(self, seq: int) -> None:
+        if self.last_seq is None:
+            self.bits = 1
+        else:
+            shift = seq - self.last_seq
+            if shift <= 0:
+                return  # stale or duplicate sequence number
+            self.bits = ((self.bits << shift) | 1) & ((1 << self.length) - 1)
+        self.last_seq = seq
+
+    def quality(self) -> float:
+        return self.bits.bit_count() / self.length
+
+
+class ReferenceRanking(NeighborRanking):
+    def update(self, dest, neighbor, score, now_us):
+        entries = self.table.get(dest)
+        if score <= 0.0:
+            if entries:
+                entries.pop(neighbor, None)
+        elif entries is None:
+            self.table[dest] = {neighbor: [min(1.0, score), now_us]}
+        elif (entry := entries.get(neighbor)) is None:
+            entries[neighbor] = [min(1.0, score), now_us]
+        else:
+            entry[0] = min(1.0, score)
+            entry[1] = now_us
+
+
+class PerCopyFlooding:
+    def __init__(self, config, positions):
+        super().__init__(config, positions)
+        self.rankings = [ReferenceRanking(self.expiry_us) for _ in positions]
+
+    def receive(self, receivers, msg, prev_hop, now_us):
+        kind, originator, seq = msg.kind, msg.originator, msg.seq
+        key = (kind, originator)
+        floods = kind in self.flooded_kinds
+        score_fn, rankings, forwarded = self.score, self.rankings, self.forwarded
+        rebroadcasts = []
+        for node in receivers:
+            if node == originator:
+                continue
+            score = score_fn(node, msg, prev_hop, now_us)
+            rankings[node].update(originator, prev_hop, score, now_us)
+            if score > 0.0 and floods and forwarded[node].get(key, -1) < seq:
+                forwarded[node][key] = seq
+                rebroadcasts.append((node, ControlMessage(
+                    kind=kind, originator=originator, seq=seq,
+                    sender_position=self.positions[node],
+                    carried_score=score * self.hop_penalty,
+                    originator_position=msg.originator_position,
+                    sender_predicted=self._predicted(node),
+                )))
+        return rebroadcasts
+
+
+class PerCopyBatman(PerCopyFlooding, BatmanProtocol):
+    def score(self, node, msg, prev_hop, now_us):
+        windows = self.tq_windows[node]
+        window = windows.get(prev_hop)
+        if msg.originator == prev_hop:
+            if window is None:
+                window = windows[prev_hop] = ReferenceTQWindow(self.tq_window_len)
+            window.update(msg.seq)
+        return (window.quality() if window is not None else 0.0) * msg.carried_score
+
+
+class PerCopyGeoOlsr(PerCopyFlooding, GeoOlsrProtocol):
+    def score(self, node, msg, prev_hop, now_us):
+        return geo_score(msg.sender_position, msg.originator_position, self.diagonal_m, self.floor)
+
+
+class PerCopyBatmobile(PerCopyFlooding, BatmobileProtocol):
+    def score(self, node, msg, prev_hop, now_us):
+        raw = pathscore_link(
+            self.positions[node], self.predicted[node], msg.sender_position, msg.sender_predicted,
+            self.comm_range_m, self.prediction_weight, self.weight_scale,
+        ) * msg.carried_score
+        return self.trends[node].admit(msg.originator, prev_hop, raw, now_us)
+
+
+PER_COPY = {"batman": PerCopyBatman, "golsr": PerCopyGeoOlsr, "batmobile": PerCopyBatmobile}
+
+
+def node_states(protocol):
+    """Everything receive may change, for every node."""
+    windows = getattr(protocol, "tq_windows", None)
+    trends = getattr(protocol, "trends", None)
+    return [(
+        protocol.rankings[node].table,
+        None if windows is None else {n: (w.bits, w.last_seq) for n, w in windows[node].items()},
+        protocol.forwarded[node],
+        None if trends is None else trends[node]._buffers,
+    ) for node in range(len(protocol.positions))]
+
+
+# As transmissions, plus the time since the previous copy (the ranking expiry
+# is 1 s) and whether every ranking is read, and so purged, before this copy.
+# Carried scores span negative, zero and above-one scores.
+reference_steps = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 5), unique=True).map(sorted),
+    st.sampled_from([-0.4, 0.0, 0.3, 1.0, 1.5]),
+    st.integers(0, 1),
+    st.sampled_from([0, 100_000, 700_000, 1_500_000]),
+    st.booleans(),
+)
+
+
+@given(st.sampled_from(sorted(FLOODERS)), st.lists(reference_steps, min_size=1, max_size=16))
+@example("batman", [(2, 0, 1, [0, 2, 3], 1.0, 0, 0, False)])  # the originator hears its own echo
+@example("batmobile", [(2, 0, 1, [0, 2, 3], 1.0, 0, 0, False)])  # and its trend admits nothing
+@example("batmobile", [(1, 0, 1, [0, 2], 1.0, 0, 0, False),
+                       (1, 0, 2, [0, 3], 1.0, 0, 0, False)])  # duplicate seq
+@example("batman", [(1, 0, 1, [0], 1.0, 0, 0, False), (1, 1, 1, [0], 0.0, 0, 0, False)])  # zero
+@example("batman", [(1, 0, 1, [0], 1.0, 0, 0, False), (1, 1, 1, [0], -0.4, 0, 0, False)])  # negative
+@example("batmobile", [(1, 0, 1, [0], 1.0, 0, 0, False),
+                       (1, 1, 1, [0], -0.4, 0, 0, False)])  # the trend clamps it to zero
+@example("batman", [(1, 0, 1, [0], 1.5, 0, 0, False)])  # a score above one is stored as one
+@example("batman", [(1, 0, 1, [0, 2], 1.0, 0, 0, False), (3, 0, 1, [0], 1.0, 0, 1_500_000, True),
+                    (1, 1, 1, [0], 0.0, 0, 0, False)])  # a zero score after an expiry purge
+@settings(max_examples=200, deadline=None)
+def test_receive_equals_the_per_copy_reference(name, steps):
+    overrides, kinds = FLOODERS[name]
+    config = ScenarioConfig(protocol=name, ranking_expiry_s=1.0, **overrides)
+    protocol, reference = PROTOCOLS[name](config, SPOT), PER_COPY[name](config, SPOT)
+    for side in (protocol, reference):
+        if side.predicted is not None:
+            side.predicted[:] = SPOT_PRED
+    pred = protocol.predicted or [None] * len(SPOT)
+    nodes = range(len(SPOT))
+    now = 1000
+    for origin, seq, prev_hop, receivers, carried, kind, gap, purge in steps:
+        now += gap
+        if purge:
+            for node in nodes:
+                for dest in nodes:
+                    assert (protocol.rankings[node].scores(dest, now)
+                            == reference.rankings[node].scores(dest, now))
+        receivers = [r for r in receivers if r != prev_hop]
+        msg = ControlMessage(kind=kinds[kind % len(kinds)], originator=origin, seq=seq,
+                             sender_position=SPOT[prev_hop], carried_score=carried,
+                             originator_position=SPOT[origin], sender_predicted=pred[prev_hop])
+        assert (protocol.receive(receivers, msg, prev_hop, now)
+                == reference.receive(receivers, msg, prev_hop, now))
+        assert node_states(protocol) == node_states(reference)
+
+
 # -- multi-hop chains: O -> A -> B -> me ----------------------------------------
 
 ME, A, B, O = 0, 1, 2, 3
