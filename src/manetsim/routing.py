@@ -14,7 +14,7 @@ originator) rebroadcast dedup and differ only in how they score a received
 copy. Every received copy refreshes the ranking entry for the neighbor it came
 through, which is what gives each node more than one candidate forwarder per
 destination. One transmission's copies reach ``receive`` together, as one
-receiver list.
+receiver list, and each metric scores them all in one call.
 """
 
 from __future__ import annotations
@@ -51,14 +51,15 @@ class ControlMessage:
 
 class TQWindow:
     """Sliding 8-slot bitmap over a neighbor's originator-message sequence
-    numbers; link quality is the fraction of slots heard."""
+    numbers; ``quality``, the fraction of slots heard, is stored on update."""
 
-    __slots__ = ("length", "bits", "last_seq")
+    __slots__ = ("length", "bits", "last_seq", "quality")
 
     def __init__(self, length: int = 8):
         self.length = length
         self.bits = 0
         self.last_seq: int | None = None
+        self.quality = 0.0
 
     def update(self, seq: int) -> None:
         if self.last_seq is None:
@@ -69,9 +70,7 @@ class TQWindow:
                 return  # stale or duplicate sequence number
             self.bits = ((self.bits << shift) | 1) & ((1 << self.length) - 1)
         self.last_seq = seq
-
-    def quality(self) -> float:
-        return self.bits.bit_count() / self.length
+        self.quality = self.bits.bit_count() / self.length
 
 
 def tq_path_score(link_qualities: list[float], hop_penalty: float = 0.95) -> float:
@@ -173,26 +172,13 @@ class NeighborRanking:
     decides which forwarders are live. Every scored copy refreshes the entry
     for the neighbor it came through, so a neighbor that has not been heard
     within the expiry has no live entry for any destination. Scores are kept
-    in (0, 1]; an update to a non-positive score removes the entry (a dead
-    path is no path).
+    in (0, 1]; FloodingProtocol.receive removes the entry on a non-positive
+    score (a dead path is no path).
     """
 
     def __init__(self, expiry_us: int = 3_000_000):
         self.expiry_us = expiry_us
         self.table: dict[int, dict[int, list]] = {}  # dest -> {neighbor: [score, last_us]}
-
-    def update(self, dest: int, neighbor: int, score: float, now_us: int) -> None:
-        entries = self.table.get(dest)
-        if score <= 0.0:
-            if entries:
-                entries.pop(neighbor, None)
-        elif entries is None:
-            self.table[dest] = {neighbor: [min(1.0, score), now_us]}
-        elif (entry := entries.get(neighbor)) is None:
-            entries[neighbor] = [min(1.0, score), now_us]
-        else:
-            entry[0] = min(1.0, score)
-            entry[1] = now_us
 
     def scores(self, dest: int, now_us: int) -> dict[int, float]:
         """Purge expired entries for dest, then return {neighbor: score}."""
@@ -221,8 +207,8 @@ class FloodingProtocol:
     for its own messages is also its latest sequence number. It runs the
     rebroadcast dedup, the own-echo check, the ranking update and the
     rebroadcast stamp. A metric reads its own parameters from the config,
-    keeps any further per-node state itself, and supplies only ``score``,
-    how a received copy is scored. It may override ``emission_plan``, the
+    keeps any further per-node state itself, and supplies only ``score_all``,
+    one score per receiver of a copy. It may override ``emission_plan``, the
     (kind, interval_us) pairs every node emits on (one OGM per interval by
     default); ``flooded_kinds``, the kinds a receiver rebroadcasts (OGMs);
     and ``hop_penalty``, the factor a forwarder applies to a carried score.
@@ -261,21 +247,35 @@ class FloodingProtocol:
                 now_us: int) -> list[tuple[int, ControlMessage]]:
         """Hand one copy of msg, heard from prev_hop, to every receiver in order.
 
-        The originator ignores its own echo. Returns (receiver, rebroadcast)
-        for each receiver that forwards its first copy of (kind, originator,
-        seq), in receiver order.
+        The originator drops its own echo before scoring. Returns (receiver,
+        rebroadcast) for each receiver that forwards its first copy of (kind,
+        originator, seq), in receiver order.
         """
         kind, originator, seq = msg.kind, msg.originator, msg.seq
+        if originator in receivers:
+            receivers = [node for node in receivers if node != originator]
+        scores = self.score_all(receivers, msg, prev_hop, now_us)
         key = (kind, originator)
         floods = kind in self.flooded_kinds
-        score_fn, rankings, forwarded = self.score, self.rankings, self.forwarded
+        rankings, forwarded = self.rankings, self.forwarded
         rebroadcasts = []
-        for node in receivers:
-            if node == originator:
+        for node, score in zip(receivers, scores):
+            table = rankings[node].table
+            entries = table.get(originator)
+            if score <= 0.0:
+                if entries:
+                    entries.pop(prev_hop, None)
                 continue
-            score = score_fn(node, msg, prev_hop, now_us)
-            rankings[node].update(originator, prev_hop, score, now_us)
-            if score > 0.0 and floods and forwarded[node].get(key, -1) < seq:
+            # Scores are at most 1 in any config validate() accepts; the cap
+            # guards the table, while forwarders carry the uncapped score.
+            capped = score if score < 1.0 else 1.0
+            if entries is None:
+                table[originator] = {prev_hop: [capped, now_us]}
+            elif (entry := entries.get(prev_hop)) is None:
+                entries[prev_hop] = [capped, now_us]
+            else:
+                entry[0], entry[1] = capped, now_us
+            if floods and forwarded[node].get(key, -1) < seq:
                 forwarded[node][key] = seq
                 # Forwarders stamp their own score; the per-hop penalty is
                 # folded in here so every receiver applies the identical rule.
@@ -298,15 +298,19 @@ class BatmanProtocol(FloodingProtocol):
         self.hop_penalty = config.hop_penalty
         self.tq_windows: list[dict[int, TQWindow]] = [{} for _ in positions]
 
-    def score(self, node, msg, prev_hop, now_us) -> float:
+    def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
         """TQ window of the neighbor the copy came through, times the carried score."""
-        windows = self.tq_windows[node]
-        window = windows.get(prev_hop)
-        if msg.originator == prev_hop:
-            if window is None:
-                window = windows[prev_hop] = TQWindow(self.tq_window_len)
-            window.update(msg.seq)
-        return (window.quality() if window is not None else 0.0) * msg.carried_score
+        tq_windows, carried, direct = self.tq_windows, msg.carried_score, msg.originator == prev_hop
+        scores = []
+        for node in receivers:
+            windows = tq_windows[node]
+            window = windows.get(prev_hop)
+            if direct:  # a neighbor's own OGM first feeds its window
+                if window is None:
+                    window = windows[prev_hop] = TQWindow(self.tq_window_len)
+                window.update(msg.seq)
+            scores.append((window.quality if window is not None else 0.0) * carried)
+        return scores
 
 
 class GeoOlsrProtocol(FloodingProtocol):
@@ -321,9 +325,10 @@ class GeoOlsrProtocol(FloodingProtocol):
         self.diagonal_m = config.diagonal_m()
         self.floor = config.geo_floor
 
-    def score(self, node, msg, prev_hop, now_us) -> float:
-        """Distance from the last forwarder to the originator; never below the floor."""
-        return geo_score(msg.sender_position, msg.originator_position, self.diagonal_m, self.floor)
+    def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
+        """Last forwarder's distance to the originator, floored: one score for all receivers."""
+        score = geo_score(msg.sender_position, msg.originator_position, self.diagonal_m, self.floor)
+        return [score] * len(receivers)
 
 
 class BatmobileProtocol(FloodingProtocol):
@@ -341,13 +346,13 @@ class BatmobileProtocol(FloodingProtocol):
         self.trends = [ScoreTrend(config.score_buffer, config.trend_clamp, self.expiry_us)
                        for _ in positions]
 
-    def score(self, node, msg, prev_hop, now_us) -> float:
-        """Link score times the carried score, admitted through the node's trend clamp."""
-        raw = pathscore_link(
-            self.positions[node], self.predicted[node], msg.sender_position, msg.sender_predicted,
+    def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
+        """Link score times the carried score, admitted through each receiver's trend clamp."""
+        positions, predicted, trends = self.positions, self.predicted, self.trends
+        return [trends[node].admit(msg.originator, prev_hop, pathscore_link(
+            positions[node], predicted[node], msg.sender_position, msg.sender_predicted,
             self.comm_range_m, self.prediction_weight, self.weight_scale,
-        ) * msg.carried_score
-        return self.trends[node].admit(msg.originator, prev_hop, raw, now_us)
+        ) * msg.carried_score, now_us) for node in receivers]
 
 
 PROTOCOLS = {"batman": BatmanProtocol, "golsr": GeoOlsrProtocol, "batmobile": BatmobileProtocol}

@@ -73,8 +73,7 @@ def verdict(number, name, ok, detail):
 
 def make_ranking(scores):
     ranking = NeighborRanking()
-    for neighbor, score in scores.items():
-        ranking.update(9, neighbor, score, 0)
+    ranking.table[9] = {neighbor: [score, 0] for neighbor, score in scores.items()}
     return ranking
 
 

@@ -16,8 +16,7 @@ from manetsim.routing import NeighborRanking
 
 def make_ranking(scores, now_us=0):
     ranking = NeighborRanking()
-    for neighbor, score in scores.items():
-        ranking.update(9, neighbor, score, now_us)
+    ranking.table[9] = {neighbor: [score, now_us] for neighbor, score in scores.items()}
     return ranking
 
 

@@ -34,15 +34,28 @@ def test_tq_window_counts_hits_over_eight_slots():
     window = TQWindow()
     for seq in (0, 1, 2, 4, 5, 7):  # 6 of the last 8 opportunities heard
         window.update(seq)
-    assert window.quality() == pytest.approx(0.75)
+    assert window.quality == pytest.approx(0.75)
 
 
 def test_tq_window_slides_out_old_bits():
     window = TQWindow()
     window.update(0)
-    assert window.quality() == pytest.approx(1 / 8)
+    assert window.quality == pytest.approx(1 / 8)
     window.update(20)  # long gap clears the previous bit
-    assert window.quality() == pytest.approx(1 / 8)
+    assert window.quality == pytest.approx(1 / 8)
+
+
+# Seqs drawn in any order from a range wider than the window: stale and
+# duplicate seqs, and gaps of a whole window or more, are all common.
+@given(st.integers(1, 8), st.lists(st.integers(0, 40), max_size=30))
+@example(8, [3, 3, 1, 12, 20])  # a duplicate, a stale seq, a gap of 9 and one of exactly 8
+@settings(max_examples=200)
+def test_stored_quality_is_always_the_share_of_slots_heard(length, seqs):
+    window = TQWindow(length)
+    assert window.quality == 0.0
+    for seq in seqs:
+        window.update(seq)
+        assert window.quality == window.bits.bit_count() / window.length
 
 
 def test_tq_single_hop_has_no_penalty():
@@ -144,7 +157,7 @@ def test_trend_clamp_resets_after_expiry_gap():
 def make_ranking(entries, now_us=0, expiry_us=3_000_000):
     ranking = NeighborRanking(expiry_us)
     for dest, neighbor, score in entries:
-        ranking.update(dest, neighbor, score, now_us)
+        ranking.table.setdefault(dest, {})[neighbor] = [score, now_us]
     return ranking
 
 
@@ -164,56 +177,27 @@ def test_best_forwarder_empty_table():
 
 def test_expired_entries_purged_before_max():
     ranking = make_ranking([(9, 1, 0.95)])
-    ranking.update(9, 2, 0.5, 3_500_000)
+    ranking.table[9][2] = [0.5, 3_500_000]
     # entry for 1 is 3.5 s old; entry for 2 is fresh
     assert ranking.scores(9, 3_500_000) == {2: 0.5}
     assert ranking.best_forwarder(9, 3_500_000) == 2
 
 
 def test_zero_score_update_removes_entry():
-    ranking = make_ranking([(9, 1, 0.95)])
-    ranking.update(9, 1, 0.0, 100)
-    assert ranking.scores(9, 100) == {}
+    protocol = make("batman", [(0.0, 0.0, 0.0)])
+    protocol.receive([0], ogm(9, 0), 9, 0)  # a direct OGM scores 1/8
+    assert protocol.rankings[0].scores(9, 0) == {9: 1 / 8}
+    protocol.receive([0], ogm(9, 1, carried=0.0), 9, 100)
+    assert protocol.rankings[0].scores(9, 100) == {}
 
 
 def test_zero_score_update_for_an_unknown_destination_adds_no_key():
-    ranking = make_ranking([(9, 1, 0.95)])
-    ranking.update(4, 1, 0.0, 100)
-    ranking.update(9, 2, -0.5, 100)
-    assert list(ranking.table) == [9]
-    assert ranking.scores(4, 100) == {}
-
-
-class SetdefaultRanking(NeighborRanking):
-    """Reference: creates a destination's map on every update, scored or not."""
-
-    def update(self, dest, neighbor, score, now_us):
-        entries = self.table.setdefault(dest, {})
-        if score <= 0.0:
-            entries.pop(neighbor, None)
-        else:
-            entries[neighbor] = [min(1.0, score), now_us]
-
-
-ranking_ops = st.lists(st.tuples(
-    st.booleans(), st.integers(0, 3), st.integers(0, 3),
-    st.sampled_from([0.0, 0.3, 1.0, 1.5]), st.integers(0, 2_000_000)), max_size=40)
-
-
-@given(ranking_ops)
-@settings(max_examples=200, deadline=None)
-def test_ranking_scores_equal_a_setdefault_reference(ops):
-    ranking, reference = NeighborRanking(1_000_000), SetdefaultRanking(1_000_000)
-    now = 0
-    for is_update, dest, neighbor, score, step in ops:
-        now += step
-        if is_update:
-            ranking.update(dest, neighbor, score, now)
-            reference.update(dest, neighbor, score, now)
-        else:
-            assert ranking.scores(dest, now) == reference.scores(dest, now)
-    for dest in range(4):
-        assert ranking.scores(dest, now) == reference.scores(dest, now)
+    protocol = make("batman", [(0.0, 0.0, 0.0)])
+    protocol.receive([0], ogm(9, 0), 9, 0)
+    protocol.receive([0], ogm(4, 0, carried=0.0), 4, 100)
+    protocol.receive([0], ogm(9, 1, carried=-0.5), 2, 100)  # no window for 2: -0.0
+    assert list(protocol.rankings[0].table) == [9]
+    assert protocol.rankings[0].scores(4, 100) == {}
 
 
 # -- protocols from config ---------------------------------------------------
@@ -309,7 +293,7 @@ def test_direct_ogm_feeds_tq_window_and_ranking():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
     for seq in range(4):
         protocol.receive([0], ogm(3, seq), 3, 1000 + seq)
-    assert protocol.tq_windows[0][3].quality() == pytest.approx(4 / 8)
+    assert protocol.tq_windows[0][3].quality == pytest.approx(4 / 8)
     assert protocol.rankings[0].scores(3, 2000)[3] == pytest.approx(4 / 8)
 
 
@@ -531,7 +515,9 @@ def node_states(protocol):
     trends = getattr(protocol, "trends", None)
     return [(
         protocol.rankings[node].table,
-        None if windows is None else {n: (w.bits, w.last_seq) for n, w in windows[node].items()},
+        None if windows is None else {
+            n: (w.bits, w.last_seq, w.quality() if isinstance(w, ReferenceTQWindow) else w.quality)
+            for n, w in windows[node].items()},
         protocol.forwarded[node],
         None if trends is None else trends[node]._buffers,
     ) for node in range(len(protocol.positions))]
