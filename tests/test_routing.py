@@ -374,7 +374,9 @@ def snapshot(protocol, node):
     trends = getattr(protocol, "trends", None)
     return copy.deepcopy((
         protocol.rankings[node].table,
-        None if windows is None else {n: (w.bits, w.last_seq) for n, w in windows[node].items()},
+        None if windows is None else {
+            n: (w.bits, w.last_seq, w.quality() if isinstance(w, ReferenceTQWindow) else w.quality)
+            for n, w in windows[node].items()},
         protocol.forwarded[node],
         None if trends is None else trends[node]._buffers,
     ))
@@ -509,20 +511,6 @@ class PerCopyBatmobile(PerCopyFlooding, BatmobileProtocol):
 PER_COPY = {"batman": PerCopyBatman, "golsr": PerCopyGeoOlsr, "batmobile": PerCopyBatmobile}
 
 
-def node_states(protocol):
-    """Everything receive may change, for every node."""
-    windows = getattr(protocol, "tq_windows", None)
-    trends = getattr(protocol, "trends", None)
-    return [(
-        protocol.rankings[node].table,
-        None if windows is None else {
-            n: (w.bits, w.last_seq, w.quality() if isinstance(w, ReferenceTQWindow) else w.quality)
-            for n, w in windows[node].items()},
-        protocol.forwarded[node],
-        None if trends is None else trends[node]._buffers,
-    ) for node in range(len(protocol.positions))]
-
-
 # As transmissions, plus the time since the previous copy (the ranking expiry
 # is 1 s) and whether every ranking is read, and so purged, before this copy.
 # Carried scores span negative, zero and above-one scores.
@@ -574,7 +562,7 @@ def test_receive_equals_the_per_copy_reference(name, steps):
                              originator_position=SPOT[origin], sender_predicted=pred[prev_hop])
         assert (protocol.receive(receivers, msg, prev_hop, now)
                 == reference.receive(receivers, msg, prev_hop, now))
-        assert node_states(protocol) == node_states(reference)
+        assert [snapshot(protocol, n) for n in nodes] == [snapshot(reference, n) for n in nodes]
 
 
 # -- multi-hop chains: O -> A -> B -> me ----------------------------------------
