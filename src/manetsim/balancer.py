@@ -13,11 +13,10 @@ the scheme degrade to the unmodified protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .channel import Frame
-from .routing import NeighborRanking
 
 
 class DropReason(Enum):
@@ -25,36 +24,38 @@ class DropReason(Enum):
     TTL = "ttl"
 
 
-@dataclass(frozen=True)
-class SchedulableSet:
+class SchedulableSet(NamedTuple):
     dest: int
     members: tuple[int, ...]  # ascending node id; deterministic rotation order
     fallback: bool = False  # True when the threshold filter came up empty
 
 
+def best_forwarder(live: dict[int, float]) -> int:
+    """Argmax of a nonempty {neighbor: score} map; ties break toward the lowest node id."""
+    phi_max = max(live.values())
+    return min([n for n, s in live.items() if s == phi_max])
+
+
 def schedulable_set(
-    ranking: NeighborRanking,
+    live: dict[int, float],
     dest: int,
     likelihood: float,
-    now_us: int,
     exclude: int | None = None,
 ) -> SchedulableSet:
-    """Threshold filter over the purged ranking, minus the packet's previous hop.
+    """Threshold filter over the live scores for dest, minus the packet's previous hop.
 
+    ``live`` is the purged ranking, ``NeighborRanking.scores(dest, now_us)``.
     phi_max is taken over all live entries, before the exclusion. An empty
-    ranking yields an empty set (no route); a nonempty ranking whose filtered
-    set is empty falls back to the unconditional best forwarder.
+    map yields an empty set (no route); a nonempty map whose filtered set is
+    empty falls back to the unconditional best forwarder.
     """
-    live = ranking.scores(dest, now_us)
     if not live:
         return SchedulableSet(dest, ())
-    phi_max = max(live.values())
-    threshold = likelihood * phi_max
-    members = tuple(sorted(n for n, s in live.items() if s >= threshold and n != exclude))
+    threshold = likelihood * max(live.values())
+    members = tuple(sorted([n for n, s in live.items() if s >= threshold and n != exclude]))
     if members:
         return SchedulableSet(dest, members)
-    best = ranking.best_forwarder(dest, now_us)
-    return SchedulableSet(dest, (best,), fallback=True)
+    return SchedulableSet(dest, (best_forwarder(live),), True)
 
 
 class RRState:
@@ -79,38 +80,38 @@ class RRState:
 def postrouting_hook(
     packet: Frame,
     node_id: int,
-    ranking: NeighborRanking,
+    live: dict[int, float],
     rr: RRState,
     likelihood: float,
-    now_us: int,
     exclude_prev: bool = True,
 ) -> tuple[int | DropReason, SchedulableSet | None]:
     """Rewrite the packet's next hop to the load-balanced choice.
 
-    Called for locally originated and transiting data frames; control frames
-    never pass through here. Returns the chosen forwarder (or a drop reason)
-    plus the set the choice was made from, for dispatch logging.
+    Called for locally originated and transiting data frames, with the node's
+    live scores for the packet's destination; control frames never pass
+    through here. Returns the chosen forwarder (or a drop reason) plus the set
+    the choice was made from, for dispatch logging.
     """
-    exclude = packet.prev_hop if exclude_prev else None
-    sset = schedulable_set(ranking, packet.dst, likelihood, now_us, exclude)
-    choice = _forward(packet, node_id, rr.take(sset))
-    return choice, None if choice is DropReason.NO_ROUTE else sset
+    if not live:
+        return DropReason.NO_ROUTE, None
+    sset = schedulable_set(live, packet.dst, likelihood,
+                           packet.prev_hop if exclude_prev else None)
+    return _forward(packet, node_id, rr.take(sset)), sset
 
 
 def plain_forward(
     packet: Frame,
     node_id: int,
-    ranking: NeighborRanking,
-    now_us: int,
+    live: dict[int, float],
 ) -> tuple[int | DropReason, None]:
     """Unbalanced reference path: always the single best forwarder."""
-    return _forward(packet, node_id, ranking.best_forwarder(packet.dst, now_us)), None
+    if not live:
+        return DropReason.NO_ROUTE, None
+    return _forward(packet, node_id, best_forwarder(live)), None
 
 
-def _forward(packet: Frame, node_id: int, choice: int | None) -> int | DropReason:
-    """Hand the packet to choice (None = no route), spending one TTL step."""
-    if choice is None:
-        return DropReason.NO_ROUTE
+def _forward(packet: Frame, node_id: int, choice: int) -> int | DropReason:
+    """Hand the packet to choice, spending one TTL step."""
     packet.ttl -= 1
     if packet.ttl <= 0:
         return DropReason.TTL

@@ -19,6 +19,7 @@ receiver list, and each metric scores them all in one call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,9 +127,15 @@ def _extrapolate_next(values: list[float]) -> float:
         return values[0]
     idx_mean = (n - 1) / 2.0
     val_mean = sum(values) / n
-    var = sum((i - idx_mean) ** 2 for i in range(n))
-    slope = sum((i - idx_mean) * (v - val_mean) for i, v in enumerate(values)) / var
+    slope = sum((i - idx_mean) * (v - val_mean) for i, v in enumerate(values)) / _index_sum_sq(n)
     return val_mean + slope * (n - idx_mean)
+
+
+@functools.cache
+def _index_sum_sq(n: int) -> float:
+    """Sum of squared index deviations for a buffer of n values, memoised by n."""
+    idx_mean = (n - 1) / 2.0
+    return sum((i - idx_mean) ** 2 for i in range(n))
 
 
 class ScoreTrend:
@@ -183,19 +190,15 @@ class NeighborRanking:
     def scores(self, dest: int, now_us: int) -> dict[int, float]:
         """Purge expired entries for dest, then return {neighbor: score}."""
         entries = self.table.get(dest)
-        if not entries:
-            return {}
-        stale = [n for n, (_, last) in entries.items() if now_us - last > self.expiry_us]
-        for n in stale:
-            del entries[n]
-        return {n: entry[0] for n, entry in entries.items()}
-
-    def best_forwarder(self, dest: int, now_us: int) -> int | None:
-        """Argmax score for dest; ties break toward the lowest node id."""
-        live = self.scores(dest, now_us)
-        if not live:
-            return None
-        return max(live.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        live: dict[int, float] = {}
+        if entries:
+            expiry_us = self.expiry_us
+            for n, (score, last) in list(entries.items()):
+                if now_us - last > expiry_us:
+                    del entries[n]
+                else:
+                    live[n] = score
+        return live
 
 
 class FloodingProtocol:
@@ -229,18 +232,16 @@ class FloodingProtocol:
         self.rankings = [NeighborRanking(self.expiry_us) for _ in positions]
         self.forwarded: list[dict[tuple[ControlKind, int], int]] = [{} for _ in positions]
 
-    def _predicted(self, node: int) -> Position | None:
-        return None if self.predicted is None else self.predicted[node]
-
     def emit(self, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
         # receive skips a message's originator before its dedup step, so only
         # emit writes this entry: it is the node's latest seq for the kind.
         forwarded = self.forwarded[node]
         seq = forwarded[(kind, node)] = forwarded.get((kind, node), -1) + 1
-        own_pos = self.positions[node]
+        own_pos, predicted = self.positions[node], self.predicted
         return ControlMessage(
             kind=kind, originator=node, seq=seq, sender_position=own_pos,
-            originator_position=own_pos, sender_predicted=self._predicted(node),
+            originator_position=own_pos,
+            sender_predicted=None if predicted is None else predicted[node],
         )
 
     def receive(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
@@ -257,7 +258,7 @@ class FloodingProtocol:
         scores = self.score_all(receivers, msg, prev_hop, now_us)
         key = (kind, originator)
         floods = kind in self.flooded_kinds
-        rankings, forwarded = self.rankings, self.forwarded
+        rankings, forwarded, predicted = self.rankings, self.forwarded, self.predicted
         rebroadcasts = []
         for node, score in zip(receivers, scores):
             table = rankings[node].table
@@ -284,7 +285,7 @@ class FloodingProtocol:
                     sender_position=self.positions[node],
                     carried_score=score * self.hop_penalty,
                     originator_position=msg.originator_position,
-                    sender_predicted=self._predicted(node),
+                    sender_predicted=None if predicted is None else predicted[node],
                 )))
         return rebroadcasts
 

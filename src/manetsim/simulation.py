@@ -216,19 +216,18 @@ class Simulation:
 
     def _route(self, node: int, frame: Frame) -> None:
         now = self.engine.clock_us
-        ranking = self.protocol.rankings[node]
-        if self.config.balancing:
-            choice, sset = postrouting_hook(
-                frame, node, ranking, self.rr[node], self.config.lambda_factor,
-                now, self.config.exclude_prev_hop,
-            )
+        live = self.protocol.rankings[node].scores(frame.dst, now)
+        config = self.config
+        if config.balancing:
+            choice, sset = postrouting_hook(frame, node, live, self.rr[node],
+                                            config.lambda_factor, config.exclude_prev_hop)
         else:
-            choice, sset = plain_forward(frame, node, ranking, now)
+            choice, sset = plain_forward(frame, node, live)
         if self.decisions is not None:
             self.decisions.append(Decision(now, node, frame.packet_id, frame.dst, choice,
                                            None if sset is None else sset.members))
-        if isinstance(choice, DropReason):
-            self.stats[frame.stream_idx].record_drop(choice.value)
+        if isinstance(choice, DropReason):  # _value_ skips the enum's value property
+            self.stats[frame.stream_idx].record_drop(choice._value_)
         elif not self.medium.enqueue(node, frame):
             self.stats[frame.stream_idx].record_drop("queue")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DROP_CAUSES = ("collision", "queue", "no_route", "ttl", "link")
 MTU_BYTES = 1460  # the largest stream payload
@@ -24,6 +24,7 @@ class StreamSpec:
     stop_us: int
     bitrate_bps: float = 2e6
     payload_bytes: int = MTU_BYTES
+    interval_us: int = field(init=False, repr=False, compare=False)  # the packets' gap
 
     def __post_init__(self):
         if self.src == self.dst:
@@ -35,11 +36,8 @@ class StreamSpec:
         if not (math.isfinite(self.bitrate_bps) and self.bitrate_bps > 0):
             rule = "> 0" if math.isfinite(self.bitrate_bps) else "finite"
             raise ValueError(f"bitrate_bps must be {rule}, got {self.bitrate_bps}")
-        send_interval_us(self.payload_bytes, self.bitrate_bps)  # raises off the µs clock
-
-    @property
-    def interval_us(self) -> int:
-        return send_interval_us(self.payload_bytes, self.bitrate_bps)
+        interval_us = send_interval_us(self.payload_bytes, self.bitrate_bps)  # raises off the µs clock
+        object.__setattr__(self, "interval_us", interval_us)
 
 
 def send_interval_us(payload_bytes: int, bitrate_bps: float) -> int:

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manetsim import config as config_module
+from manetsim.balancer import DropReason, best_forwarder, plain_forward
+from manetsim.channel import Frame, FrameKind
 from manetsim.config import ScenarioConfig
 from manetsim.routing import (
     PROTOCOLS,
@@ -18,6 +20,7 @@ from manetsim.routing import (
     NeighborRanking,
     ScoreTrend,
     TQWindow,
+    _index_sum_sq,
     geo_score,
     pathscore_link,
     pathscore_path,
@@ -152,6 +155,14 @@ def test_trend_clamp_resets_after_expiry_gap():
     assert trend.admit(1, 2, 0.1, 10_000_000) == pytest.approx(0.1)
 
 
+def test_index_sum_sq_memo_equals_the_sum():
+    # The memo must give the very float the per-admit sum gave, for every
+    # buffer length validate() accepts (score_buffer >= 1).
+    for n in [*range(1, 65), 10_007]:
+        idx_mean = (n - 1) / 2.0
+        assert _index_sum_sq(n) == sum((i - idx_mean) ** 2 for i in range(n)), n
+
+
 # -- neighbor ranking ---------------------------------------------------------
 
 def make_ranking(entries, now_us=0, expiry_us=3_000_000):
@@ -163,16 +174,19 @@ def make_ranking(entries, now_us=0, expiry_us=3_000_000):
 
 def test_best_forwarder_argmax():
     ranking = make_ranking([(9, 1, 0.95), (9, 5, 0.93)])
-    assert ranking.best_forwarder(9, 0) == 1
+    assert best_forwarder(ranking.scores(9, 0)) == 1
 
 
 def test_best_forwarder_tie_breaks_to_lowest_id():
     ranking = make_ranking([(9, 5, 0.9), (9, 1, 0.9)])
-    assert ranking.best_forwarder(9, 0) == 1
+    assert best_forwarder(ranking.scores(9, 0)) == 1
 
 
 def test_best_forwarder_empty_table():
-    assert make_ranking([]).best_forwarder(9, 0) is None
+    live = make_ranking([]).scores(9, 0)
+    assert live == {}
+    packet = Frame(kind=FrameKind.DATA, dst=9, size_bytes=1460, ttl=16)
+    assert plain_forward(packet, 0, live) == (DropReason.NO_ROUTE, None)
 
 
 def test_expired_entries_purged_before_max():
@@ -180,7 +194,7 @@ def test_expired_entries_purged_before_max():
     ranking.table[9][2] = [0.5, 3_500_000]
     # entry for 1 is 3.5 s old; entry for 2 is fresh
     assert ranking.scores(9, 3_500_000) == {2: 0.5}
-    assert ranking.best_forwarder(9, 3_500_000) == 2
+    assert best_forwarder(ranking.scores(9, 3_500_000)) == 2
 
 
 def test_zero_score_update_removes_entry():
@@ -478,7 +492,7 @@ class PerCopyFlooding:
                     sender_position=self.positions[node],
                     carried_score=score * self.hop_penalty,
                     originator_position=msg.originator_position,
-                    sender_predicted=self._predicted(node),
+                    sender_predicted=None if self.predicted is None else self.predicted[node],
                 )))
         return rebroadcasts
 

@@ -13,12 +13,33 @@ from manetsim.traffic import (
     draw_endpoints,
     mean_current_pdr,
     pdr_series,
+    send_interval_us,
 )
 
 
 def test_interval_is_exact_for_reference_stream():
     spec = StreamSpec(0, 1, 0, us_from_s(1.0))
     assert spec.interval_us == 5840  # 1460 B * 8 / 2 Mbit/s
+
+
+@pytest.mark.parametrize("payload, bitrate", [(1460, 2e6), (1, 8e6), (700, 3.3e5)])
+def test_interval_is_set_once_at_construction(payload, bitrate):
+    spec = StreamSpec(0, 1, 0, 1000, bitrate_bps=bitrate, payload_bytes=payload)
+    assert vars(spec)["interval_us"] == send_interval_us(payload, bitrate)
+    # A derived field: it takes no part in equality or repr.
+    other = StreamSpec(0, 1, 0, 1000, bitrate_bps=bitrate, payload_bytes=payload)
+    object.__setattr__(other, "interval_us", -1)
+    assert spec == other
+    assert "interval_us" not in repr(spec)
+    with pytest.raises(TypeError):
+        StreamSpec(0, 1, 0, 1000, interval_us=5840)
+
+
+def test_interval_off_the_clock_raises_at_construction():
+    for bitrate, message in [(1e12, "sends 1460-byte packets less than 1 us apart"),
+                             (1e-300, "bitrate_bps 1e-300 sends packets too far apart")]:
+        with pytest.raises(ValueError, match=message):
+            StreamSpec(0, 1, 0, 1000, bitrate_bps=bitrate)
 
 
 def run_stream(seconds, trace=False):
