@@ -46,8 +46,8 @@ def count_calls(workload: Workload, workload_seed: int) -> Counter[str]:
         profiler.enable()
         for batch, config, seeds in batches:
             experiment.rows_to_csv_text(batch(config, seeds))
-        profiler.disable()
     finally:
+        profiler.disable()
         experiment.simulate = simulation.simulate
     counts: Counter[str] = Counter()
     for (filename, _, _), (_, calls, *_) in pstats.Stats(profiler).stats.items():
