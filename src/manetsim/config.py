@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import airtime_us, max_range_m
-from .engine import us_from_s
+from .engine import US_PER_S, us_from_s
 from .mobility import Area, distance
 from .traffic import MTU_BYTES, send_interval_us
 
@@ -151,12 +151,14 @@ def validate(config: ScenarioConfig) -> None:
     def fail(message: str) -> None:
         raise ConfigError(f"invalid scenario: {message}")
 
-    # First, so that no later check or run-time conversion sees inf, nan or a
-    # value outside its field's bounds.
+    # First, so that no later check or run-time conversion sees inf, nan, a
+    # time whose microseconds overflow a float, or a value outside its bounds.
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "float" and not math.isfinite(value):
             fail(f"{f.name} must be finite, got {value}")
+        if f.name.endswith("_s") and not math.isfinite(value * US_PER_S):
+            fail(f"{f.name} must fit the microsecond clock, got {value}")
         for relation, bound in f.metadata["bounds"].items():
             if not getattr(operator, relation)(value, bound):
                 fail(f"{f.name} must be {_SYMBOLS[relation]} {bound}, got {value}")

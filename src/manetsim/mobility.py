@@ -60,12 +60,13 @@ def step_waypoint(
 
 
 def predict_position(
-    samples: Sequence[tuple[int, Position]],
+    samples: Sequence[tuple[int, Sequence[Position]]],
     horizon_steps: int,
     update_interval_s: float,
-) -> Position:
-    """Least-squares linear fit per coordinate over every (t_us, position)
-    sample, evaluated horizon_steps * update_interval_s past the last one.
+) -> list[Position]:
+    """Least-squares linear fit per node and coordinate over every (t_us,
+    positions) snapshot, evaluated horizon_steps * update_interval_s past the
+    last one: one predicted position per node, all fitted on one time column.
 
     The result is deliberately not clamped to the mission area: a node heading
     for the boundary is predicted to cross it, which is what makes the
@@ -80,11 +81,11 @@ def predict_position(
     t_mean = sum(ts) / n
     var = sum((t - t_mean) ** 2 for t in ts)
     horizon = horizon_steps * update_interval_s
-    predicted = []
-    for axis in range(3):
-        xs = [p[axis] for _, p in samples]
-        x_mean = sum(xs) / n
-        slope = sum((t - t_mean) * (x - x_mean) for t, x in zip(ts, xs)) / var
-        intercept = x_mean - slope * t_mean
-        predicted.append(intercept + slope * horizon)
-    return (predicted[0], predicted[1], predicted[2])
+    fits = []  # node by node, x, y and z of each
+    for track in zip(*(positions for _, positions in samples)):  # one node's positions
+        for xs in zip(*track):  # one coordinate of them
+            x_mean = sum(xs) / n
+            slope = sum((t - t_mean) * (x - x_mean) for t, x in zip(ts, xs)) / var
+            intercept = x_mean - slope * t_mean
+            fits.append(intercept + slope * horizon)
+    return list(zip(fits[0::3], fits[1::3], fits[2::3]))

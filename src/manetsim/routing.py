@@ -74,16 +74,6 @@ class TQWindow:
         self.quality = self.bits.bit_count() / self.length
 
 
-def tq_path_score(link_qualities: list[float], hop_penalty: float = 0.95) -> float:
-    """Product of link qualities with a penalty per hop beyond the first."""
-    score = 1.0
-    for quality in link_qualities:
-        score *= quality
-    if len(link_qualities) > 1:
-        score *= hop_penalty ** (len(link_qualities) - 1)
-    return score
-
-
 def geo_score(
     forwarder_pos: Position,
     dest_pos: Position,
@@ -110,14 +100,6 @@ def pathscore_link(
     d_pred = distance(own_predicted, neighbor_predicted)
     s_pred = min(1.0, max(0.0, 1.0 - d_pred / comm_range_m))
     return (prediction_weight * s_pred + (weight_scale - prediction_weight) * s_now) / weight_scale
-
-
-def pathscore_path(link_scores: list[float]) -> float:
-    """Total path score is the product of its link scores; empty paths score 1."""
-    total = 1.0
-    for score in link_scores:
-        total *= score
-    return total
 
 
 def _extrapolate_next(values: list[float]) -> float:

@@ -101,12 +101,11 @@ class Simulation:
             self.waypoints.append(random_position(self.area, topology_rng))
 
         self.protocol = PROTOCOLS[config.protocol](config, self.positions)
-        # Position histories feed the prediction, so only a predicting metric
-        # records them. Each holds the (t_us, position) samples one fit reads.
-        self.histories: list[deque[tuple[int, Position]]] = []
+        # The (t_us, every node's position) snapshots one prediction fits;
+        # only a predicting metric keeps them.
+        self.history: deque[tuple[int, tuple[Position, ...]]] | None = None
         if self.protocol.predicted is not None:
-            self.histories = [deque([(0, pos)], maxlen=config.fit_samples)
-                              for pos in self.positions]
+            self.history = deque([(0, tuple(self.positions))], maxlen=config.fit_samples)
         self.rr = [RRState() for _ in range(config.nodes)]
 
         self.medium = Medium(
@@ -154,10 +153,9 @@ class Simulation:
             positions[node], waypoints[node] = step_waypoint(
                 positions[node], waypoints[node], config.speed_mps, dt, rng, self.area)
         self.medium.refresh_neighbors()
-        predicted = self.protocol.predicted
-        for node, history in enumerate(self.histories):
-            history.append((now, positions[node]))
-            predicted[node] = predict_position(history, config.prediction_steps, dt)
+        if self.history is not None:
+            self.history.append((now, tuple(positions)))
+            self.protocol.predicted[:] = predict_position(self.history, config.prediction_steps, dt)
         next_tick = now + self.tick_us
         if next_tick <= self.end_us:
             self.engine.schedule(next_tick, EventKind.MOBILITY_TICK)

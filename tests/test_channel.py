@@ -358,13 +358,13 @@ def test_neighbor_cache_equals_brute_force(extra, rnd):
 
 
 def test_neighbor_cache_follows_moving_nodes():
-    # batmobile, so that the position histories show when the ticks fired.
+    # batmobile, so that the position window shows when the ticks fired.
     config = ScenarioConfig(nodes=20, area_x=150.0, area_y=150.0, speed_mps=20.0,
                             sim_time_s=3.0, stream_start_s=1.0, protocol="batmobile")
     sim = Simulation(config, 5)
     start = [list(near) for near in sim.medium.neighbors]
     sim.run()
-    assert sim.histories[0][-1][0] == sim.end_us  # a mobility tick fired at the very end
+    assert sim.history[-1][0] == sim.end_us  # a mobility tick fired at the very end
     assert_cache_matches(sim.medium)
     assert sim.medium.neighbors != start
 

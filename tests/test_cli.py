@@ -148,6 +148,18 @@ def test_non_finite_config_value_is_config_error(capsys, tmp_path):
     assert "configuration error" in err and "ogm_interval_s must be finite" in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ("sim_time_s = 1e303\n", "sim_time_s"),  # exited 2 with an OverflowError traceback
+    ("[batman]\nogm_interval_s = 1e303\n", "ogm_interval_s"),  # raised inside validate()
+], ids=["sim-time", "ogm-interval"])
+def test_time_past_the_microsecond_clock_is_config_error(capsys, tmp_path, text, key):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--seed", "1")
+    assert code == 1
+    assert "configuration error" in err and f"{key} must fit the microsecond clock" in err
+
+
 @pytest.mark.parametrize("speed", ["1e20", "1e300"])
 def test_speed_past_the_area_per_tick_is_config_error(capsys, tmp_path, speed):
     # At these speeds a waypoint step's travel budget no longer shrinks, so the

@@ -343,6 +343,19 @@ def test_periods_below_one_microsecond_rejected(text, name):
         parse_scenario_text(text)
 
 
+TIME_FIELDS = [f.name for f in fields(ScenarioConfig) if f.name.endswith("_s")]
+
+
+@pytest.mark.parametrize("name", TIME_FIELDS)
+def test_times_past_the_microsecond_clock_rejected(name):
+    # 1e303 s is 1e309 us, past the largest float: sim_time_s and
+    # ranking_expiry_s passed validation and then overflowed in Simulation(),
+    # the periods overflowed in validate() itself.
+    assert len(TIME_FIELDS) == 8
+    with pytest.raises(ConfigError, match=f"{name} must fit the microsecond clock"):
+        validate(replace(ScenarioConfig(), **{name: 1e303}))
+
+
 def test_periods_of_one_microsecond_accepted_and_run():
     config = parse_scenario_text(
         "protocol = batmobile\nnodes = 4\nsim_time_s = 0.002\nstream_start_s = 0\n"

@@ -3,7 +3,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manetsim.engine import s_from_us, us_from_s
@@ -83,15 +83,15 @@ def test_prediction_constant_velocity():
     history = deque(maxlen=5)
     for k in range(8):
         t = 0.25 * k
-        history.append((us_from_s(t), (100.0 - 10.0 * (1.75 - t), 0.0, 0.0)))
-    predicted = predict_position(history, horizon_steps=15, update_interval_s=0.25)
+        history.append((us_from_s(t), ((100.0 - 10.0 * (1.75 - t), 0.0, 0.0),)))
+    [predicted] = predict_position(history, horizon_steps=15, update_interval_s=0.25)
     assert predicted[0] == pytest.approx(137.5, abs=1e-9)
     assert predicted[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_prediction_stationary_node():
-    history = [(us_from_s(0.25 * (k + 1)), (42.0, 17.0, 3.0)) for k in range(5)]
-    predicted = predict_position(history, 15, 0.25)
+    history = [(us_from_s(0.25 * (k + 1)), ((42.0, 17.0, 3.0),)) for k in range(5)]
+    [predicted] = predict_position(history, 15, 0.25)
     assert predicted == pytest.approx((42.0, 17.0, 3.0), abs=1e-9)
 
 
@@ -121,28 +121,29 @@ def test_prediction_matches_independent_least_squares_on_noisy_track():
             100.0 - 2.0 * t + rng.gauss(0, 0.05),
             5.0 + rng.gauss(0, 0.01),
         )
-        history.append((us_from_s(t), pos))
+        history.append((us_from_s(t), (pos,)))
         truth.append((t, pos))
-    predicted = predict_position(history, 15, 0.25)
+    [predicted] = predict_position(history, 15, 0.25)
     expected = _lstsq_oracle(truth[-5:], 15 * 0.25)
     assert predicted == pytest.approx(expected, abs=1e-9)
 
 
 def test_prediction_requires_two_samples():
     with pytest.raises(ValueError, match="need >= 2 samples"):
-        predict_position([(0, (0.0, 0.0, 0.0))], 15, 0.25)
+        predict_position([(0, ((0.0, 0.0, 0.0),))], 15, 0.25)
 
 
 def test_prediction_not_clamped_to_area():
     # Heading off the east edge at 20 m/s.
-    history = [(us_from_s(0.25 * k), (490.0 + 5.0 * k, 0.0, 0.0)) for k in range(5)]
-    predicted = predict_position(history, 15, 0.25)
+    history = [(us_from_s(0.25 * k), ((490.0 + 5.0 * k, 0.0, 0.0),)) for k in range(5)]
+    [predicted] = predict_position(history, 15, 0.25)
     assert predicted[0] > 500.0
 
 
 def _sliced_reference(samples, fit_samples, horizon_steps, update_interval_s):
-    """The prediction as written when a history could outgrow its fit: it fits
-    the newest min(fit_samples, len(samples)) samples, in the same arithmetic."""
+    """The prediction as written when each node had its own history, which
+    could outgrow its fit: it fits one node's newest min(fit_samples,
+    len(samples)) (t_us, position) samples, in the same arithmetic."""
     n = min(fit_samples, len(samples))
     if n < 2:
         raise ValueError(f"need >= 2 samples, have {len(samples)}")
@@ -163,22 +164,30 @@ def _sliced_reference(samples, fit_samples, horizon_steps, update_interval_s):
 
 
 COORD = st.floats(min_value=-1e3, max_value=1e3)
+# One snapshot per tick, each holding every node's position.
+SNAPSHOTS = st.integers(min_value=1, max_value=6).flatmap(lambda nodes: st.lists(
+    st.tuples(*[st.tuples(COORD, COORD, COORD)] * nodes), min_size=2, max_size=20))
 
 
 @given(
     tick_us=st.integers(min_value=1, max_value=1_000_000),
     first_tick=st.integers(min_value=0, max_value=10_000),
     fit_samples=st.integers(min_value=2, max_value=9),
-    track=st.lists(st.tuples(COORD, COORD, COORD), min_size=2, max_size=20),
+    snapshots=SNAPSHOTS,
     horizon_steps=st.integers(min_value=1, max_value=40),
 )
+# A window shorter than fit_samples, as at a run's first ticks.
+@example(tick_us=250_000, first_tick=0, fit_samples=5, horizon_steps=15,
+         snapshots=[((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)), ((0.5, -1.0, 0.0), (1.0, 2.5, 3.0))])
 @settings(max_examples=300, deadline=None)
 def test_prediction_equals_the_sliced_reference_bit_for_bit(
-        tick_us, first_tick, fit_samples, track, horizon_steps):
-    # The track is sampled once per tick, as the mobility tick records it.
-    samples = [((first_tick + k) * tick_us, pos) for k, pos in enumerate(track)]
+        tick_us, first_tick, fit_samples, snapshots, horizon_steps):
+    # The snapshots are taken once per tick, as the mobility tick records them.
+    samples = [((first_tick + k) * tick_us, snap) for k, snap in enumerate(snapshots)]
     dt = s_from_us(tick_us)
-    expected = _sliced_reference(samples, fit_samples, horizon_steps, dt)
+    expected = [_sliced_reference([(t, snap[node]) for t, snap in samples],
+                                  fit_samples, horizon_steps, dt)
+                for node in range(len(snapshots[0]))]
     history = deque(samples, maxlen=fit_samples)
     assert predict_position(history, horizon_steps, dt) == expected
 

@@ -23,12 +23,32 @@ from manetsim.routing import (
     _index_sum_sq,
     geo_score,
     pathscore_link,
-    pathscore_path,
-    tq_path_score,
 )
 from manetsim.simulation import Simulation
 
 DIAG = math.sqrt(500**2 + 500**2 + 10**2)
+
+
+# -- reference path scores ---------------------------------------------------
+# What a chain of receive() calls must carry to its end; the chain tests below
+# compare the flooded ranking scores with them.
+
+def tq_path_score(link_qualities: list[float], hop_penalty: float = 0.95) -> float:
+    """Product of link qualities with a penalty per hop beyond the first."""
+    score = 1.0
+    for quality in link_qualities:
+        score *= quality
+    if len(link_qualities) > 1:
+        score *= hop_penalty ** (len(link_qualities) - 1)
+    return score
+
+
+def pathscore_path(link_scores: list[float]) -> float:
+    """Total path score is the product of its link scores; empty paths score 1."""
+    total = 1.0
+    for score in link_scores:
+        total *= score
+    return total
 
 
 # -- transmission-quality metric ------------------------------------------
@@ -252,9 +272,9 @@ def test_each_protocol_reads_its_own_parameters_from_config():
         assert protocol.positions is positions
     assert batman.predicted is None and golsr.predicted is None
 
-    # A position history holds what one fit reads: fit_samples, not score_buffer.
+    # The position window holds what one fit reads: fit_samples, not score_buffer.
     sim = Simulation(replace(config, protocol="batmobile"), 1)
-    assert sim.histories[0].maxlen == 4
+    assert sim.history.maxlen == 4
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manetsim import mobility, simulation
 from manetsim.balancer import DropReason
 from manetsim.channel import Frame, FrameKind
 from manetsim.config import PROTOCOLS, ScenarioConfig, validate
@@ -200,38 +201,48 @@ def test_two_streams_accounted_separately():
     assert result.conservation_ok
 
 
-def test_mobility_feeds_histories_and_predictions():
+def test_mobility_feeds_histories_and_predictions(monkeypatch):
     config = ScenarioConfig(sim_time_s=5.0, nodes=4, protocol="batmobile", stream_start_s=1.0)
     sim = Simulation(config, 1)
+    fits = []
+
+    def counted_fit(*args):
+        fits.append(args)
+        return mobility.predict_position(*args)
+
+    monkeypatch.setattr(simulation, "predict_position", counted_fit)
     sim.run()
+    # One fit per tick serves every node: 20 ticks of 0.25 s in 5 s.
+    assert len(fits) == 20
+    # The window holds the fit_samples (5) snapshots one fit reads, so the
+    # ring is full after 1 s.
+    assert len(sim.history) == config.fit_samples
+    # The mobility tick is the only writer: its snapshots are the last
+    # fit_samples tick times, one tick apart, the newest at the run's end.
+    assert [t for t, _ in sim.history] == [
+        sim.end_us - k * sim.tick_us for k in reversed(range(config.fit_samples))]
+    assert all(len(snapshot) == config.nodes for _, snapshot in sim.history)
+    assert list(sim.history[-1][1]) == sim.positions
     for node in range(config.nodes):
-        # A history holds the fit_samples (5) samples one fit reads, so the
-        # ring is full after 1 s.
-        assert len(sim.histories[node]) == config.fit_samples
-        # The mobility tick is the only writer: its samples are the last
-        # fit_samples tick times, one tick apart, the newest at the run's end.
-        assert [t for t, _ in sim.histories[node]] == [
-            sim.end_us - k * sim.tick_us for k in reversed(range(config.fit_samples))]
-        assert sim.histories[node][-1][1] == sim.positions[node]
         assert sim.protocol.predicted[node] is not None
         assert sim.protocol.predicted[node] != sim.positions[node]
 
 
 def test_a_one_slot_score_buffer_still_predicts():
-    # score_buffer sizes the score trends, not the position histories.
+    # score_buffer sizes the score trends, not the position window.
     config = ScenarioConfig(sim_time_s=3.0, nodes=4, protocol="batmobile", stream_start_s=1.0,
                             score_buffer=1, prediction_weight=1)
     validate(config)
     sim = Simulation(config, 1)
     sim.run()
+    assert len(sim.history) == config.fit_samples
     for node in range(config.nodes):
-        assert len(sim.histories[node]) == config.fit_samples
         assert sim.protocol.predicted[node] != sim.positions[node]
 
 
 def test_prediction_fits_fit_samples_whatever_the_score_buffer():
     # Mobility draws from its own RNG stream, so both runs move every node
-    # identically; only a history shorter than fit_samples could tell them apart.
+    # identically; only a window shorter than fit_samples could tell them apart.
     config = ScenarioConfig(sim_time_s=3.0, nodes=4, protocol="batmobile", stream_start_s=1.0,
                             fit_samples=7)
     sims = [Simulation(replace(config, score_buffer=buffer, prediction_weight=3), 1)
@@ -239,7 +250,7 @@ def test_prediction_fits_fit_samples_whatever_the_score_buffer():
     for sim in sims:
         validate(sim.config)
         sim.run()
-        assert [len(history) for history in sim.histories] == [7] * config.nodes
+        assert len(sim.history) == 7
     assert sims[0].positions == sims[1].positions
     assert sims[0].protocol.predicted == sims[1].protocol.predicted
 
@@ -249,7 +260,7 @@ def test_only_batmobile_records_histories_and_predictions(protocol):
     config = ScenarioConfig(sim_time_s=2.0, nodes=4, protocol=protocol, stream_start_s=1.0)
     sim = Simulation(config, 1)
     sim.run()
-    assert sim.histories == []
+    assert sim.history is None
     assert sim.protocol.predicted is None
 
 
