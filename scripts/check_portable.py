@@ -5,11 +5,11 @@
 Standard library only: the simulator is imported from ``src/`` next to this
 directory, never from an installed copy, and neither pytest nor hypothesis is
 needed. It reruns the pinned runs of ``tests/pinned_runs.py`` (state hash,
-CSV row and decision trace) and checks the medium's jitter draw against
-``randrange`` on the same stream, then one ``manetsim run`` through the command
-line in a child process of the same interpreter, and compares the CSV file's
-sha256 with its pin. It prints one line per check and exits 0 when all of
-them hold, 1 otherwise.
+CSV row, decision trace and float state) and checks the medium's jitter
+draw against ``randrange`` on the same stream, then one ``manetsim run``
+through the command line in a child process of the same interpreter, and
+compares the CSV file's sha256 with its pin. It prints one line per check
+and exits 0 when all of them hold, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def main() -> int:
         held = observed == pinned_runs.PINS[name]
         ok = ok and held
         print(f"{'ok  ' if held else 'FAIL'} pin {name}: state_hash {observed[0][:12]}, "
-              f"row sha256 {observed[1][:12]}, trace sha256 {observed[2][:12]}")
+              f"row sha256 {observed[1][:12]}, trace sha256 {observed[2][:12]}, "
+              f"float sha256 {observed[3][:12]}")
     for span in pinned_runs.JITTER_SPANS:
         drawn, expected = pinned_runs.jitter_draws(span)
         held = drawn == expected

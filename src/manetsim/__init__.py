@@ -5,14 +5,14 @@ from .channel import Frame, FrameKind, airtime_s, max_range_m, path_loss_db, rec
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text, validate
 from .engine import Engine, EventKind, SchedulingError, us_from_s
 from .mobility import Area, predict_position, step_waypoint
-from .routing import NeighborRanking, geo_score, pathscore_link
+from .routing import geo_score, pathscore_link
 from .simulation import Decision, RunResult, Simulation, simulate
 from .traffic import StreamSpec, StreamStats
 
 __all__ = [
     "Area", "ConfigError", "Decision", "DropReason", "Engine", "EventKind",
     "Frame", "FrameKind",
-    "NeighborRanking", "RRState", "RunResult", "ScenarioConfig", "SchedulableSet",
+    "RRState", "RunResult", "ScenarioConfig", "SchedulableSet",
     "SchedulingError", "Simulation", "StreamSpec", "StreamStats",
     "airtime_s", "geo_score", "load_scenario",
     "max_range_m", "parse_scenario_text",

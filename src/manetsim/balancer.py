@@ -44,13 +44,11 @@ def schedulable_set(
 ) -> SchedulableSet:
     """Threshold filter over the live scores for dest, minus the packet's previous hop.
 
-    ``live`` is the purged ranking, ``NeighborRanking.scores(dest, now_us)``.
-    phi_max is taken over all live entries, before the exclusion. An empty
-    map yields an empty set (no route); a nonempty map whose filtered set is
-    empty falls back to the unconditional best forwarder.
+    ``live`` is the purged ranking, ``FloodingProtocol.live(node, dest, now_us)``,
+    never empty: the hook reports no route first. phi_max is taken over all
+    live entries, before the exclusion; a filtered set that comes up empty
+    falls back to the unconditional best forwarder.
     """
-    if not live:
-        return SchedulableSet(dest, ())
     threshold = likelihood * max(live.values())
     members = tuple(sorted([n for n, s in live.items() if s >= threshold and n != exclude]))
     if members:
@@ -64,10 +62,8 @@ class RRState:
     def __init__(self) -> None:
         self._cursors: dict[int, list] = {}  # dest -> [members, index]
 
-    def take(self, sset: SchedulableSet) -> int | None:
-        """Member at the cursor, advancing modulo the member count; None = no route."""
-        if not sset.members:
-            return None
+    def take(self, sset: SchedulableSet) -> int:
+        """Member at the cursor, advancing modulo the member count."""
         cursor = self._cursors.get(sset.dest)
         if cursor is None or cursor[0] != sset.members:
             cursor = [sset.members, 0]

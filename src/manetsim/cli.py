@@ -11,6 +11,7 @@ import traceback
 from dataclasses import replace
 
 from .config import PROTOCOLS, ConfigError, ScenarioConfig, load_scenario
+from .engine import left_sum
 from .experiment import (
     compare,
     default_seeds,
@@ -126,8 +127,8 @@ def _print_compare_summary(rows) -> None:
     if not plain:
         return
     seeds = sorted(plain)
-    mean_plain = sum(plain.values()) / len(plain)
-    mean_balanced = sum(balanced.values()) / len(balanced)
+    mean_plain = left_sum(plain.values()) / len(plain)
+    mean_balanced = left_sum(balanced.values()) / len(balanced)
     wins = sum(1 for s in seeds if balanced[s] > plain[s])
     print(
         f"plain mean PDR {mean_plain:.4f} | balanced mean PDR {mean_balanced:.4f} | "

@@ -1,4 +1,5 @@
-"""Deterministic discrete-event engine: fixed-point clock, priority queue, named RNG streams."""
+"""Deterministic discrete-event engine: fixed-point clock, priority queue, named
+RNG streams, and one float summation order."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import hashlib
 import heapq
 import random
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 # Queue keys are integer microseconds so event ordering is exact and
 # platform-independent; floats appear only at API edges.
@@ -19,6 +20,15 @@ def us_from_s(seconds: float) -> int:
 
 def s_from_us(time_us: int) -> float:
     return time_us / US_PER_S
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Add values left to right, as sum() did before Python 3.12. From 3.12 on,
+    sum() compensates float rounding, so every float sum a run makes comes here."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 class EventKind(Enum):

@@ -7,7 +7,7 @@ import random
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .engine import s_from_us
+from .engine import left_sum, s_from_us
 
 Position = tuple[float, float, float]
 
@@ -78,14 +78,14 @@ def predict_position(
     t_last = s_from_us(samples[-1][0])
     # Center times on the last sample for numerical stability.
     ts = [s_from_us(t) - t_last for t, _ in samples]
-    t_mean = sum(ts) / n
-    var = sum((t - t_mean) ** 2 for t in ts)
+    t_mean = left_sum(ts) / n
+    var = left_sum([(t - t_mean) ** 2 for t in ts])
     horizon = horizon_steps * update_interval_s
     fits = []  # node by node, x, y and z of each
     for track in zip(*(positions for _, positions in samples)):  # one node's positions
         for xs in zip(*track):  # one coordinate of them
-            x_mean = sum(xs) / n
-            slope = sum((t - t_mean) * (x - x_mean) for t, x in zip(ts, xs)) / var
+            x_mean = left_sum(xs) / n
+            slope = left_sum([(t - t_mean) * (x - x_mean) for t, x in zip(ts, xs)]) / var
             intercept = x_mean - slope * t_mean
             fits.append(intercept + slope * horizon)
     return list(zip(fits[0::3], fits[1::3], fits[2::3]))

@@ -25,7 +25,7 @@ from enum import Enum
 
 from .channel import max_range_m
 from .config import ScenarioConfig
-from .engine import us_from_s
+from .engine import left_sum, us_from_s
 from .mobility import Position, distance
 
 
@@ -108,95 +108,33 @@ def _extrapolate_next(values: list[float]) -> float:
     if n == 1:
         return values[0]
     idx_mean = (n - 1) / 2.0
-    val_mean = sum(values) / n
-    slope = sum((i - idx_mean) * (v - val_mean) for i, v in enumerate(values)) / _index_sum_sq(n)
-    return val_mean + slope * (n - idx_mean)
+    val_mean = left_sum(values) / n
+    terms = [(i - idx_mean) * (v - val_mean) for i, v in enumerate(values)]
+    return val_mean + left_sum(terms) / _index_sum_sq(n) * (n - idx_mean)
 
 
 @functools.cache
 def _index_sum_sq(n: int) -> float:
     """Sum of squared index deviations for a buffer of n values, memoised by n."""
     idx_mean = (n - 1) / 2.0
-    return sum((i - idx_mean) ** 2 for i in range(n))
-
-
-class ScoreTrend:
-    """Per-(destination, neighbor) score buffers with bounded per-update change.
-
-    A new raw score is admitted only within +/- clamp of the value the buffered
-    trend extrapolates to, which damps single-sample jumps in either direction.
-    Buffers reset after a gap longer than the ranking expiry.
-    """
-
-    def __init__(self, buffer_len: int = 8, clamp: float = 0.1, reset_after_us: int = 3_000_000):
-        self.buffer_len = buffer_len
-        self.clamp = clamp
-        self.reset_after_us = reset_after_us
-        self._buffers: dict[tuple[int, int], tuple[list[float], int]] = {}
-
-    def admit(self, dest: int, neighbor: int, raw: float, now_us: int) -> float:
-        key = (dest, neighbor)
-        entry = self._buffers.get(key)
-        if entry is None or now_us - entry[1] > self.reset_after_us:
-            values: list[float] = []
-        else:
-            values = entry[0]
-        if values:
-            trend = _extrapolate_next(values)
-            admitted = min(trend + self.clamp, max(trend - self.clamp, raw))
-        else:
-            admitted = raw
-        admitted = min(1.0, max(0.0, admitted))
-        values.append(admitted)
-        if len(values) > self.buffer_len:
-            del values[0]
-        self._buffers[key] = (values, now_us)
-        return admitted
-
-
-class NeighborRanking:
-    """Per-destination map of one-hop neighbor to path-quality score.
-
-    An entry expires after `expiry_us` without refresh; that rule alone
-    decides which forwarders are live. Every scored copy refreshes the entry
-    for the neighbor it came through, so a neighbor that has not been heard
-    within the expiry has no live entry for any destination. Scores are kept
-    in (0, 1]; FloodingProtocol.receive removes the entry on a non-positive
-    score (a dead path is no path).
-    """
-
-    def __init__(self, expiry_us: int = 3_000_000):
-        self.expiry_us = expiry_us
-        self.table: dict[int, dict[int, list]] = {}  # dest -> {neighbor: [score, last_us]}
-
-    def scores(self, dest: int, now_us: int) -> dict[int, float]:
-        """Purge expired entries for dest, then return {neighbor: score}."""
-        entries = self.table.get(dest)
-        live: dict[int, float] = {}
-        if entries:
-            expiry_us = self.expiry_us
-            for n, (score, last) in list(entries.items()):
-                if now_us - last > expiry_us:
-                    del entries[n]
-                else:
-                    live[n] = score
-        return live
+    return left_sum([(i - idx_mean) ** 2 for i in range(n)])
 
 
 class FloodingProtocol:
     """One flooding process shared by every metric.
 
     It owns every node's control-plane state: ``rankings[n]``, node n's
-    NeighborRanking, the only thing the balancer reads; and ``forwarded[n]``,
-    the highest seq node n has flooded per (kind, originator). A node's entry
-    for its own messages is also its latest sequence number. It runs the
-    rebroadcast dedup, the own-echo check, the ranking update and the
-    rebroadcast stamp. A metric reads its own parameters from the config,
-    keeps any further per-node state itself, and supplies only ``score_all``,
-    one score per receiver of a copy. It may override ``emission_plan``, the
-    (kind, interval_us) pairs every node emits on (one OGM per interval by
-    default); ``flooded_kinds``, the kinds a receiver rebroadcasts (OGMs);
-    and ``hop_penalty``, the factor a forwarder applies to a carried score.
+    ``dest -> {neighbor: [score, last_us]}`` table, which the balancer reads
+    through ``live``; and ``forwarded[n]``, the highest seq node n has flooded
+    per (kind, originator). A node's entry for its own messages is also its
+    latest sequence number. It runs the rebroadcast dedup, the own-echo check,
+    the ranking update and the rebroadcast stamp. A metric reads its own
+    parameters from the config, keeps any further per-node state itself, and
+    supplies only ``score_all``, one score per receiver of a copy. It may
+    override ``emission_plan``, the (kind, interval_us) pairs every node emits
+    on (one OGM per interval by default); ``flooded_kinds``, the kinds a
+    receiver rebroadcasts (OGMs); and ``hop_penalty``, the factor a forwarder
+    applies to a carried score.
 
     ``positions`` is the run's position list, updated in place by the
     mobility tick. ``predicted`` is None unless the metric predicts; then the
@@ -211,7 +149,7 @@ class FloodingProtocol:
         self.positions = positions
         self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
         self.expiry_us = us_from_s(config.ranking_expiry_s)
-        self.rankings = [NeighborRanking(self.expiry_us) for _ in positions]
+        self.rankings: list[dict[int, dict[int, list]]] = [{} for _ in positions]
         self.forwarded: list[dict[tuple[ControlKind, int], int]] = [{} for _ in positions]
 
     def emit(self, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
@@ -225,6 +163,20 @@ class FloodingProtocol:
             originator_position=own_pos,
             sender_predicted=None if predicted is None else predicted[node],
         )
+
+    def live(self, node: int, dest: int, now_us: int) -> dict[int, float]:
+        """Purge node's entries for dest not refreshed within ``expiry_us``, then return
+        {neighbor: score}. This rule alone decides which forwarders are live."""
+        entries = self.rankings[node].get(dest)
+        live: dict[int, float] = {}
+        if entries:
+            expiry_us = self.expiry_us
+            for n, (score, last) in list(entries.items()):
+                if now_us - last > expiry_us:
+                    del entries[n]
+                else:
+                    live[n] = score
+        return live
 
     def receive(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
                 now_us: int) -> list[tuple[int, ControlMessage]]:
@@ -243,7 +195,7 @@ class FloodingProtocol:
         rankings, forwarded, predicted = self.rankings, self.forwarded, self.predicted
         rebroadcasts = []
         for node, score in zip(receivers, scores):
-            table = rankings[node].table
+            table = rankings[node]
             entries = table.get(originator)
             if score <= 0.0:
                 if entries:
@@ -317,24 +269,49 @@ class GeoOlsrProtocol(FloodingProtocol):
 class BatmobileProtocol(FloodingProtocol):
     """Originator-message flooding scored by current plus predicted link distances.
 
-    Each node admits its raw scores through its own ScoreTrend clamp.
+    Each node admits its raw scores through the trend clamp, ``admit``, over
+    its own ``trends[n]``: ``(dest, neighbor) -> (values, last_us)``.
     """
 
     def __init__(self, config: ScenarioConfig, positions: list[Position]):
         super().__init__(config, positions)
         self.comm_range_m = max_range_m(config)
         self.prediction_weight = config.prediction_weight
-        self.weight_scale = config.score_buffer
+        # The trend buffer's length, and the link score's weight scale.
+        self.buffer_len = config.score_buffer
+        self.clamp = config.trend_clamp
         self.predicted = list(positions)
-        self.trends = [ScoreTrend(config.score_buffer, config.trend_clamp, self.expiry_us)
-                       for _ in positions]
+        self.trends: list[dict[tuple[int, int], tuple[list[float], int]]] = [{} for _ in positions]
+
+    def admit(self, node: int, dest: int, neighbor: int, raw: float, now_us: int) -> float:
+        """Node's raw score for (dest, neighbor), admitted only within +/- clamp of
+        its buffered trend's next value, which damps single-sample jumps either
+        way. A buffer resets after a gap longer than ``expiry_us``."""
+        trends = self.trends[node]
+        key = (dest, neighbor)
+        entry = trends.get(key)
+        if entry is None or now_us - entry[1] > self.expiry_us:
+            values: list[float] = []
+        else:
+            values = entry[0]
+        if values:
+            trend = _extrapolate_next(values)
+            admitted = min(trend + self.clamp, max(trend - self.clamp, raw))
+        else:
+            admitted = raw
+        admitted = min(1.0, max(0.0, admitted))
+        values.append(admitted)
+        if len(values) > self.buffer_len:
+            del values[0]
+        trends[key] = (values, now_us)
+        return admitted
 
     def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
         """Link score times the carried score, admitted through each receiver's trend clamp."""
-        positions, predicted, trends = self.positions, self.predicted, self.trends
-        return [trends[node].admit(msg.originator, prev_hop, pathscore_link(
+        positions, predicted, admit = self.positions, self.predicted, self.admit
+        return [admit(node, msg.originator, prev_hop, pathscore_link(
             positions[node], predicted[node], msg.sender_position, msg.sender_predicted,
-            self.comm_range_m, self.prediction_weight, self.weight_scale,
+            self.comm_range_m, self.prediction_weight, self.buffer_len,
         ) * msg.carried_score, now_us) for node in receivers]
 
 

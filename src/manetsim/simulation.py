@@ -214,7 +214,7 @@ class Simulation:
 
     def _route(self, node: int, frame: Frame) -> None:
         now = self.engine.clock_us
-        live = self.protocol.rankings[node].scores(frame.dst, now)
+        live = self.protocol.live(node, frame.dst, now)
         config = self.config
         if config.balancing:
             choice, sset = postrouting_hook(frame, node, live, self.rr[node],

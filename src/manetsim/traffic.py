@@ -12,6 +12,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .engine import left_sum
+
 DROP_CAUSES = ("collision", "queue", "no_route", "ttl", "link")
 MTU_BYTES = 1460  # the largest stream payload
 
@@ -120,4 +122,4 @@ def mean_current_pdr(series: list[tuple[float, int, int, float | None]]) -> floa
     samples = [pdr for *_, pdr in series if pdr is not None]
     if not samples:
         return 0.0
-    return sum(samples) / len(samples)
+    return left_sum(samples) / len(samples)

@@ -5,7 +5,8 @@ A run's contract is that the same (config, seed) gives the same
 from the simulator before any hot-path optimisation; a change that moves one
 changes behaviour and must say so and record them again. The state hash
 counts packets but not where they went, so each run is also pinned by a
-digest of its decision trace: every forwarding choice, in order.
+digest of its decision trace: every forwarding choice, in order. Neither sees
+a score, so each run is pinned by a digest of its protocol's float state too.
 
 The medium's jitter draw is pinned too: it must equal ``randrange`` on the
 same stream. Both ``tests/test_pins.py`` and ``scripts/check_portable.py``
@@ -19,7 +20,7 @@ from manetsim.channel import Medium
 from manetsim.config import ScenarioConfig
 from manetsim.engine import Engine, stream_seed
 from manetsim.experiment import result_row, rows_to_csv_text
-from manetsim.simulation import simulate
+from manetsim.simulation import Simulation
 
 DENSE = dict(area_x=150.0, area_y=150.0, streams=3, sim_time_s=8.0, stream_start_s=2.0)
 
@@ -38,42 +39,50 @@ SCENARIOS = {
 
 SEED = 1
 
-# name -> (state_hash, sha256 of the CSV data line, sha256 of the decision trace)
+# name -> (state_hash, sha256 of the CSV data line, sha256 of the decision trace,
+#          sha256 of the protocol's float state)
 PINS = {
     "crowd50-batman": (
         "22c2541a5c99ead1e2c1f4c1b8d77b40244c30ae5434a84f6edb40ac6191d668",
         "35484c047a27b9775423217bafce75aa6a90e5a462755dcbc68ede2ea78c0138",
         "e2f99c8a43b80095d50c7d6f5f17e99803e01a97e3a2115cd35d2ab3011de64c",
+        "8f48f48e1272d5ae42d20417cc9ceb968bf7a4f593db9b3b1bde6e5da950b217",
     ),
     "dense-batman-balanced": (
         "f7c04ea7b46ecfa16616f8527145aeac96e1e45f6d3bee7f4cb03f2fdbf3cf1c",
         "c93e742cbcbfa7e8aaa3392a1e004d2993a6469c4f1d6479238dfb0b83be7b8e",
         "e31e635c8a7587732e686c9c76919aca8b4f1515b227886fdbfe587ede873916",
+        "060d9cb476b025e52cd8efd46c15c0e8dac71e9dd7e97205f95e6c10981738f8",
     ),
     "dense-batmobile-plain": (
         "021ea734b9482079a47478c7d78e078babe78f7a3c20b03b304d99d319fd5b28",
         "8e4688c1bce96b5475f8e64ff19a502caaf4cd595f51a06bd1fe962926963aea",
         "04ab2c40063a64359c4b83104a29a33fe073cb73d73e7093d49edfb747e0cbd3",
+        "eeb664796e69d9322ac1da1b7f68ce2ff640fd83cbc48c2d0153c68eb7d0e834",
     ),
     "dense-golsr-balanced": (
         "99dcb7ee6675f8fd62ce06256b2c47d43acd9da79e6972ec9c4bb4c12465ee93",
         "5ad6e0ee90057c9532ca07ef1a25202c4834e4d952f97bbe74eeb6320a3ce438",
         "96138e4ea728dbcfc3da35d36b90f8a054deabb54f704079da09cfb2c083d25d",
+        "4b24a29230423dea20daf153ff2c1f0d44570617158ea5af47a0305c42dec816",
     ),
     "reference-batman": (
         "20138da4f2b7f6eaa48e1a70ca9ef1480e58f540ee78ec679b699fedbdc7a9c5",
         "46a7fd7f81713dc36137fac8629883d6770924f694f03454363f9658bb83cecb",
         "625e947a0d0349e382948b219b47cab5d3677e284b01a3bb66b3c980a52cb13c",
+        "2b3a8ee12ef67cfd3b031ccca72addabb7f7ea2045b2a90cb5e11c3891aca96d",
     ),
     "reference-batmobile": (
         "879659c2c7dd46abdc5a10239f24d53494e8bb4347f67d1be0e679d238482559",
         "6487396e40e364225c6fc9ab3fbb8ac587194b61cba9c3e93e1977591c6bafaa",
         "f189a2735735c4428a525ff969262514a5d5b526128c73cba1ad42c9dd4f383e",
+        "0bedbdadac3a255afafb6cd68e942b41452f96c3f4b922cb164d4592cc13b459",
     ),
     "reference-golsr": (
         "af0e3b58aeecd6622632f5d6cb88b88c118616c7f1252baa145b835aa62877af",
         "22a7c6393aa77f0042a9135359c66cc1162ef133c4c223216ee6dc6875356ce7",
         "e8badda3e8d9cc567d34aba073d4e873ce5e25737d945fab0add5d003e843b3f",
+        "f3eab6607a5d77c37e3449b95964e246709271053acd5783c1b91ed43324a98b",
     ),
 }
 
@@ -101,14 +110,35 @@ def decisions_digest(decisions) -> str:
     return digest.hexdigest()
 
 
-def observe(name: str) -> tuple[str, str, str]:
-    """The (state_hash, CSV-row sha256, trace sha256) that pinned run `name`
-    gives now. Tracing leaves the state hash and the CSV row as they are."""
+def float_state_digest(protocol) -> str:
+    """sha256 of a protocol's float state, one line per entry in sorted order,
+    every float as its repr: each ranking entry, batman's windows, batmobile's
+    trend buffers, then the predicted positions."""
+    lines = []
+    for node, table in enumerate(protocol.rankings):
+        for dest, entries in sorted(table.items()):
+            for neighbor, (score, last_us) in sorted(entries.items()):
+                lines.append(f"rank {node} {dest} {neighbor} {score!r} {last_us}")
+    for node, windows in enumerate(getattr(protocol, "tq_windows", ())):
+        for neighbor, w in sorted(windows.items()):
+            lines.append(f"tq {node} {neighbor} {w.bits} {w.last_seq} {w.quality!r}")
+    for node, buffers in enumerate(getattr(protocol, "trends", ())):
+        for (dest, neighbor), (values, last_us) in sorted(buffers.items()):
+            lines.append(f"trend {node} {dest} {neighbor} {values!r} {last_us}")
+    lines.append(f"predicted {protocol.predicted!r}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def observe(name: str) -> tuple[str, str, str, str]:
+    """The (state_hash, CSV-row sha256, trace sha256, float-state sha256) that
+    pinned run `name` gives now. Tracing leaves the state hash and the CSV row
+    as they are."""
     config = SCENARIOS[name]
-    result = simulate(config, SEED, trace=True)
+    sim = Simulation(config, SEED, trace=True)
+    result = sim.run()
     line = rows_to_csv_text([result_row(config, result)]).splitlines()[1]
     return (result.state_hash, hashlib.sha256(line.encode()).hexdigest(),
-            decisions_digest(result.decisions))
+            decisions_digest(result.decisions), float_state_digest(sim.protocol))
 
 
 # The jitter spans (mac_jitter_us + 1) whose draws are checked: 1 still

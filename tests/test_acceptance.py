@@ -13,12 +13,18 @@ from dataclasses import replace
 
 import pytest
 
-from manetsim.balancer import DropReason, RRState, best_forwarder, schedulable_set
+from manetsim.balancer import (
+    DropReason,
+    RRState,
+    best_forwarder,
+    postrouting_hook,
+    schedulable_set,
+)
 from manetsim.channel import Frame, FrameKind, max_range_m, receivable
 from manetsim.config import ScenarioConfig
 from manetsim.engine import EventKind, us_from_s
 from manetsim.experiment import rows_to_csv_text, run_experiment, simulate_all
-from manetsim.routing import ControlKind, ControlMessage, NeighborRanking
+from manetsim.routing import ControlKind, ControlMessage
 from manetsim.simulation import Simulation, simulate
 from manetsim.traffic import StreamSpec
 
@@ -71,13 +77,6 @@ def verdict(number, name, ok, detail):
     return ok
 
 
-def live_scores(scores):
-    """The live map a ranking holding these scores for destination 9 hands the balancer."""
-    ranking = NeighborRanking()
-    ranking.table[9] = {neighbor: [score, 0] for neighbor, score in scores.items()}
-    return ranking.scores(9, 0)
-
-
 # -- criterion 1: threshold-set equivalence against a brute-force oracle -----
 
 def brute_force(scores, likelihood, exclude):
@@ -100,7 +99,13 @@ def test_criterion_01_schedulable_set_oracle_equivalence():
                   for n in rng.sample(range(40), rng.randint(0, 12))}
         likelihood = rng.choice([0.0, 0.5, 0.9, 1.0, 1.1, rng.uniform(0, 1.5)])
         exclude = rng.choice([None] + list(scores) + [99])
-        got = schedulable_set(live_scores(scores), 9, likelihood, exclude).members
+        if scores:
+            got = schedulable_set(scores, 9, likelihood, exclude).members
+        else:  # an empty map never reaches the filter: the hook reports no route
+            packet = Frame(kind=FrameKind.DATA, dst=9, size_bytes=1460, prev_hop=exclude, ttl=16)
+            assert postrouting_hook(packet, 3, scores, RRState(), likelihood) == (
+                DropReason.NO_ROUTE, None)
+            got = ()
         assert got == brute_force(scores, likelihood, exclude), (scores, likelihood, exclude)
         checked += 1
     elapsed = time.perf_counter() - started
@@ -113,13 +118,13 @@ def test_criterion_01_schedulable_set_oracle_equivalence():
 
 def test_criterion_02_likelihood_regimes():
     scores = {1: 1.0, 5: 0.4, 7: 0.1, 8: 0.9}
-    rr_all = schedulable_set(live_scores(scores), 9, 0.0, exclude=5).members
-    ties = schedulable_set(live_scores({1: 0.9, 5: 0.9, 7: 0.8}), 9, 1.0).members
-    above = schedulable_set(live_scores(scores), 9, 1.1)
+    rr_all = schedulable_set(scores, 9, 0.0, exclude=5).members
+    ties = schedulable_set({1: 0.9, 5: 0.9, 7: 0.8}, 9, 1.0).members
+    above = schedulable_set(scores, 9, 1.1)
     ok = (rr_all == (1, 7, 8)
           and ties == (1, 5)
           and above.members == (1,) and above.fallback
-          and above.members[0] == best_forwarder(live_scores(scores)))
+          and above.members[0] == best_forwarder(scores))
     assert verdict(2, "likelihood-regimes", ok,
                    f"lambda=0 -> {rr_all}, lambda=1 ties -> {ties}, "
                    f"lambda=1.1 fallback -> {above.members}")

@@ -13,18 +13,12 @@ from manetsim.balancer import (
     schedulable_set,
 )
 from manetsim.channel import Frame, FrameKind
-from manetsim.routing import NeighborRanking
-
-
-def live_scores(scores):
-    """The live map a ranking holding these scores for destination 9 hands the balancer."""
-    ranking = NeighborRanking()
-    ranking.table[9] = {neighbor: [score, 0] for neighbor, score in scores.items()}
-    return ranking.scores(9, 0)
+from manetsim.config import ScenarioConfig
+from manetsim.routing import FloodingProtocol
 
 
 def members(scores, likelihood, exclude=None):
-    return schedulable_set(live_scores(scores), 9, likelihood, exclude).members
+    return schedulable_set(scores, 9, likelihood, exclude).members
 
 
 def test_threshold_filter_keeps_similar_scores():
@@ -41,7 +35,7 @@ def test_likelihood_one_keeps_exact_ties_only():
 
 
 def test_likelihood_above_one_falls_back_to_best_forwarder():
-    sset = schedulable_set(live_scores({1: 0.7, 5: 0.9}), 9, 1.1)
+    sset = schedulable_set({1: 0.7, 5: 0.9}, 9, 1.1)
     assert sset.members == (5,)
     assert sset.fallback
 
@@ -51,15 +45,9 @@ def test_exclusion_removes_previous_hop():
 
 
 def test_exclusion_of_only_candidate_falls_back_unconditionally():
-    sset = schedulable_set(live_scores({1: 0.95}), 9, 0.9, exclude=1)
+    sset = schedulable_set({1: 0.95}, 9, 0.9, exclude=1)
     assert sset.members == (1,)
     assert sset.fallback
-
-
-def test_empty_ranking_signals_no_route():
-    sset = schedulable_set(NeighborRanking().scores(9, 0), 9, 0.9)
-    assert sset.members == ()
-    assert RRState().take(sset) is None
 
 
 def test_phi_max_computed_before_exclusion():
@@ -69,9 +57,7 @@ def test_phi_max_computed_before_exclusion():
 
 
 def brute_force_set(scores, likelihood, exclude):
-    """Independent reimplementation of the documented contract."""
-    if not scores:
-        return ()
+    """Independent reimplementation of the documented contract for a nonempty map."""
     phi_max = max(scores.values())
     kept = []
     for neighbor in sorted(scores):
@@ -86,13 +72,13 @@ def brute_force_set(scores, likelihood, exclude):
 
 @given(
     st.dictionaries(st.integers(min_value=0, max_value=30),
-                    st.floats(min_value=0.001, max_value=1.0), max_size=10),
+                    st.floats(min_value=0.001, max_value=1.0), min_size=1, max_size=10),
     st.floats(min_value=0.0, max_value=1.5),
     st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
 )
 @settings(max_examples=300)
 def test_matches_brute_force(scores, likelihood, exclude):
-    got = schedulable_set(live_scores(scores), 9, likelihood, exclude).members
+    got = schedulable_set(scores, 9, likelihood, exclude).members
     assert got == brute_force_set(scores, likelihood, exclude)
 
 
@@ -105,8 +91,8 @@ def test_matches_brute_force(scores, likelihood, exclude):
 @settings(max_examples=200)
 def test_membership_monotone_in_likelihood(scores, lam1, lam2):
     lo, hi = sorted((lam1, lam2))
-    set_lo = schedulable_set(live_scores(scores), 9, lo)
-    set_hi = schedulable_set(live_scores(scores), 9, hi)
+    set_lo = schedulable_set(scores, 9, lo)
+    set_hi = schedulable_set(scores, 9, hi)
     if not set_hi.fallback:
         assert set(set_hi.members) <= set(set_lo.members)
 
@@ -118,7 +104,7 @@ def test_membership_monotone_in_likelihood(scores, lam1, lam2):
 )
 @settings(max_examples=200)
 def test_best_forwarder_contained_unless_excluded(scores, likelihood):
-    live = live_scores(scores)
+    live = scores
     best = best_forwarder(live)
     sset = schedulable_set(live, 9, likelihood)
     assert best in sset.members
@@ -126,19 +112,19 @@ def test_best_forwarder_contained_unless_excluded(scores, likelihood):
 
 def test_round_robin_rotation():
     rr = RRState()
-    sset = schedulable_set(live_scores({1: 1.0, 5: 1.0}), 9, 1.0)
+    sset = schedulable_set({1: 1.0, 5: 1.0}, 9, 1.0)
     assert [rr.take(sset) for _ in range(4)] == [1, 5, 1, 5]
 
 
 def test_round_robin_singleton():
     rr = RRState()
-    sset = schedulable_set(live_scores({5: 0.7}), 9, 0.9)
+    sset = schedulable_set({5: 0.7}, 9, 0.9)
     assert [rr.take(sset) for _ in range(3)] == [5, 5, 5]
 
 
 def test_round_robin_fairness_bound():
     rr = RRState()
-    sset = schedulable_set(live_scores({1: 1.0, 5: 1.0, 7: 1.0}), 9, 0.9)
+    sset = schedulable_set({1: 1.0, 5: 1.0, 7: 1.0}, 9, 0.9)
     counts = {1: 0, 5: 0, 7: 0}
     for _ in range(100):
         counts[rr.take(sset)] += 1
@@ -147,12 +133,12 @@ def test_round_robin_fairness_bound():
 
 def test_cursor_resets_on_membership_change():
     rr = RRState()
-    wide = schedulable_set(live_scores({1: 1.0, 5: 1.0}), 9, 1.0)
+    wide = schedulable_set({1: 1.0, 5: 1.0}, 9, 1.0)
     assert rr.take(wide) == 1
     assert rr.take(wide) == 5
-    narrow = schedulable_set(live_scores({1: 1.0, 5: 0.5}), 9, 1.0)
+    narrow = schedulable_set({1: 1.0, 5: 0.5}, 9, 1.0)
     assert rr.take(narrow) == 1
-    wide2 = schedulable_set(live_scores({1: 1.0, 5: 1.0}), 9, 1.0)
+    wide2 = schedulable_set({1: 1.0, 5: 1.0}, 9, 1.0)
     assert rr.take(wide2) == 1  # reset, not resumed
 
 
@@ -164,7 +150,7 @@ def test_fairness_holds_piecewise_under_membership_churn(pattern):
     dispatch = []
     for token in pattern:
         scores = {name_to_id[ch]: 1.0 for ch in token}
-        sset = schedulable_set(live_scores(scores), 9, 1.0)
+        sset = schedulable_set(scores, 9, 1.0)
         dispatch.append((sset.members, rr.take(sset)))
     # audit per maximal interval of constant membership
     idx = 0
@@ -188,7 +174,7 @@ def data_frame(dst=9, prev_hop=None, ttl=16):
 
 def test_hook_excludes_previous_hop():
     packet = data_frame(prev_hop=1)
-    decision, sset = postrouting_hook(packet, 3, live_scores({1: 0.95, 5: 0.93}), RRState(), 0.9)
+    decision, sset = postrouting_hook(packet, 3, {1: 0.95, 5: 0.93}, RRState(), 0.9)
     assert decision == 5
     assert packet.next_hop == 5
     assert packet.prev_hop == 3
@@ -197,13 +183,13 @@ def test_hook_excludes_previous_hop():
 
 def test_hook_drops_on_ttl_expiry():
     packet = data_frame(ttl=1)
-    decision, _ = postrouting_hook(packet, 3, live_scores({1: 0.95}), RRState(), 0.9)
+    decision, _ = postrouting_hook(packet, 3, {1: 0.95}, RRState(), 0.9)
     assert decision is DropReason.TTL
 
 
 def test_hook_drops_without_route():
     packet = data_frame()
-    decision, sset = postrouting_hook(packet, 3, NeighborRanking().scores(9, 0), RRState(), 0.9)
+    decision, sset = postrouting_hook(packet, 3, {}, RRState(), 0.9)
     assert decision is DropReason.NO_ROUTE
     assert sset is None
 
@@ -215,8 +201,8 @@ def test_hook_with_high_likelihood_matches_plain_forwarding():
         prev = rng.choice([None] + list(scores))
         balanced = data_frame(prev_hop=prev)
         plain = data_frame(prev_hop=prev)
-        got_balanced, _ = postrouting_hook(balanced, 3, live_scores(scores), RRState(), 1.1)
-        got_plain, _ = plain_forward(plain, 3, live_scores(scores))
+        got_balanced, _ = postrouting_hook(balanced, 3, scores, RRState(), 1.1)
+        got_plain, _ = plain_forward(plain, 3, scores)
         assert got_balanced == got_plain
         assert balanced.next_hop == plain.next_hop
         assert balanced.ttl == plain.ttl
@@ -224,7 +210,7 @@ def test_hook_with_high_likelihood_matches_plain_forwarding():
 
 def test_exclusion_toggle_allows_bounce_back():
     packet = data_frame(prev_hop=1)
-    decision, sset = postrouting_hook(packet, 3, live_scores({1: 0.95, 5: 0.93}), RRState(), 0.9,
+    decision, sset = postrouting_hook(packet, 3, {1: 0.95, 5: 0.93}, RRState(), 0.9,
                                       exclude_prev=False)
     assert sset.members == (1, 5)  # previous hop stays eligible
     assert decision == 1
@@ -242,9 +228,17 @@ def test_control_frames_never_enter_hook_by_contract():
 # The reference reads the ranking the way the decision path once did: the hook
 # and the plain path each purged and read it themselves, the threshold
 # filter's fallback read it a second time through the ranking's own argmax,
-# and an empty ranking surfaced as a None forwarder from the cursor.
+# and an empty ranking surfaced as a None forwarder from the cursor. The new
+# side is FloodingProtocol.live, the one purge rule, over node ME's table.
 
-class ReferenceRanking(NeighborRanking):
+ME = 20
+
+
+class ReferenceRanking:
+    def __init__(self, expiry_us):
+        self.expiry_us = expiry_us
+        self.table = {}  # dest -> {neighbor: [score, last_us]}
+
     def scores(self, dest, now_us):
         entries = self.table.get(dest)
         if not entries:
@@ -296,13 +290,13 @@ def reference_decide(packet, node_id, ranking, rr, likelihood, now_us, exclude_p
         return reference_forward(packet, node_id, ranking.best_forwarder(packet.dst, now_us)), None
     exclude = packet.prev_hop if exclude_prev else None
     sset = reference_set(ranking, packet.dst, likelihood, now_us, exclude)
-    choice = reference_forward(packet, node_id, rr.take(sset))
+    choice = reference_forward(packet, node_id, rr.take(sset) if sset.members else None)
     return choice, None if choice is DropReason.NO_ROUTE else sset
 
 
-def decide(packet, node_id, ranking, rr, likelihood, now_us, exclude_prev, balancing):
+def decide(packet, node_id, protocol, rr, likelihood, now_us, exclude_prev, balancing):
     """What Simulation._route does before its accounting."""
-    live = ranking.scores(packet.dst, now_us)
+    live = protocol.live(node_id, packet.dst, now_us)
     if balancing:
         return postrouting_hook(packet, node_id, live, rr, likelihood, exclude_prev)
     return plain_forward(packet, node_id, live)
@@ -337,21 +331,22 @@ path_steps = st.tuples(
 @settings(max_examples=300, deadline=None)
 def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, exclude_prev,
                                                      balancing):
-    new, old = NeighborRanking(1_000_000), ReferenceRanking(1_000_000)
-    for ranking in (new, old):
+    new = FloodingProtocol(ScenarioConfig(ranking_expiry_s=1.0), [(0.0, 0.0, 0.0)] * (ME + 1))
+    old = ReferenceRanking(1_000_000)
+    for ranking in (new.rankings[ME], old.table):
         for dest, entries in table.items():
-            ranking.table[dest] = {n: [score, last] for n, (score, last) in entries.items()}
+            ranking[dest] = {n: [score, last] for n, (score, last) in entries.items()}
     new_rr, old_rr = RRState(), RRState()
     now = 2_000_000
     for dest, prev_hop, ttl, gap, refresh in steps:
         now += gap
         if refresh is not None:
             refresh_dest, neighbor, score = refresh
-            for ranking in (new, old):
-                ranking.table.setdefault(refresh_dest, {})[neighbor] = [score, now]
+            for ranking in (new.rankings[ME], old.table):
+                ranking.setdefault(refresh_dest, {})[neighbor] = [score, now]
         new_packet, old_packet = (data_frame(dst=dest, prev_hop=prev_hop, ttl=ttl) for _ in "ab")
-        got = decide(new_packet, 20, new, new_rr, likelihood, now, exclude_prev, balancing)
-        want = reference_decide(old_packet, 20, old, old_rr, likelihood, now, exclude_prev,
+        got = decide(new_packet, ME, new, new_rr, likelihood, now, exclude_prev, balancing)
+        want = reference_decide(old_packet, ME, old, old_rr, likelihood, now, exclude_prev,
                                 balancing)
         assert got[0] == want[0]
         assert (got[1] is None) == (want[1] is None)
@@ -361,4 +356,4 @@ def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, e
         assert ((new_packet.ttl, new_packet.prev_hop, new_packet.next_hop)
                 == (old_packet.ttl, old_packet.prev_hop, old_packet.next_hop))
         assert new_rr._cursors == old_rr._cursors
-        assert new.table == old.table
+        assert new.rankings[ME] == old.table

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manetsim.engine import Engine, EventKind, SchedulingError, stream_seed, us_from_s
+from manetsim.engine import (
+    Engine,
+    EventKind,
+    SchedulingError,
+    left_sum,
+    stream_seed,
+    us_from_s,
+)
 
 
 def test_schedule_basic_contract():
@@ -72,6 +79,15 @@ def test_replay_determinism():
     # each handler call received the payload its event was scheduled with
     assert first[0] == 50
     assert [step for _, step in first[1]] == list(range(50))
+
+
+def test_left_sum_adds_left_to_right_on_every_python():
+    # sum() gives 1.0 for both of the first two from Python 3.12 on, where it
+    # compensates float rounding; left_sum gives what it gave before.
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0  # the 1.0 is lost in the first add
+    assert repr(left_sum([-0.0])) == "0.0"  # it starts from the int 0, as sum() does
+    assert left_sum([]) == 0
 
 
 def test_rng_stream_reproducible():

@@ -17,9 +17,8 @@ from manetsim.routing import (
     ControlKind,
     ControlMessage,
     GeoOlsrProtocol,
-    NeighborRanking,
-    ScoreTrend,
     TQWindow,
+    _extrapolate_next,
     _index_sum_sq,
     geo_score,
     pathscore_link,
@@ -159,20 +158,26 @@ def test_pathscore_never_exceeds_weakest_link(scores):
 
 # -- score trend clamp -------------------------------------------------------
 
+def trend_protocol():
+    """A one-node batmobile protocol with buffer 8, clamp 0.1 and a 3 s expiry."""
+    return make("batmobile", [(0.0, 0.0, 0.0)], score_buffer=8, trend_clamp=0.1,
+                ranking_expiry_s=3.0)
+
+
 def test_trend_clamp_bounds_single_update():
-    trend = ScoreTrend(buffer_len=8, clamp=0.1, reset_after_us=3_000_000)
-    assert trend.admit(1, 2, 0.5, 0) == pytest.approx(0.5)
+    protocol = trend_protocol()
+    assert protocol.admit(0, 1, 2, 0.5, 0) == pytest.approx(0.5)
     # A raw jump to 1.0 is admitted only 0.1 above the flat trend.
-    assert trend.admit(1, 2, 1.0, 500_000) == pytest.approx(0.6)
+    assert protocol.admit(0, 1, 2, 1.0, 500_000) == pytest.approx(0.6)
     # And a crash to 0.0 only 0.1 below the (rising) trend.
-    admitted = trend.admit(1, 2, 0.0, 1_000_000)
+    admitted = protocol.admit(0, 1, 2, 0.0, 1_000_000)
     assert admitted == pytest.approx(0.6, abs=0.1 + 1e-9)
 
 
 def test_trend_clamp_resets_after_expiry_gap():
-    trend = ScoreTrend(reset_after_us=3_000_000)
-    trend.admit(1, 2, 0.9, 0)
-    assert trend.admit(1, 2, 0.1, 10_000_000) == pytest.approx(0.1)
+    protocol = trend_protocol()
+    protocol.admit(0, 1, 2, 0.9, 0)
+    assert protocol.admit(0, 1, 2, 0.1, 10_000_000) == pytest.approx(0.1)
 
 
 def test_index_sum_sq_memo_equals_the_sum():
@@ -185,44 +190,44 @@ def test_index_sum_sq_memo_equals_the_sum():
 
 # -- neighbor ranking ---------------------------------------------------------
 
-def make_ranking(entries, now_us=0, expiry_us=3_000_000):
-    ranking = NeighborRanking(expiry_us)
+def make_ranking(entries, now_us=0):
+    """A one-node batman protocol (3 s expiry) whose node 0 ranks these (dest, neighbor, score)."""
+    protocol = make("batman", [(0.0, 0.0, 0.0)], ranking_expiry_s=3.0)
     for dest, neighbor, score in entries:
-        ranking.table.setdefault(dest, {})[neighbor] = [score, now_us]
-    return ranking
+        protocol.rankings[0].setdefault(dest, {})[neighbor] = [score, now_us]
+    return protocol
 
 
 def test_best_forwarder_argmax():
-    ranking = make_ranking([(9, 1, 0.95), (9, 5, 0.93)])
-    assert best_forwarder(ranking.scores(9, 0)) == 1
+    assert best_forwarder({1: 0.95, 5: 0.93}) == 1
 
 
 def test_best_forwarder_tie_breaks_to_lowest_id():
-    ranking = make_ranking([(9, 5, 0.9), (9, 1, 0.9)])
-    assert best_forwarder(ranking.scores(9, 0)) == 1
+    assert best_forwarder({5: 0.9, 1: 0.9}) == 1
 
 
 def test_best_forwarder_empty_table():
-    live = make_ranking([]).scores(9, 0)
+    live = make_ranking([]).live(0, 9, 0)
     assert live == {}
     packet = Frame(kind=FrameKind.DATA, dst=9, size_bytes=1460, ttl=16)
     assert plain_forward(packet, 0, live) == (DropReason.NO_ROUTE, None)
 
 
 def test_expired_entries_purged_before_max():
-    ranking = make_ranking([(9, 1, 0.95)])
-    ranking.table[9][2] = [0.5, 3_500_000]
+    protocol = make_ranking([(9, 1, 0.95)])
+    protocol.rankings[0][9][2] = [0.5, 3_500_000]
     # entry for 1 is 3.5 s old; entry for 2 is fresh
-    assert ranking.scores(9, 3_500_000) == {2: 0.5}
-    assert best_forwarder(ranking.scores(9, 3_500_000)) == 2
+    assert protocol.live(0, 9, 3_500_000) == {2: 0.5}
+    assert protocol.rankings[0][9] == {2: [0.5, 3_500_000]}  # and 1 is purged
+    assert best_forwarder(protocol.live(0, 9, 3_500_000)) == 2
 
 
 def test_zero_score_update_removes_entry():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
     protocol.receive([0], ogm(9, 0), 9, 0)  # a direct OGM scores 1/8
-    assert protocol.rankings[0].scores(9, 0) == {9: 1 / 8}
+    assert protocol.live(0, 9, 0) == {9: 1 / 8}
     protocol.receive([0], ogm(9, 1, carried=0.0), 9, 100)
-    assert protocol.rankings[0].scores(9, 100) == {}
+    assert protocol.live(0, 9, 100) == {}
 
 
 def test_zero_score_update_for_an_unknown_destination_adds_no_key():
@@ -230,8 +235,8 @@ def test_zero_score_update_for_an_unknown_destination_adds_no_key():
     protocol.receive([0], ogm(9, 0), 9, 0)
     protocol.receive([0], ogm(4, 0, carried=0.0), 4, 100)
     protocol.receive([0], ogm(9, 1, carried=-0.5), 2, 100)  # no window for 2: -0.0
-    assert list(protocol.rankings[0].table) == [9]
-    assert protocol.rankings[0].scores(4, 100) == {}
+    assert list(protocol.rankings[0]) == [9]
+    assert protocol.live(0, 4, 100) == {}
 
 
 # -- protocols from config ---------------------------------------------------
@@ -263,9 +268,10 @@ def test_each_protocol_reads_its_own_parameters_from_config():
     batmobile = BatmobileProtocol(config, positions)
     assert batmobile.emission_plan == [(ControlKind.OGM, 700_000)]
     assert batmobile.comm_range_m == 23.140184411076447
-    assert (batmobile.prediction_weight, batmobile.weight_scale) == (5, 6)
-    assert [(t.buffer_len, t.clamp, t.reset_after_us) for t in batmobile.trends] == \
-        [(6, 0.2, 4_000_000)] * 4
+    assert (batmobile.prediction_weight, batmobile.buffer_len, batmobile.clamp) == (5, 6, 0.2)
+    assert batmobile.expiry_us == 4_000_000
+    assert batmobile.trends == [{}] * 4
+    assert len({id(trends) for trends in batmobile.trends}) == 4
     assert batmobile.predicted == positions and batmobile.predicted is not positions
 
     for protocol in (batman, golsr, batmobile):
@@ -280,7 +286,8 @@ def test_each_protocol_reads_its_own_parameters_from_config():
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_every_protocol_owns_one_ranking_per_node_with_the_config_expiry(name):
     protocol = make(name, [(0.0, 0.0, 0.0)] * 3, ranking_expiry_s=4.0)
-    assert [ranking.expiry_us for ranking in protocol.rankings] == [4_000_000] * 3
+    assert protocol.expiry_us == 4_000_000
+    assert protocol.rankings == [{}, {}, {}]
     assert len({id(ranking) for ranking in protocol.rankings}) == 3
     assert protocol.forwarded == [{}, {}, {}]
 
@@ -309,7 +316,7 @@ def test_same_message_via_two_neighbors_updates_both_entries():
     second = protocol.receive([me], ogm(origin, 0, carried=0.9), via_f, 2000)
     assert [node for node, _ in first] == [me]  # rebroadcast on first receipt
     assert second == []  # but not on the duplicate
-    assert set(protocol.rankings[me].scores(origin, 2000)) == {via_b, via_f}
+    assert set(protocol.live(me, origin, 2000)) == {via_b, via_f}
 
 
 def test_rebroadcast_stamps_score_and_penalty():
@@ -328,7 +335,7 @@ def test_direct_ogm_feeds_tq_window_and_ranking():
     for seq in range(4):
         protocol.receive([0], ogm(3, seq), 3, 1000 + seq)
     assert protocol.tq_windows[0][3].quality == pytest.approx(4 / 8)
-    assert protocol.rankings[0].scores(3, 2000)[3] == pytest.approx(4 / 8)
+    assert protocol.live(0, 3, 2000)[3] == pytest.approx(4 / 8)
 
 
 def test_own_message_echo_is_ignored():
@@ -337,7 +344,7 @@ def test_own_message_echo_is_ignored():
     echoed = ControlMessage(kind=ControlKind.OGM, originator=0, seq=msg.seq,
                             sender_position=(1.0, 0.0, 0.0), carried_score=0.5)
     assert protocol.receive([0], echoed, 1, 1000) == []
-    assert protocol.rankings[0].scores(0, 1000) == {}
+    assert protocol.live(0, 0, 1000) == {}
 
 
 def test_geo_protocol_scores_forwarder_distance_to_destination():
@@ -348,7 +355,7 @@ def test_geo_protocol_scores_forwarder_distance_to_destination():
                          originator_position=(200.0, 0.0, 0.0))
     [(_, out)] = protocol.receive([0], msg, 4, 1000)
     expected = 1 - 100.0 / DIAG
-    assert protocol.rankings[0].scores(9, 1000)[4] == pytest.approx(expected)
+    assert protocol.live(0, 9, 1000)[4] == pytest.approx(expected)
     assert out is not None  # TC floods
     assert out.originator_position == (200.0, 0.0, 0.0)
 
@@ -359,7 +366,7 @@ def test_hello_not_rebroadcast():
                          sender_position=(10.0, 0.0, 0.0),
                          originator_position=(10.0, 0.0, 0.0))
     assert protocol.receive([0], msg, 4, 1000) == []
-    assert protocol.rankings[0].scores(4, 1000)[4] == pytest.approx(1.0)
+    assert protocol.live(0, 4, 1000)[4] == pytest.approx(1.0)
 
 
 def test_sequence_numbers_strictly_increase():
@@ -407,12 +414,12 @@ def snapshot(protocol, node):
     windows = getattr(protocol, "tq_windows", None)
     trends = getattr(protocol, "trends", None)
     return copy.deepcopy((
-        protocol.rankings[node].table,
+        protocol.rankings[node],
         None if windows is None else {
             n: (w.bits, w.last_seq, w.quality() if isinstance(w, ReferenceTQWindow) else w.quality)
             for n, w in windows[node].items()},
         protocol.forwarded[node],
-        None if trends is None else trends[node]._buffers,
+        None if trends is None else trends[node],
     ))
 
 
@@ -449,8 +456,10 @@ def test_batched_receive_equals_one_receiver_at_a_time(name, steps):
 # -- receive against the per-copy reference ----------------------------------
 # The flooding path as it was when every copy cost three calls: each metric's
 # score(node, msg, prev_hop, now_us), TQWindow.quality() and
-# NeighborRanking.update, copied verbatim. receive must return the same
-# rebroadcasts and leave every node's state exactly as this path does.
+# NeighborRanking.update, copied verbatim, with each node's ranking and score
+# trend in objects of their own. receive must return the same rebroadcasts and
+# leave every node's state exactly as this path does, and live must purge and
+# read a ranking as NeighborRanking.scores did.
 
 class ReferenceTQWindow:
     __slots__ = ("length", "bits", "last_seq")
@@ -474,7 +483,23 @@ class ReferenceTQWindow:
         return self.bits.bit_count() / self.length
 
 
-class ReferenceRanking(NeighborRanking):
+class ReferenceRanking:
+    def __init__(self, expiry_us):
+        self.expiry_us = expiry_us
+        self.table = {}  # dest -> {neighbor: [score, last_us]}
+
+    def scores(self, dest, now_us):
+        entries = self.table.get(dest)
+        live = {}
+        if entries:
+            expiry_us = self.expiry_us
+            for n, (score, last) in list(entries.items()):
+                if now_us - last > expiry_us:
+                    del entries[n]
+                else:
+                    live[n] = score
+        return live
+
     def update(self, dest, neighbor, score, now_us):
         entries = self.table.get(dest)
         if score <= 0.0:
@@ -489,16 +514,46 @@ class ReferenceRanking(NeighborRanking):
             entry[1] = now_us
 
 
+class ReferenceScoreTrend:
+    def __init__(self, buffer_len, clamp, reset_after_us):
+        self.buffer_len = buffer_len
+        self.clamp = clamp
+        self.reset_after_us = reset_after_us
+        self._buffers = {}
+
+    def admit(self, dest, neighbor, raw, now_us):
+        key = (dest, neighbor)
+        entry = self._buffers.get(key)
+        if entry is None or now_us - entry[1] > self.reset_after_us:
+            values = []
+        else:
+            values = entry[0]
+        if values:
+            trend = _extrapolate_next(values)
+            admitted = min(trend + self.clamp, max(trend - self.clamp, raw))
+        else:
+            admitted = raw
+        admitted = min(1.0, max(0.0, admitted))
+        values.append(admitted)
+        if len(values) > self.buffer_len:
+            del values[0]
+        self._buffers[key] = (values, now_us)
+        return admitted
+
+
 class PerCopyFlooding:
+    """``rankings[n]`` is ``ranking_objects[n].table``, so snapshot reads both sides alike."""
+
     def __init__(self, config, positions):
         super().__init__(config, positions)
-        self.rankings = [ReferenceRanking(self.expiry_us) for _ in positions]
+        self.ranking_objects = [ReferenceRanking(self.expiry_us) for _ in positions]
+        self.rankings = [ranking.table for ranking in self.ranking_objects]
 
     def receive(self, receivers, msg, prev_hop, now_us):
         kind, originator, seq = msg.kind, msg.originator, msg.seq
         key = (kind, originator)
         floods = kind in self.flooded_kinds
-        score_fn, rankings, forwarded = self.score, self.rankings, self.forwarded
+        score_fn, rankings, forwarded = self.score, self.ranking_objects, self.forwarded
         rebroadcasts = []
         for node in receivers:
             if node == originator:
@@ -534,12 +589,21 @@ class PerCopyGeoOlsr(PerCopyFlooding, GeoOlsrProtocol):
 
 
 class PerCopyBatmobile(PerCopyFlooding, BatmobileProtocol):
+    """``trends[n]`` is ``trend_objects[n]._buffers``, as rankings are for PerCopyFlooding."""
+
+    def __init__(self, config, positions):
+        super().__init__(config, positions)
+        self.trend_objects = [ReferenceScoreTrend(config.score_buffer, config.trend_clamp,
+                                                  self.expiry_us) for _ in positions]
+        self.trends = [trend._buffers for trend in self.trend_objects]
+        self.weight_scale = config.score_buffer
+
     def score(self, node, msg, prev_hop, now_us):
         raw = pathscore_link(
             self.positions[node], self.predicted[node], msg.sender_position, msg.sender_predicted,
             self.comm_range_m, self.prediction_weight, self.weight_scale,
         ) * msg.carried_score
-        return self.trends[node].admit(msg.originator, prev_hop, raw, now_us)
+        return self.trend_objects[node].admit(msg.originator, prev_hop, raw, now_us)
 
 
 PER_COPY = {"batman": PerCopyBatman, "golsr": PerCopyGeoOlsr, "batmobile": PerCopyBatmobile}
@@ -588,8 +652,8 @@ def test_receive_equals_the_per_copy_reference(name, steps):
         if purge:
             for node in nodes:
                 for dest in nodes:
-                    assert (protocol.rankings[node].scores(dest, now)
-                            == reference.rankings[node].scores(dest, now))
+                    assert (protocol.live(node, dest, now)
+                            == reference.ranking_objects[node].scores(dest, now))
         receivers = [r for r in receivers if r != prev_hop]
         msg = ControlMessage(kind=kinds[kind % len(kinds)], originator=origin, seq=seq,
                              sender_position=SPOT[prev_hop], carried_score=carried,
@@ -607,12 +671,11 @@ CHAIN_PRED = [(90.0, 5.0, 0.0), (35.0, 0.0, 0.0), (50.0, 20.0, 0.0), (5.0, 5.0, 
 
 
 def relay(protocol, msg, path, now_us):
-    """Carry msg from path[0] over each hop of path; return the last receiver's ranking."""
+    """Carry msg from path[0] over each hop of path."""
     for prev_hop, node in zip(path, path[1:]):
         out = protocol.receive([node], msg, prev_hop, now_us)
         if node != path[-1]:
             [(_, msg)] = out
-    return protocol.rankings[path[-1]]
 
 
 def test_batman_chain_score_equals_tq_path_score():
@@ -628,9 +691,9 @@ def test_batman_chain_score_equals_tq_path_score():
         msg = protocol.emit(O, ControlKind.OGM, seq)
         if seq in heard[(O, A)] and seq < 7:
             relay(protocol, msg, [O, A], 1000)
-    me = relay(protocol, msg, [O, A, B, ME], 2000)
+    relay(protocol, msg, [O, A, B, ME], 2000)
     qualities = [len(heard[hop]) / 8 for hop in ((O, A), (A, B), (B, ME))]
-    assert me.scores(O, 2000)[B] == pytest.approx(tq_path_score(qualities, 0.95))
+    assert protocol.live(ME, O, 2000)[B] == pytest.approx(tq_path_score(qualities, 0.95))
 
 
 def test_batmobile_chain_score_equals_pathscore_path():
@@ -639,21 +702,21 @@ def test_batmobile_chain_score_equals_pathscore_path():
     protocol = make("batmobile", CHAIN_POS)
     protocol.predicted[:] = CHAIN_PRED
     msg = protocol.emit(O, ControlKind.OGM, 0)
-    me = relay(protocol, msg, [O, A, B, ME], 1000)
+    relay(protocol, msg, [O, A, B, ME], 1000)
     links = [
         pathscore_link(CHAIN_POS[rx], CHAIN_PRED[rx], CHAIN_POS[tx], CHAIN_PRED[tx],
                        protocol.comm_range_m)
         for tx, rx in ((O, A), (A, B), (B, ME))
     ]
     assert all(link > 0 for link in links)
-    assert me.scores(O, 1000)[B] == pytest.approx(pathscore_path(links))
+    assert protocol.live(ME, O, 1000)[B] == pytest.approx(pathscore_path(links))
 
 
 def test_golsr_chain_scores_last_forwarder_against_originator():
     protocol = make("golsr", CHAIN_POS)
     msg = protocol.emit(O, ControlKind.TC, 0)
-    me = relay(protocol, msg, [O, A, B, ME], 1000)
-    assert me.scores(O, 1000)[B] == pytest.approx(
+    relay(protocol, msg, [O, A, B, ME], 1000)
+    assert protocol.live(ME, O, 1000)[B] == pytest.approx(
         geo_score(CHAIN_POS[B], CHAIN_POS[O], DIAG))
 
 

@@ -107,10 +107,10 @@ def test_flood_depth_limited_by_ttl():
     sim = Simulation(config, 1, initial_positions=positions, streams=[stream])
     sim.run()
     # originator 0 is known three hops out but not four
-    assert 0 in sim.protocol.rankings[1].table
-    assert 0 in sim.protocol.rankings[2].table
-    assert 0 in sim.protocol.rankings[3].table
-    assert 0 not in sim.protocol.rankings[4].table
+    assert 0 in sim.protocol.rankings[1]
+    assert 0 in sim.protocol.rankings[2]
+    assert 0 in sim.protocol.rankings[3]
+    assert 0 not in sim.protocol.rankings[4]
 
 
 def test_ttl_one_copy_still_marks_its_message_forwarded():
@@ -125,7 +125,7 @@ def test_ttl_one_copy_still_marks_its_message_forwarded():
                      prev_hop=1, ttl=ttl, payload=msg)
 
     sim._on_frame_delivered([3], copy(ttl=1))
-    assert 0 in sim.protocol.rankings[3].table  # the last-hop copy is still scored
+    assert 0 in sim.protocol.rankings[3]  # the last-hop copy is still scored
     sim._on_frame_delivered([2, 3], copy(ttl=5))
     queued = [[f.payload.originator for f in st.queue] for st in sim.medium.states]
     assert queued == [[], [], [0], []]  # 2 heard it first at ttl 5; 3 already had it
