@@ -1,15 +1,18 @@
-"""Count the Python calls one pass of a benchmark workload makes.
+"""Count the Python calls one pass of a benchmark workload or scenario file makes.
 
     python3 scripts/call_counts.py sparse_ref|dense_mix|crowd50 [--seed N]
+    python3 scripts/call_counts.py --scenario FILE [--seeds 1,2]
 
-Standard library only. The workload is read from ``perfbench/workloads.py``
+Standard library only. A workload is read from ``perfbench/workloads.py``
 and the simulator is imported from ``src/`` next to this directory. Every
 batch call of the workload runs once, with its CSV, serially in this process
-and under cProfile; scenario texts are parsed before profiling starts. The
-script prints the total number of calls, then the calls made in each module
-of ``src/manetsim`` and the rest (standard library and builtins) as
-``other``. The counts depend on the code and the workload only, not on the
-host, so a fresh interpreter repeats them exactly.
+and under cProfile; scenario texts are parsed before profiling starts. A
+scenario file is one ``run_experiment`` call on the given simulation seeds
+(default 1). The script prints the CPU seconds of one more pass without the
+profiler, the total number of calls, then the calls made in each module of
+``src/manetsim`` and the rest (standard library and builtins) as ``other``.
+The counts depend on the code and the workload only, not on the host, so a
+fresh interpreter repeats them exactly; the CPU seconds do not.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import cProfile
 import pstats
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -27,28 +31,39 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(1, str(ROOT / "perfbench"))
 
 from manetsim import experiment, simulation  # noqa: E402
-from manetsim.config import parse_scenario_text  # noqa: E402
+from manetsim.config import load_scenario, parse_scenario_text  # noqa: E402
 
 from workloads import DEFAULT_SEED, WORKLOADS, Workload, sim_seeds  # noqa: E402
 
 
-def count_calls(workload: Workload, workload_seed: int) -> Counter[str]:
-    """Calls per module file name over one pass; ``other`` outside the package."""
-    batches = [
+def workload_batches(workload: Workload, workload_seed: int) -> list[tuple]:
+    """(batch function, parsed config, seeds) for each call of the workload."""
+    return [
         (getattr(experiment, call.batch), parse_scenario_text(call.text, f"{workload.name}[{i}]"),
          seeds)
         for i, (call, seeds) in enumerate(zip(workload.calls, sim_seeds(workload, workload_seed)))
     ]
+
+
+def one_pass(batches: list[tuple]) -> None:
+    """Run every batch and its CSV serially in this process."""
     # A replaced ``simulate`` keeps every batch in this process (see simulate_all).
     experiment.simulate = lambda config, seed: simulation.simulate(config, seed)
-    profiler = cProfile.Profile()
     try:
-        profiler.enable()
         for batch, config, seeds in batches:
             experiment.rows_to_csv_text(batch(config, seeds))
     finally:
-        profiler.disable()
         experiment.simulate = simulation.simulate
+
+
+def count_batch_calls(batches: list[tuple]) -> Counter[str]:
+    """Calls per module file name over one pass; ``other`` outside the package."""
+    profiler = cProfile.Profile()
+    try:
+        profiler.enable()
+        one_pass(batches)
+    finally:
+        profiler.disable()
     counts: Counter[str] = Counter()
     for (filename, _, _), (_, calls, *_) in pstats.Stats(profiler).stats.items():
         path = Path(filename)
@@ -56,12 +71,34 @@ def count_calls(workload: Workload, workload_seed: int) -> Counter[str]:
     return counts
 
 
+def count_calls(workload: Workload, workload_seed: int) -> Counter[str]:
+    """Calls per module file name over one pass of the workload."""
+    return count_batch_calls(workload_batches(workload, workload_seed))
+
+
+def cpu_seconds(batches: list[tuple]) -> float:
+    """CPU seconds of one unprofiled pass."""
+    start = time.process_time()
+    one_pass(batches)
+    return time.process_time() - start
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("workload", nargs="?", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="workload seed")
+    parser.add_argument("--scenario", metavar="FILE", help="count a scenario file instead")
+    parser.add_argument("--seeds", default="1", help="simulation seeds of --scenario")
     args = parser.parse_args(argv)
-    counts = count_calls(WORKLOADS[args.workload], args.seed)
+    if (args.workload is None) == (args.scenario is None):
+        parser.error("give a workload or --scenario FILE, not both")
+    if args.scenario is not None:
+        seeds = [int(part) for part in args.seeds.split(",")]
+        batches = [(experiment.run_experiment, load_scenario(args.scenario), seeds)]
+    else:
+        batches = workload_batches(WORKLOADS[args.workload], args.seed)
+    counts = count_batch_calls(batches)
+    print(f"{cpu_seconds(batches):10.3f}  cpu_s (unprofiled pass)")
     print(f"{sum(counts.values()):10d}  total")
     for name, calls in sorted(counts.items()):
         print(f"{calls:10d}  {name}")

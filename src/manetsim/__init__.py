@@ -5,7 +5,7 @@ from .channel import Frame, FrameKind, airtime_s, max_range_m, path_loss_db, rec
 from .config import ConfigError, ScenarioConfig, load_scenario, parse_scenario_text, validate
 from .engine import Engine, EventKind, SchedulingError, us_from_s
 from .mobility import Area, predict_position, step_waypoint
-from .routing import geo_score, pathscore_link
+from .routing import geo_score
 from .simulation import Decision, RunResult, Simulation, simulate
 from .traffic import StreamSpec, StreamStats
 
@@ -16,7 +16,7 @@ __all__ = [
     "SchedulingError", "Simulation", "StreamSpec", "StreamStats",
     "airtime_s", "geo_score", "load_scenario",
     "max_range_m", "parse_scenario_text",
-    "path_loss_db", "pathscore_link", "postrouting_hook",
+    "path_loss_db", "postrouting_hook",
     "predict_position", "receivable", "schedulable_set", "simulate", "step_waypoint",
     "us_from_s", "validate",
 ]

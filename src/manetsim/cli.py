@@ -72,7 +72,12 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 def _resolve_seeds(args: argparse.Namespace, config: ScenarioConfig) -> list[int]:
     if args.seeds is not None:
         text = args.seeds.strip()
-        return [int(part) for part in text.split(",") if part.strip()] if text else []
+        seeds = [int(part) for part in text.split(",") if part.strip()] if text else []
+        # A repeated seed only repeats an identical run, and compare's summary
+        # counts seeds, not runs.
+        if repeated := [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]:
+            raise ValueError(f"--seeds repeats seed {repeated[0]}")
+        return seeds
     if args.seed is not None:
         return [args.seed]
     return default_seeds(config)

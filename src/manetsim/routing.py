@@ -22,6 +22,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from math import sqrt
+from operator import mul, sub
 
 from .channel import max_range_m
 from .config import ScenarioConfig
@@ -85,39 +88,16 @@ def geo_score(
     return min(1.0, max(floor, score))
 
 
-def pathscore_link(
-    own_pos: Position,
-    own_predicted: Position,
-    neighbor_pos: Position,
-    neighbor_predicted: Position,
-    comm_range_m: float,
-    prediction_weight: int = 7,
-    weight_scale: int = 8,
-) -> float:
-    """Single-link score mixing current and predicted normalized distances."""
-    d_now = distance(own_pos, neighbor_pos)
-    s_now = min(1.0, max(0.0, 1.0 - d_now / comm_range_m))
-    d_pred = distance(own_predicted, neighbor_predicted)
-    s_pred = min(1.0, max(0.0, 1.0 - d_pred / comm_range_m))
-    return (prediction_weight * s_pred + (weight_scale - prediction_weight) * s_now) / weight_scale
-
-
-def _extrapolate_next(values: list[float]) -> float:
-    """Least-squares line through (index, value), evaluated one step past the end."""
-    n = len(values)
-    if n == 1:
-        return values[0]
-    idx_mean = (n - 1) / 2.0
-    val_mean = left_sum(values) / n
-    terms = [(i - idx_mean) * (v - val_mean) for i, v in enumerate(values)]
-    return val_mean + left_sum(terms) / _index_sum_sq(n) * (n - idx_mean)
+@functools.cache
+def _index_deviations(n: int) -> tuple[float, ...]:
+    """Each index's deviation from the mean index of a buffer of n values, memoised by n."""
+    return tuple([i - (n - 1) / 2.0 for i in range(n)])
 
 
 @functools.cache
 def _index_sum_sq(n: int) -> float:
     """Sum of squared index deviations for a buffer of n values, memoised by n."""
-    idx_mean = (n - 1) / 2.0
-    return left_sum([(i - idx_mean) ** 2 for i in range(n)])
+    return left_sum([d ** 2 for d in _index_deviations(n)])
 
 
 class FloodingProtocol:
@@ -283,36 +263,55 @@ class BatmobileProtocol(FloodingProtocol):
         self.predicted = list(positions)
         self.trends: list[dict[tuple[int, int], tuple[list[float], int]]] = [{} for _ in positions]
 
-    def admit(self, node: int, dest: int, neighbor: int, raw: float, now_us: int) -> float:
-        """Node's raw score for (dest, neighbor), admitted only within +/- clamp of
-        its buffered trend's next value, which damps single-sample jumps either
-        way. A buffer resets after a gap longer than ``expiry_us``."""
-        trends = self.trends[node]
-        key = (dest, neighbor)
-        entry = trends.get(key)
-        if entry is None or now_us - entry[1] > self.expiry_us:
-            values: list[float] = []
-        else:
-            values = entry[0]
-        if values:
-            trend = _extrapolate_next(values)
-            admitted = min(trend + self.clamp, max(trend - self.clamp, raw))
-        else:
-            admitted = raw
-        admitted = min(1.0, max(0.0, admitted))
-        values.append(admitted)
-        if len(values) > self.buffer_len:
-            del values[0]
-        trends[key] = (values, now_us)
-        return admitted
+    def admit(self, nodes: list[int], dest: int, neighbor: int, raws: list[float],
+              now_us: int) -> list[float]:
+        """Each node's raw score for (dest, neighbor), admitted only within +/- clamp
+        of its buffered trend's next value, which damps single-sample jumps either
+        way. A buffer resets after a gap longer than ``expiry_us``. Each clamp is the
+        conditional CPython's two-argument max or min computes (``max(a, b)`` is ``b if
+        b > a else a``), which agrees with it on every float, NaN and signed zeros too."""
+        trends, key, expiry_us, clamp = self.trends, (dest, neighbor), self.expiry_us, self.clamp
+        admitted_all = []
+        for node, raw in zip(nodes, raws):
+            node_trends = trends[node]
+            entry = node_trends.get(key)
+            values = [] if entry is None or now_us - entry[1] > expiry_us else entry[0]
+            if values:
+                # The least-squares line through (index, value), one step past the end.
+                n = len(values)
+                trend = values[0]
+                if n > 1:
+                    val_mean = left_sum(values) / n
+                    terms = map(mul, _index_deviations(n), map(sub, values, repeat(val_mean, n)))
+                    trend = val_mean + left_sum(terms) / _index_sum_sq(n) * (n - (n - 1) / 2.0)
+                low, high = trend - clamp, trend + clamp
+                raw = raw if raw > low else low  # max(trend - clamp, raw)
+                raw = raw if raw < high else high  # min(trend + clamp, ...)
+            admitted = (raw if raw < 1.0 else 1.0) if raw > 0.0 else 0.0  # min(1.0, max(0.0, raw))
+            values.append(admitted)
+            del values[:-self.buffer_len]  # keep the newest buffer_len
+            node_trends[key] = (values, now_us)
+            admitted_all.append(admitted)
+        return admitted_all
 
     def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
-        """Link score times the carried score, admitted through each receiver's trend clamp."""
-        positions, predicted, admit = self.positions, self.predicted, self.admit
-        return [admit(node, msg.originator, prev_hop, pathscore_link(
-            positions[node], predicted[node], msg.sender_position, msg.sender_predicted,
-            self.comm_range_m, self.prediction_weight, self.buffer_len,
-        ) * msg.carried_score, now_us) for node in receivers]
+        """Link score times the carried score, admitted through each receiver's trend clamp.
+        The link score weighs the current and predicted distances to the sender, each in
+        ``mobility.distance``'s expression and clamped as in ``admit``, over buffer_len."""
+        sx, sy, sz = msg.sender_position
+        px, py, pz = msg.sender_predicted
+        positions, predicted, carried = self.positions, self.predicted, msg.carried_score
+        comm_range_m, weight, scale = self.comm_range_m, self.prediction_weight, self.buffer_len
+        raws = []
+        for node in receivers:
+            x, y, z = positions[node]
+            s_now = 1.0 - sqrt((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2) / comm_range_m
+            s_now = (s_now if s_now < 1.0 else 1.0) if s_now > 0.0 else 0.0
+            x, y, z = predicted[node]
+            s_pred = 1.0 - sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2) / comm_range_m
+            s_pred = (s_pred if s_pred < 1.0 else 1.0) if s_pred > 0.0 else 0.0
+            raws.append((weight * s_pred + (scale - weight) * s_now) / scale * carried)
+        return self.admit(receivers, msg.originator, prev_hop, raws, now_us)
 
 
 PROTOCOLS = {"batman": BatmanProtocol, "golsr": GeoOlsrProtocol, "batmobile": BatmobileProtocol}

@@ -171,18 +171,21 @@ class Simulation:
     def _on_stream_send(self, idx: int) -> None:
         spec = self.streams[idx]
         now = self.engine.clock_us
-        self.stats[idx].record_sent(now)
+        stats = self.stats[idx]
+        stats.record_sent(now)
         self._packet_counter += 1
-        frame = Frame(
-            kind=FrameKind.DATA,
-            dst=spec.dst,
-            size_bytes=spec.payload_bytes,
-            prev_hop=None,
-            packet_id=self._packet_counter,
-            ttl=self.config.ttl,
-            stream_idx=idx,
-        )
-        self._route(spec.src, frame)
+        live = self.protocol.live(spec.src, spec.dst, now)
+        if live:
+            frame = Frame(kind=FrameKind.DATA, dst=spec.dst, size_bytes=spec.payload_bytes,
+                          packet_id=self._packet_counter, ttl=self.config.ttl, stream_idx=idx)
+            self._route(spec.src, frame, live)
+        else:
+            # Most sends at a sparse scale end here: the hook and the plain
+            # path would both answer NO_ROUTE, so no frame is built for them.
+            if self.decisions is not None:
+                self.decisions.append(Decision(now, spec.src, self._packet_counter, spec.dst,
+                                               DropReason.NO_ROUTE, None))
+            stats.record_drop(DropReason.NO_ROUTE._value_)
         next_send = now + spec.interval_us
         if next_send < spec.stop_us:
             self.engine.schedule(next_send, EventKind.STREAM_SEND, idx)
@@ -199,7 +202,7 @@ class Simulation:
         if receiver == frame.dst:
             self.stats[frame.stream_idx].record_received(now)
         else:
-            self._route(receiver, frame)
+            self._route(receiver, frame, self.protocol.live(receiver, frame.dst, now))
 
     def _flood(self, node: int, msg: ControlMessage, ttl: int) -> None:
         """Queue one broadcast copy of msg at node, with ttl hops left."""
@@ -212,9 +215,9 @@ class Simulation:
 
     # -- data-plane forwarding (postrouting hook position) ----------------
 
-    def _route(self, node: int, frame: Frame) -> None:
+    def _route(self, node: int, frame: Frame, live: dict[int, float]) -> None:
+        """Forward frame from node over ``live``, the node's scores for its destination."""
         now = self.engine.clock_us
-        live = self.protocol.live(node, frame.dst, now)
         config = self.config
         if config.balancing:
             choice, sset = postrouting_hook(frame, node, live, self.rr[node],

@@ -36,3 +36,21 @@ def test_counts_repeat_exactly():
     modules = {path.name for path in (ROOT / "src" / "manetsim").glob("*.py")}
     assert set(first) - {"other"} <= modules
     assert first["simulation.py"] > 0 and first["routing.py"] > 0
+
+
+def scenario_counts_in_fresh_interpreter(path):
+    out = subprocess.run([sys.executable, str(SCRIPT), "--scenario", str(path), "--seeds", "1,2"],
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    cpu_line, *count_lines = out.splitlines()
+    assert cpu_line.endswith("cpu_s (unprofiled pass)") and float(cpu_line.split()[0]) > 0
+    return {name: int(calls) for calls, name in map(str.split, count_lines)}
+
+
+def test_scenario_file_counts_repeat_exactly(tmp_path):
+    path = tmp_path / "tiny.scenario"
+    path.write_text("[scenario]\nnodes = 6\narea_x = 150\narea_y = 150\nsim_time_s = 3\n"
+                    "stream_start_s = 1\nprotocol = batmobile\n")
+    first = scenario_counts_in_fresh_interpreter(path)
+    assert scenario_counts_in_fresh_interpreter(path) == first
+    assert first["total"] == sum(calls for name, calls in first.items() if name != "total")
+    assert first["routing.py"] > 0

@@ -55,6 +55,15 @@ def test_empty_seed_list_is_success(capsys, tmp_path):
     assert out.splitlines() == [",".join(CSV_COLUMNS)]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("seeds", ["1,1", "3,1, 3"])
+def test_repeated_seed_is_config_error(capsys, tmp_path, command, seeds):
+    code, out, err = run_cli(capsys, command, "--config", fast_config(tmp_path), "--seeds", seeds)
+    assert code == 1
+    assert out == ""
+    assert err == f"configuration error: --seeds repeats seed {seeds[-1]}\n"
+
+
 def test_config_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nodes = 1\n")

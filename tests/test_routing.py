@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from manetsim import config as config_module
 from manetsim.balancer import DropReason, best_forwarder, plain_forward
-from manetsim.channel import Frame, FrameKind
+from manetsim.channel import Frame, FrameKind, max_range_m
 from manetsim.config import ScenarioConfig
+from manetsim.engine import left_sum
+from manetsim.mobility import distance
 from manetsim.routing import (
     PROTOCOLS,
     BatmanProtocol,
@@ -18,10 +21,8 @@ from manetsim.routing import (
     ControlMessage,
     GeoOlsrProtocol,
     TQWindow,
-    _extrapolate_next,
     _index_sum_sq,
     geo_score,
-    pathscore_link,
 )
 from manetsim.simulation import Simulation
 
@@ -30,7 +31,8 @@ DIAG = math.sqrt(500**2 + 500**2 + 10**2)
 
 # -- reference path scores ---------------------------------------------------
 # What a chain of receive() calls must carry to its end; the chain tests below
-# compare the flooded ranking scores with them.
+# compare the flooded ranking scores with them. pathscore_link is also the
+# per-copy reference for batmobile's link score.
 
 def tq_path_score(link_qualities: list[float], hop_penalty: float = 0.95) -> float:
     """Product of link qualities with a penalty per hop beyond the first."""
@@ -40,6 +42,24 @@ def tq_path_score(link_qualities: list[float], hop_penalty: float = 0.95) -> flo
     if len(link_qualities) > 1:
         score *= hop_penalty ** (len(link_qualities) - 1)
     return score
+
+
+def pathscore_link(
+    own_pos,
+    own_predicted,
+    neighbor_pos,
+    neighbor_predicted,
+    comm_range_m: float,
+    prediction_weight: int = 7,
+    weight_scale: int = 8,
+) -> float:
+    """Single-link score mixing current and predicted normalized distances: the
+    per-copy form of what BatmobileProtocol.score_all computes for a frame."""
+    d_now = distance(own_pos, neighbor_pos)
+    s_now = min(1.0, max(0.0, 1.0 - d_now / comm_range_m))
+    d_pred = distance(own_predicted, neighbor_predicted)
+    s_pred = min(1.0, max(0.0, 1.0 - d_pred / comm_range_m))
+    return (prediction_weight * s_pred + (weight_scale - prediction_weight) * s_now) / weight_scale
 
 
 def pathscore_path(link_scores: list[float]) -> float:
@@ -166,18 +186,18 @@ def trend_protocol():
 
 def test_trend_clamp_bounds_single_update():
     protocol = trend_protocol()
-    assert protocol.admit(0, 1, 2, 0.5, 0) == pytest.approx(0.5)
+    assert protocol.admit([0], 1, 2, [0.5], 0) == [pytest.approx(0.5)]
     # A raw jump to 1.0 is admitted only 0.1 above the flat trend.
-    assert protocol.admit(0, 1, 2, 1.0, 500_000) == pytest.approx(0.6)
+    assert protocol.admit([0], 1, 2, [1.0], 500_000) == [pytest.approx(0.6)]
     # And a crash to 0.0 only 0.1 below the (rising) trend.
-    admitted = protocol.admit(0, 1, 2, 0.0, 1_000_000)
+    [admitted] = protocol.admit([0], 1, 2, [0.0], 1_000_000)
     assert admitted == pytest.approx(0.6, abs=0.1 + 1e-9)
 
 
 def test_trend_clamp_resets_after_expiry_gap():
     protocol = trend_protocol()
-    protocol.admit(0, 1, 2, 0.9, 0)
-    assert protocol.admit(0, 1, 2, 0.1, 10_000_000) == pytest.approx(0.1)
+    protocol.admit([0], 1, 2, [0.9], 0)
+    assert protocol.admit([0], 1, 2, [0.1], 10_000_000) == [pytest.approx(0.1)]
 
 
 def test_index_sum_sq_memo_equals_the_sum():
@@ -514,6 +534,18 @@ class ReferenceRanking:
             entry[1] = now_us
 
 
+def extrapolate_next(values):
+    """Least-squares line through (index, value), evaluated one step past the end."""
+    n = len(values)
+    if n == 1:
+        return values[0]
+    idx_mean = (n - 1) / 2.0
+    val_mean = left_sum(values) / n
+    terms = [(i - idx_mean) * (v - val_mean) for i, v in enumerate(values)]
+    return val_mean + left_sum(terms) / left_sum([(i - idx_mean) ** 2 for i in range(n)]) * (
+        n - idx_mean)
+
+
 class ReferenceScoreTrend:
     def __init__(self, buffer_len, clamp, reset_after_us):
         self.buffer_len = buffer_len
@@ -529,7 +561,7 @@ class ReferenceScoreTrend:
         else:
             values = entry[0]
         if values:
-            trend = _extrapolate_next(values)
+            trend = extrapolate_next(values)
             admitted = min(trend + self.clamp, max(trend - self.clamp, raw))
         else:
             admitted = raw
@@ -661,6 +693,63 @@ def test_receive_equals_the_per_copy_reference(name, steps):
         assert (protocol.receive(receivers, msg, prev_hop, now)
                 == reference.receive(receivers, msg, prev_hop, now))
         assert [snapshot(protocol, n) for n in nodes] == [snapshot(reference, n) for n in nodes]
+
+
+# -- batmobile's one-pass scoring on drawn positions ---------------------------
+
+RANGE_M = max_range_m(ScenarioConfig())
+# Coordinates on a grid of the range, so drawn nodes are often co-located,
+# exactly the range apart along one axis, or beyond it; or anywhere nearby.
+coordinate = st.sampled_from([0.0, RANGE_M, 2 * RANGE_M]) | st.floats(-2 * RANGE_M, 2 * RANGE_M)
+points = st.lists(st.tuples(coordinate, coordinate, st.sampled_from([0.0, 10.0])),
+                  min_size=6, max_size=6)
+# (originator, seq, prev_hop, receivers, carried score, time since the last copy)
+batmobile_steps = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 5), unique=True).map(sorted),
+    st.sampled_from([-0.4, 0.0, 1.0, 1.5]),
+    st.sampled_from([0, 100_000, 1_500_000]),
+)
+
+
+@given(points, points, st.lists(batmobile_steps, min_size=1, max_size=12))
+# Node 0 is exactly at range now and predicted, so its link score is 0.0 and a
+# negative carried score makes a raw score of -0.0, which admit stores as 0.0.
+@example([(RANGE_M, 0.0, 0.0)] + [(0.0, 0.0, 0.0)] * 5,
+         [(RANGE_M, 0.0, 0.0)] + [(0.0, 0.0, 0.0)] * 5, [(1, 0, 0, [1, 2], -0.4, 0)])
+@settings(max_examples=150, deadline=None)
+def test_batmobile_receive_equals_the_per_copy_reference_on_drawn_positions(
+        positions, predicted, steps):
+    config = ScenarioConfig(protocol="batmobile", ranking_expiry_s=1.0)
+    protocol, reference = BatmobileProtocol(config, positions), PerCopyBatmobile(config, positions)
+    for side in (protocol, reference):
+        side.predicted[:] = predicted
+    nodes = range(len(positions))
+    now = 1000
+    for origin, seq, prev_hop, receivers, carried, gap in steps:
+        now += gap
+        receivers = [r for r in receivers if r != prev_hop]
+        msg = ControlMessage(kind=ControlKind.OGM, originator=origin, seq=seq,
+                             sender_position=positions[prev_hop], carried_score=carried,
+                             originator_position=positions[origin],
+                             sender_predicted=predicted[prev_hop])
+        # repr, unlike ==, tells 0.0 from -0.0 in the rebroadcasts and trend buffers.
+        assert (repr(protocol.receive(receivers, msg, prev_hop, now))
+                == repr(reference.receive(receivers, msg, prev_hop, now)))
+        assert (repr([snapshot(protocol, n) for n in nodes])
+                == repr([snapshot(reference, n) for n in nodes]))
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.5]
+
+
+@pytest.mark.parametrize("a, b", itertools.product(EDGE_FLOATS, repeat=2))
+def test_conditional_clamps_equal_min_and_max(a, b):
+    # The forms BatmobileProtocol writes its clamps in, for max(a, b) and min(a, b).
+    assert repr(b if b > a else a) == repr(max(a, b))
+    assert repr(b if b < a else a) == repr(min(a, b))
 
 
 # -- multi-hop chains: O -> A -> B -> me ----------------------------------------

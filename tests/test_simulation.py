@@ -201,6 +201,49 @@ def test_two_streams_accounted_separately():
     assert result.conservation_ok
 
 
+@pytest.mark.parametrize("balancing", [True, False])
+def test_a_source_without_a_route_drops_each_packet_without_a_frame(monkeypatch, balancing):
+    # 190 m apart, far out of range: no control copy arrives, so no route ever forms.
+    config = static_config(2, balancing=balancing)
+    stream = StreamSpec(0, 1, us_from_s(5.0), us_from_s(20.0))
+    sim = Simulation(config, 1, initial_positions=[(0.0, 0.0, 0.0), (190.0, 0.0, 0.0)],
+                     streams=[stream], trace=True)
+    data_enqueued = []
+    enqueue = sim.medium.enqueue
+
+    def recording_enqueue(node, frame):
+        if frame.kind is FrameKind.DATA:
+            data_enqueued.append((node, frame))
+        return enqueue(node, frame)
+
+    sim.medium.enqueue = recording_enqueue
+    monkeypatch.setattr(simulation, "postrouting_hook", None)  # neither path is called
+    monkeypatch.setattr(simulation, "plain_forward", None)
+    result = sim.run()
+    assert result.sent > 0
+    assert result.drops["no_route"] == result.sent
+    assert result.data_tx == 0
+    assert data_enqueued == []  # the source's queue never holds a data packet
+    assert [d.packet_id for d in result.decisions] == list(range(1, result.sent + 1))
+    assert all(d[1:] == (0, d.packet_id, 1, DropReason.NO_ROUTE, None)
+               for d in result.decisions)
+    assert result.conservation_ok
+
+
+def test_packet_ids_stay_consecutive_across_routed_and_no_route_sends():
+    # The streams start before the first OGMs arrive, so early sends find no route.
+    config = static_config(3, stream_start_s=0.0)
+    streams = [StreamSpec(0, 2, 0, us_from_s(20.0)), StreamSpec(2, 0, 1, us_from_s(20.0))]
+    result = simulate(config, 1, initial_positions=LINE, streams=streams, trace=True)
+    first_decisions = {}
+    for d in result.decisions:
+        first_decisions.setdefault(d.packet_id, d)
+    assert list(first_decisions) == list(range(1, result.sent + 1))
+    source_choices = [d.choice for d in first_decisions.values()]
+    assert DropReason.NO_ROUTE in source_choices
+    assert any(not isinstance(choice, DropReason) for choice in source_choices)
+
+
 def test_mobility_feeds_histories_and_predictions(monkeypatch):
     config = ScenarioConfig(sim_time_s=5.0, nodes=4, protocol="batmobile", stream_start_s=1.0)
     sim = Simulation(config, 1)
