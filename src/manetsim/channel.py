@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from .engine import Engine, EventKind
@@ -61,18 +60,14 @@ def airtime_us(size_bytes: int, config: ScenarioConfig) -> int:
     return max(1, round(airtime_s(size_bytes, config) * 1e6))
 
 
-class FrameKind(Enum):
-    CONTROL = "control"
-    DATA = "data"
-
-
 @dataclass(slots=True)
 class Frame:
-    kind: FrameKind
     dst: int | None  # final destination; None for flooded control traffic
     size_bytes: int
     prev_hop: int | None = None
-    next_hop: int | None = None  # None = broadcast
+    # None = a broadcast, which only control frames are. The forwarding path
+    # sets it before it queues a data frame, so every queued data frame has one.
+    next_hop: int | None = None
     packet_id: int | None = None
     ttl: int = 16
     payload: object = None
@@ -184,7 +179,7 @@ class Medium:
             return
         frame = self.states[node_id].queue.popleft()
         t_end = now + airtime_us(frame.size_bytes, self.config)
-        if frame.kind is FrameKind.CONTROL:
+        if frame.next_hop is None:
             self.control_tx += 1
         else:
             self.data_tx += 1
@@ -231,6 +226,6 @@ class Medium:
 
     def queued_data_frames(self) -> list[Frame]:
         """Stream frames still held by the medium (queued or on the air)."""
-        pending = [f for st in self.states for f in st.queue if f.kind is FrameKind.DATA]
-        pending.extend(f for _, f in self.on_air.values() if f.kind is FrameKind.DATA)
+        pending = [f for st in self.states for f in st.queue if f.next_hop is not None]
+        pending.extend(f for _, f in self.on_air.values() if f.next_hop is not None)
         return pending

@@ -27,8 +27,7 @@ DEFAULT_SWEEP_VALUES = {"lambda": "0,0.3,0.6,0.9,1.0,1.1", "nodes": "5,10,15,20,
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="scenario file; defaults apply when omitted")
-    sub.add_argument("--seed", type=int, help="single master seed")
-    sub.add_argument("--seeds", help="comma-separated master seeds (overrides --seed)")
+    sub.add_argument("--seeds", help="comma-separated master seeds (default: config seed, runs)")
     sub.add_argument("--out", default="-", help="output CSV path; '-' writes to stdout")
     sub.add_argument("--protocol", choices=PROTOCOLS)
     sub.add_argument("--balancing", choices=("on", "off"))
@@ -64,8 +63,6 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         overrides["protocol"] = args.protocol
     if args.balancing:
         overrides["balancing"] = args.balancing == "on"
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     return replace(config, **overrides)
 
 
@@ -78,13 +75,15 @@ def _resolve_seeds(args: argparse.Namespace, config: ScenarioConfig) -> list[int
         if repeated := [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]:
             raise ValueError(f"--seeds repeats seed {repeated[0]}")
         return seeds
-    if args.seed is not None:
-        return [args.seed]
     return default_seeds(config)
 
 
 def _parse_values(args: argparse.Namespace) -> list[float]:
-    return [float(part) for part in args.values.split(",") if part.strip()]
+    values = [float(part) for part in args.values.split(",") if part.strip()]
+    # Compared as floats, so 5 and 5.0 repeat: one value gives one config.
+    if repeated := [value for i, value in enumerate(values) if value in values[:i]]:
+        raise ValueError(f"--values repeats {repeated[0]}")
+    return values
 
 
 def _emit(rows, args: argparse.Namespace) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .balancer import DropReason, RRState, plain_forward, postrouting_hook
-from .channel import Frame, FrameKind, Medium
+from .channel import Frame, Medium
 from .config import ScenarioConfig
 from .engine import Engine, EventKind, us_from_s
 from .mobility import Position, predict_position, random_position, step_waypoint
@@ -176,7 +176,7 @@ class Simulation:
         self._packet_counter += 1
         live = self.protocol.live(spec.src, spec.dst, now)
         if live:
-            frame = Frame(kind=FrameKind.DATA, dst=spec.dst, size_bytes=spec.payload_bytes,
+            frame = Frame(dst=spec.dst, size_bytes=spec.payload_bytes,
                           packet_id=self._packet_counter, ttl=self.config.ttl, stream_idx=idx)
             self._route(spec.src, frame, live)
         else:
@@ -192,7 +192,7 @@ class Simulation:
 
     def _on_frame_delivered(self, receivers: list[int], frame: Frame) -> None:
         now = self.engine.clock_us
-        if frame.kind is FrameKind.CONTROL:
+        if frame.next_hop is None:  # a flooded control frame
             rebroadcasts = self.protocol.receive(receivers, frame.payload, frame.prev_hop, now)
             if frame.ttl > 1:
                 for receiver, msg in rebroadcasts:
@@ -206,8 +206,7 @@ class Simulation:
 
     def _flood(self, node: int, msg: ControlMessage, ttl: int) -> None:
         """Queue one broadcast copy of msg at node, with ttl hops left."""
-        self.medium.enqueue(node, Frame(kind=FrameKind.CONTROL, dst=None,
-                                        size_bytes=self.config.control_bytes,
+        self.medium.enqueue(node, Frame(dst=None, size_bytes=self.config.control_bytes,
                                         prev_hop=node, ttl=ttl, payload=msg))
 
     def _on_unicast_lost(self, frame: Frame, cause: str) -> None:

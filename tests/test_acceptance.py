@@ -20,7 +20,7 @@ from manetsim.balancer import (
     postrouting_hook,
     schedulable_set,
 )
-from manetsim.channel import Frame, FrameKind, max_range_m, receivable
+from manetsim.channel import Frame, max_range_m, receivable
 from manetsim.config import ScenarioConfig
 from manetsim.engine import EventKind, us_from_s
 from manetsim.experiment import rows_to_csv_text, run_experiment, simulate_all
@@ -102,7 +102,7 @@ def test_criterion_01_schedulable_set_oracle_equivalence():
         if scores:
             got = schedulable_set(scores, 9, likelihood, exclude).members
         else:  # an empty map never reaches the filter: the hook reports no route
-            packet = Frame(kind=FrameKind.DATA, dst=9, size_bytes=1460, prev_hop=exclude, ttl=16)
+            packet = Frame(dst=9, size_bytes=1460, prev_hop=exclude, ttl=16)
             assert postrouting_hook(packet, 3, scores, RRState(), likelihood) == (
                 DropReason.NO_ROUTE, None)
             got = ()
@@ -301,7 +301,7 @@ def test_criterion_10_windowed_pdr_exceeds_one_after_stall():
         # sensing stalls the sender, its queue fills, then drains on release.
         payload = ControlMessage(kind=ControlKind.OGM, originator=2, seq=10_000,
                                  sender_position=positions[2])
-        jumbo = Frame(kind=FrameKind.CONTROL, dst=None, size_bytes=5_999_936,
+        jumbo = Frame(dst=None, size_bytes=5_999_936,
                       prev_hop=2, payload=payload)
         sim.medium.enqueue(2, jumbo)
 

@@ -12,7 +12,7 @@ from manetsim.balancer import (
     postrouting_hook,
     schedulable_set,
 )
-from manetsim.channel import Frame, FrameKind
+from manetsim.channel import Frame
 from manetsim.config import ScenarioConfig
 from manetsim.routing import FloodingProtocol
 
@@ -168,7 +168,7 @@ def test_fairness_holds_piecewise_under_membership_churn(pattern):
 # -- postrouting hook ----------------------------------------------------------
 
 def data_frame(dst=9, prev_hop=None, ttl=16):
-    return Frame(kind=FrameKind.DATA, dst=dst, size_bytes=1460,
+    return Frame(dst=dst, size_bytes=1460,
                  prev_hop=prev_hop, ttl=ttl, packet_id=1)
 
 
@@ -217,10 +217,14 @@ def test_exclusion_toggle_allows_bounce_back():
 
 
 def test_control_frames_never_enter_hook_by_contract():
-    # the hook is only defined for data frames; the simulation enforces the
-    # bypass, checked end-to-end in test_simulation
+    # A frame with no next hop is a broadcast, and only control frames are
+    # broadcasts. The hook gives every frame it forwards a next hop, so what it
+    # passes on is never one; the simulation never hands it a control frame,
+    # checked end-to-end in test_simulation.
     packet = data_frame()
-    assert packet.kind is FrameKind.DATA
+    assert packet.next_hop is None
+    decision, _ = postrouting_hook(packet, 3, {1: 0.95, 5: 0.93}, RRState(), 0.9)
+    assert packet.next_hop == decision == 1
 
 
 # -- the decision path against its per-call reference ---------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from manetsim.channel import (
     Frame,
-    FrameKind,
     Medium,
     airtime_s,
     airtime_us,
@@ -124,12 +123,12 @@ class Harness:
 
 
 def data_frame(src, dst, size=1460):
-    return Frame(kind=FrameKind.DATA, dst=dst, size_bytes=size,
+    return Frame(dst=dst, size_bytes=size,
                  prev_hop=src, next_hop=dst, packet_id=1)
 
 
 def broadcast_frame(src, size=64):
-    return Frame(kind=FrameKind.CONTROL, dst=None, size_bytes=size, prev_hop=src)
+    return Frame(dst=None, size_bytes=size, prev_hop=src)
 
 
 def test_single_transmission_delivered_in_range():
@@ -183,13 +182,31 @@ def test_broadcast_reaches_every_node_in_range():
 def test_queue_capacity_and_fifo_order():
     config = ScenarioConfig(queue_capacity=50)
     h = Harness([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0)], config=config)
-    frames = [Frame(kind=FrameKind.DATA, dst=1, size_bytes=100,
+    frames = [Frame(dst=1, size_bytes=100,
                     prev_hop=0, next_hop=1, packet_id=i) for i in range(52)]
     accepted = [h.send(0, f) for f in frames]
     assert accepted == [True] * 50 + [False, False]
     assert h.medium.states[0].queue_drops == 2
     h.run(5.0)
     assert [f.packet_id for _, f in h.delivered] == list(range(50))
+
+
+def test_a_frame_with_a_next_hop_is_data_and_a_broadcast_is_control():
+    # The medium tells the two apart by the next hop alone, queued, on the
+    # air and sent.
+    h = Harness([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0)], config=NO_JITTER)
+    data, broadcast = data_frame(0, 1), broadcast_frame(1)
+    h.send(0, data)
+    h.send(1, broadcast)
+    assert h.medium.queued_data_frames() == [data]
+    h.engine.run_until(1)  # 0 is on the air and 1 defers
+    assert list(h.medium.on_air) == [0]
+    assert h.medium.queued_data_frames() == [data]
+    assert (h.medium.data_tx, h.medium.control_tx) == (1, 0)
+    h.run()
+    assert h.medium.queued_data_frames() == []
+    assert (h.medium.data_tx, h.medium.control_tx) == (1, 1)
+    assert h.deliveries == [([1], data), ([0], broadcast)]
 
 
 def test_no_frame_delivered_twice_per_transmission():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import manetsim
 from manetsim.cli import main
-from manetsim.experiment import CSV_COLUMNS
+from manetsim.config import load_scenario
+from manetsim.experiment import CSV_COLUMNS, scenario_id
 
 
 def run_cli(capsys, *argv):
@@ -23,7 +25,7 @@ def fast_config(tmp_path, extra=""):
 
 
 def test_run_writes_csv_to_stdout(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "run", "--config", fast_config(tmp_path), "--seed", "3")
+    code, out, err = run_cli(capsys, "run", "--config", fast_config(tmp_path), "--seeds", "3")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -64,6 +66,33 @@ def test_repeated_seed_is_config_error(capsys, tmp_path, command, seeds):
     assert err == f"configuration error: --seeds repeats seed {seeds[-1]}\n"
 
 
+def test_seed_reads_as_seeds_and_the_row_keeps_the_config_scenario_id(capsys, tmp_path):
+    config = fast_config(tmp_path)
+    _, by_seeds, _ = run_cli(capsys, "run", "--config", config, "--seeds", "5")
+    _, by_seed, _ = run_cli(capsys, "run", "--config", config, "--seed", "5")  # a prefix of --seeds
+    assert by_seed == by_seeds
+    row = by_seeds.splitlines()[1].split(",")
+    assert (row[0], row[6]) == (scenario_id(load_scenario(config)), "5")
+
+
+def test_run_help_lists_seeds_as_the_one_seed_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = capsys.readouterr().out
+    assert "--seeds" in out and not re.search(r"--seed\b", out)
+
+
+@pytest.mark.parametrize("command, values, repeated", [
+    ("sweep-lambda", "0.9,0.9", "0.9"),
+    ("sweep-nodes", "5,6,5.0", "5.0"),  # compared as numbers
+])
+def test_repeated_sweep_value_is_config_error(capsys, tmp_path, command, values, repeated):
+    code, out, err = run_cli(capsys, command, "--config", fast_config(tmp_path),
+                             "--values", values, "--seeds", "1")
+    assert (code, out) == (1, "")
+    assert err == f"configuration error: --values repeats {repeated}\n"
+
+
 def test_config_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nodes = 1\n")
@@ -74,7 +103,7 @@ def test_config_error_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep-lambda", "sweep-nodes", "sweep-streams",
                                      "compare"])
-@pytest.mark.parametrize("overrides", [[], ["--seed", "2", "--protocol", "golsr",
+@pytest.mark.parametrize("overrides", [[], ["--seeds", "2", "--protocol", "golsr",
                                             "--balancing", "on"]])
 def test_bad_scenario_file_exits_1_through_every_subcommand(capsys, tmp_path, command,
                                                             overrides):
@@ -94,7 +123,7 @@ def test_missing_config_file_exit_code(capsys):
 def test_protocol_and_balancing_overrides(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "run", "--config", fast_config(tmp_path),
-        "--seed", "1", "--protocol", "golsr", "--balancing", "off")
+        "--seeds", "1", "--protocol", "golsr", "--balancing", "off")
     assert code == 0
     row = out.splitlines()[1].split(",")
     assert row[1] == "golsr"
@@ -164,7 +193,7 @@ def test_non_finite_config_value_is_config_error(capsys, tmp_path):
 def test_time_past_the_microsecond_clock_is_config_error(capsys, tmp_path, text, key):
     path = tmp_path / "scenario.cfg"
     path.write_text(text)
-    code, _, err = run_cli(capsys, "run", "--config", str(path), "--seed", "1")
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--seeds", "1")
     assert code == 1
     assert "configuration error" in err and f"{key} must fit the microsecond clock" in err
 
@@ -190,7 +219,7 @@ def test_speed_past_the_area_per_tick_is_config_error(capsys, tmp_path, speed):
         "control-1e400"])
 def test_link_budget_or_airtime_past_a_float_is_config_error(capsys, tmp_path, extra, key):
     # Each of these used to pass validation, then crash or run on a nonsense range.
-    code, _, err = run_cli(capsys, "run", "--config", fast_config(tmp_path, extra), "--seed", "1")
+    code, _, err = run_cli(capsys, "run", "--config", fast_config(tmp_path, extra), "--seeds", "1")
     assert code == 1
     assert "configuration error" in err and key in err and "Traceback" not in err
 
@@ -202,7 +231,7 @@ def output_error_lines(err):
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_unwritable_out_path_exits_1_naming_it(capsys, tmp_path, command):
     out = tmp_path / "missing" / "rows.csv"
-    code, _, err = run_cli(capsys, command, "--config", fast_config(tmp_path), "--seed", "1",
+    code, _, err = run_cli(capsys, command, "--config", fast_config(tmp_path), "--seeds", "1",
                            "--out", str(out))
     assert code == 1
     [line] = output_error_lines(err)
@@ -213,7 +242,7 @@ def test_unwritable_out_path_exits_1_naming_it(capsys, tmp_path, command):
 def test_trace_dir_under_a_regular_file_exits_1_naming_it(capsys, tmp_path, command):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, out, err = run_cli(capsys, command, "--config", fast_config(tmp_path), "--seed", "1",
+    code, out, err = run_cli(capsys, command, "--config", fast_config(tmp_path), "--seeds", "1",
                              "--trace-pdr", str(blocker / "sub"))
     assert (code, out) == (1, "")
     [line] = output_error_lines(err)

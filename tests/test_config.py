@@ -668,7 +668,7 @@ def test_scenario_text_runs_to_its_end_or_exits_1_through_the_cli(
             path.write_text(text)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli_main(["run", "--config", str(path), "--seed", "1"])
+                code = cli_main(["run", "--config", str(path), "--seeds", "1"])
             lines = err.getvalue().splitlines()
             assert (code, out.getvalue()) == (1, ""), text
             assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines

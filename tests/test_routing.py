@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from manetsim import config as config_module
 from manetsim.balancer import DropReason, best_forwarder, plain_forward
-from manetsim.channel import Frame, FrameKind, max_range_m
+from manetsim.channel import Frame, max_range_m
 from manetsim.config import ScenarioConfig
 from manetsim.engine import left_sum
 from manetsim.mobility import distance
@@ -229,7 +229,7 @@ def test_best_forwarder_tie_breaks_to_lowest_id():
 def test_best_forwarder_empty_table():
     live = make_ranking([]).live(0, 9, 0)
     assert live == {}
-    packet = Frame(kind=FrameKind.DATA, dst=9, size_bytes=1460, ttl=16)
+    packet = Frame(dst=9, size_bytes=1460, ttl=16)
     assert plain_forward(packet, 0, live) == (DropReason.NO_ROUTE, None)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from manetsim import mobility, simulation
 from manetsim.balancer import DropReason
-from manetsim.channel import Frame, FrameKind
+from manetsim.channel import Frame
 from manetsim.config import PROTOCOLS, ScenarioConfig, validate
 from manetsim.engine import us_from_s
 from manetsim.routing import ControlKind, ControlMessage
@@ -100,6 +100,28 @@ def test_control_traffic_bypasses_decision_trace():
         assert d.packet_id is not None  # only stream packets are routed
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_queued_frame_is_a_broadcast_exactly_when_it_has_no_destination(protocol):
+    # Dense, with a short TTL: packets are relayed, control copies rebroadcast,
+    # and some packets dropped for their TTL before they are queued again.
+    config = ScenarioConfig(protocol=protocol, nodes=12, area_x=150.0, area_y=150.0, streams=3,
+                            sim_time_s=6.0, stream_start_s=2.0, ttl=3)
+    sim = Simulation(config, 1, trace=True)
+    queued = []  # (no next hop, no destination) of each frame as it is queued
+    enqueue = sim.medium.enqueue
+
+    def recording_enqueue(node, frame):
+        queued.append((frame.next_hop is None, frame.dst is None))
+        return enqueue(node, frame)
+
+    sim.medium.enqueue = recording_enqueue
+    result = sim.run()
+    assert result.drops["ttl"] > 0 and result.data_tx > 0
+    assert all(broadcast == control for broadcast, control in queued)
+    forwarded = [d for d in result.decisions if not isinstance(d.choice, DropReason)]
+    assert queued.count((False, False)) == len(forwarded)
+
+
 def test_flood_depth_limited_by_ttl():
     positions = [(40.0 * k, 0.0, 0.0) for k in range(5)]
     config = static_config(5, ttl=3, area_x=400.0)
@@ -121,7 +143,7 @@ def test_ttl_one_copy_still_marks_its_message_forwarded():
                          sender_position=DIAMOND[1], originator_position=DIAMOND[0])
 
     def copy(ttl):
-        return Frame(kind=FrameKind.CONTROL, dst=None, size_bytes=config.control_bytes,
+        return Frame(dst=None, size_bytes=config.control_bytes,
                      prev_hop=1, ttl=ttl, payload=msg)
 
     sim._on_frame_delivered([3], copy(ttl=1))
@@ -212,7 +234,7 @@ def test_a_source_without_a_route_drops_each_packet_without_a_frame(monkeypatch,
     enqueue = sim.medium.enqueue
 
     def recording_enqueue(node, frame):
-        if frame.kind is FrameKind.DATA:
+        if frame.dst is not None:
             data_enqueued.append((node, frame))
         return enqueue(node, frame)
 
