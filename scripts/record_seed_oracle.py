@@ -1,20 +1,19 @@
-"""Record the seed-oracle table: what a past tree of the simulator gives for
-each config that ``tests/seed_oracle.py`` draws.
+"""Record the seed-oracle table: what the first tree of the simulator
+(``8e5d264``) gives for each config that ``tests/seed_oracle.py`` draws.
 
-    python3 scripts/record_seed_oracle.py [--rev 8e5d264] [--rows 60] [--check]
+    python3 scripts/record_seed_oracle.py
 
-Draws the configs with the simulator in ``src/``, exports the tree at
-``--rev`` with ``git archive`` into a temporary directory, runs each config
-there in a child process, and writes ``tests/seed_oracle_table.json``: per
-row the config, the run seed, the ``state_hash`` and the CSV-row sha256.
-With ``--check`` it writes nothing and exits 1 when the table on disk differs
-from what the tree gives now. It needs git and this repository's history,
-so the tier-1 suite only reads the table.
+Draws the configs with the simulator in ``src/``, exports the first tree
+with ``git archive`` into a temporary directory, runs each config there in a
+child process, and writes ``tests/seed_oracle_table.json``: per row the
+config, the run seed, the ``state_hash`` and the CSV-row sha256. It needs
+git and this repository's history, so the tier-1 suite only reads the
+table. An unchanged ``git diff`` of the table after a rerun shows that it
+still matches the first tree.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -46,10 +45,10 @@ json.dump(out, sys.stdout)
 """
 
 
-def record(rev: str, rows: int) -> list[dict]:
-    drawn = seed_oracle.draw_configs(rows)
+def record() -> list[dict]:
+    drawn = seed_oracle.draw_configs()
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", SEED_REV, "src"],
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(tmp) / "src"),
@@ -60,20 +59,9 @@ def record(rev: str, rows: int) -> list[dict]:
             for (keywords, seed), (state_hash, row_sha256) in zip(drawn, json.loads(proc.stdout))]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rev", default=SEED_REV, help="git revision to run (default: %(default)s)")
-    parser.add_argument("--rows", type=int, default=seed_oracle.ROWS, help="configs to draw")
-    parser.add_argument("--check", action="store_true",
-                        help="compare with the table on disk instead of writing it")
-    args = parser.parse_args(argv)
-    text = seed_oracle.table_text(record(args.rev, args.rows))
-    if args.check:
-        same = seed_oracle.TABLE.read_text(encoding="utf-8") == text
-        print(f"{'ok' if same else 'DIFFERS'}: {seed_oracle.TABLE.name} against {args.rev}")
-        return 0 if same else 1
-    seed_oracle.TABLE.write_text(text, encoding="utf-8")
-    print(f"wrote {args.rows} rows to {seed_oracle.TABLE}")
+def main() -> int:
+    seed_oracle.TABLE.write_text(seed_oracle.table_text(record()), encoding="utf-8")
+    print(f"wrote {seed_oracle.ROWS} rows to {seed_oracle.TABLE}")
     return 0
 
 

@@ -10,16 +10,18 @@ a score, so each run is pinned by a digest of its protocol's float state too.
 
 The medium's jitter draw is pinned too: it must equal ``randrange`` on the
 same stream. Both ``tests/test_pins.py`` and ``scripts/check_portable.py``
-read this module, so it imports nothing beyond the standard library and ``manetsim``.
+read this module, so it imports nothing beyond the standard library, ``manetsim``
+and ``seed_oracle``, which shares its CSV-row digest.
 """
 
 import hashlib
 import random
 
+from seed_oracle import observed
+
 from manetsim.channel import Medium
 from manetsim.config import ScenarioConfig
 from manetsim.engine import Engine, stream_seed
-from manetsim.experiment import result_row, rows_to_csv_text
 from manetsim.simulation import Simulation
 
 DENSE = dict(area_x=150.0, area_y=150.0, streams=3, sim_time_s=8.0, stream_start_s=2.0)
@@ -136,9 +138,8 @@ def observe(name: str) -> tuple[str, str, str, str]:
     config = SCENARIOS[name]
     sim = Simulation(config, SEED, trace=True)
     result = sim.run()
-    line = rows_to_csv_text([result_row(config, result)]).splitlines()[1]
-    return (result.state_hash, hashlib.sha256(line.encode()).hexdigest(),
-            decisions_digest(result.decisions), float_state_digest(sim.protocol))
+    return (*observed(config, result), decisions_digest(result.decisions),
+            float_state_digest(sim.protocol))
 
 
 # The jitter spans (mac_jitter_us + 1) whose draws are checked: 1 still

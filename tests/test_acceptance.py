@@ -301,8 +301,7 @@ def test_criterion_10_windowed_pdr_exceeds_one_after_stall():
         # sensing stalls the sender, its queue fills, then drains on release.
         payload = ControlMessage(kind=ControlKind.OGM, originator=2, seq=10_000,
                                  sender_position=positions[2])
-        jumbo = Frame(dst=None, size_bytes=5_999_936,
-                      prev_hop=2, payload=payload)
+        jumbo = Frame(dst=None, size_bytes=5_999_936, prev_hop=2, payload=payload)
         sim.medium.enqueue(2, jumbo)
 
     sim.engine.schedule(us_from_s(3.0), EventKind.CALLBACK, inject_jam)

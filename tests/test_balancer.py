@@ -168,8 +168,7 @@ def test_fairness_holds_piecewise_under_membership_churn(pattern):
 # -- postrouting hook ----------------------------------------------------------
 
 def data_frame(dst=9, prev_hop=None, ttl=16):
-    return Frame(dst=dst, size_bytes=1460,
-                 prev_hop=prev_hop, ttl=ttl, packet_id=1)
+    return Frame(dst=dst, size_bytes=1460, prev_hop=prev_hop, ttl=ttl, packet_id=1)
 
 
 def test_hook_excludes_previous_hop():

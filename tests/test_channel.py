@@ -123,8 +123,7 @@ class Harness:
 
 
 def data_frame(src, dst, size=1460):
-    return Frame(dst=dst, size_bytes=size,
-                 prev_hop=src, next_hop=dst, packet_id=1)
+    return Frame(dst=dst, size_bytes=size, prev_hop=src, next_hop=dst, packet_id=1)
 
 
 def broadcast_frame(src, size=64):
@@ -182,8 +181,8 @@ def test_broadcast_reaches_every_node_in_range():
 def test_queue_capacity_and_fifo_order():
     config = ScenarioConfig(queue_capacity=50)
     h = Harness([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0)], config=config)
-    frames = [Frame(dst=1, size_bytes=100,
-                    prev_hop=0, next_hop=1, packet_id=i) for i in range(52)]
+    frames = [Frame(dst=1, size_bytes=100, prev_hop=0, next_hop=1, packet_id=i)
+              for i in range(52)]
     accepted = [h.send(0, f) for f in frames]
     assert accepted == [True] * 50 + [False, False]
     assert h.medium.states[0].queue_drops == 2

@@ -69,7 +69,8 @@ def test_repeated_seed_is_config_error(capsys, tmp_path, command, seeds):
 def test_seed_reads_as_seeds_and_the_row_keeps_the_config_scenario_id(capsys, tmp_path):
     config = fast_config(tmp_path)
     _, by_seeds, _ = run_cli(capsys, "run", "--config", config, "--seeds", "5")
-    _, by_seed, _ = run_cli(capsys, "run", "--config", config, "--seed", "5")  # a prefix of --seeds
+    # argparse reads a prefix of --seeds as --seeds.
+    _, by_seed, _ = run_cli(capsys, "run", "--config", config, "--seed", "5")
     assert by_seed == by_seeds
     row = by_seeds.splitlines()[1].split(",")
     assert (row[0], row[6]) == (scenario_id(load_scenario(config)), "5")

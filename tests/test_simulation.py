@@ -143,8 +143,7 @@ def test_ttl_one_copy_still_marks_its_message_forwarded():
                          sender_position=DIAMOND[1], originator_position=DIAMOND[0])
 
     def copy(ttl):
-        return Frame(dst=None, size_bytes=config.control_bytes,
-                     prev_hop=1, ttl=ttl, payload=msg)
+        return Frame(dst=None, size_bytes=config.control_bytes, prev_hop=1, ttl=ttl, payload=msg)
 
     sim._on_frame_delivered([3], copy(ttl=1))
     assert 0 in sim.protocol.rankings[3]  # the last-hop copy is still scored
