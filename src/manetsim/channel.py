@@ -10,6 +10,7 @@ Each transmission ends in at most one delivery call, clean receivers ascending.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -22,6 +23,10 @@ if TYPE_CHECKING:  # config imports this module to check a run's link budget and
     from .config import ScenarioConfig
 
 SPEED_OF_LIGHT = 3.0e8  # free-space simplification used throughout the link budget
+
+# Reading an Enum member off its class runs Python code before 3.12 (~0.1 us
+# on 3.11); the medium schedules one or two events per frame.
+_TX_ATTEMPT, _PACKET_ARRIVAL = EventKind.TX_ATTEMPT, EventKind.PACKET_ARRIVAL
 
 
 def path_loss_db(distance_m: float, params: ScenarioConfig) -> float:
@@ -111,6 +116,8 @@ class Medium:
         self._jitter_span = config.mac_jitter_us + 1
         self._jitter_bits = self._jitter_span.bit_length()
         self.range2 = max_range_m(config) ** 2
+        # A pure function of the frame size here, so computed once per size.
+        self.airtime_us = functools.cache(functools.partial(airtime_us, config=config))
         self.states = [_MacState() for _ in positions]
         # Each transmitting node's (t_end_us, frame), removed at arrival.
         self.on_air: dict[int, tuple[int, Frame]] = {}
@@ -149,7 +156,7 @@ class Medium:
         jitter = self._getrandbits(self._jitter_bits)
         while jitter >= self._jitter_span:
             jitter = self._getrandbits(self._jitter_bits)
-        self.engine.schedule(t_us + jitter, EventKind.TX_ATTEMPT, node_id)
+        self.engine.schedule(t_us + jitter, _TX_ATTEMPT, node_id)
 
     def enqueue(self, node_id: int, frame: Frame) -> bool:
         """FIFO admit; drop-tail above capacity with the drop counted."""
@@ -177,8 +184,9 @@ class Medium:
         if busy_until > now:
             self._attempt_after(node_id, busy_until)
             return
-        frame = self.states[node_id].queue.popleft()
-        t_end = now + airtime_us(frame.size_bytes, self.config)
+        states = self.states
+        frame = states[node_id].queue.popleft()
+        t_end = now + self.airtime_us(frame.size_bytes)
         if frame.next_hop is None:
             self.control_tx += 1
         else:
@@ -193,7 +201,7 @@ class Medium:
         # for each frame's airtime raised crowd50's peak RSS by ~0.2 MB.
         lost: list[int] = []
         for other in receivers:
-            other_st = self.states[other]
+            other_st = states[other]
             if other_st.rx_until <= now:
                 other_st.rx_clean = lost
             else:
@@ -204,8 +212,8 @@ class Medium:
             # Always true for a clean reception: t_end > now >= rx_until.
             if t_end > other_st.rx_until:
                 other_st.rx_until = t_end
-        self.on_air[node_id] = (t_end, frame)
-        self.engine.schedule(t_end, EventKind.PACKET_ARRIVAL, (node_id, receivers, lost))
+        on_air[node_id] = (t_end, frame)
+        self.engine.schedule(t_end, _PACKET_ARRIVAL, (node_id, receivers, lost))
 
     def _on_arrival(self, payload: tuple) -> None:
         node_id, receivers, lost = payload
@@ -213,8 +221,11 @@ class Medium:
         addressed = frame.next_hop
         if addressed is None:
             # A copy either way: the callback owns the list it is given.
-            lost_set = set(lost)
-            clean = [r for r in receivers if r not in lost_set] if lost else receivers[:]
+            if lost:
+                lost_set = set(lost)
+                clean = [r for r in receivers if r not in lost_set]
+            else:
+                clean = receivers[:]
             if clean:
                 self.on_deliver(clean, frame)
         elif addressed not in lost and addressed in receivers:

@@ -78,6 +78,15 @@ class ScenarioConfig:
     prediction_weight: int = _key(7, "batmobile", ge=0)
     trend_clamp: float = _key(0.1, "batmobile", ge=0)
 
+    def __post_init__(self):
+        # scenario_id hashes each field's repr, so 90000 and 90000.0 would name
+        # one run twice: a float field holds a float, even given an int or a
+        # bool (a bool is an int).
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and isinstance(value, int):
+                object.__setattr__(self, f.name, float(value))
+
     def area(self) -> Area:
         return Area(self.area_x, self.area_y, self.area_z)
 

@@ -3,9 +3,10 @@
 Rows are fully deterministic functions of (config, seed): float columns are
 quantized to 9 significant digits at row construction and the runtime column
 reports the processed-event count, so identical inputs produce byte-identical
-CSV output. A batch's runs fan out over forked worker processes (see
-``simulate_all``); rows, CSVs and trace files are built in the calling
-process, in job order, so the bytes do not depend on how many workers ran.
+CSV output. A batch's runs are shared between the calling process and
+children forked for the batch, with no executor (see ``simulate_all``);
+rows, CSVs and trace files are built in the calling process, in job order,
+so the bytes do not depend on how many processes ran.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import io
 import math
 import os
+import struct
 from dataclasses import dataclass, fields, replace
 
 from . import simulation
@@ -82,26 +84,131 @@ def default_seeds(config: ScenarioConfig) -> list[int]:
 def simulate_all(jobs: list[tuple[ScenarioConfig, int]]) -> list[RunResult]:
     """The RunResult of each (config, seed) job, in job order.
 
-    The jobs run on min(len(jobs), os.cpu_count()) forked worker processes,
-    with the results of running them one after another. The batch runs in
-    this process when that is one worker, when the platform cannot fork, or
-    when ``simulate`` here has been replaced: a caller observing every run
-    (perfbench's recorder) then sees each one.
+    The jobs run on min(len(jobs), os.cpu_count()) processes, this one and
+    forked children, with the results of running them one after another.
+    The batch runs in this process alone when that is one process, when the
+    platform cannot fork, or when ``simulate`` here has been replaced: a
+    caller observing every run (perfbench's recorder) then sees each one.
     """
     workers = min(len(jobs), os.cpu_count() or 1)
     if workers < 2 or not hasattr(os, "fork") or simulate is not simulation.simulate:
         return [simulate(config, seed) for config, seed in jobs]
-    # Imported here: they cost ~30 ms, a quarter of `manetsim run`'s set-up.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    results: list[RunResult] = []
+    for start in range(0, len(jobs), _JOBS_PER_FORK):
+        part = jobs[start:start + _JOBS_PER_FORK]
+        results += _fan_out(part, min(len(part), workers))
+    return results
 
-    # fork: each worker starts with the simulator already imported. The
-    # executor forks every worker before it starts its own thread, and the
-    # simulator starts none. Unlike multiprocessing.Pool, the executor raises
-    # BrokenProcessPool when a worker dies instead of waiting forever.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(simulate, *zip(*jobs)))
+
+# Job numbers pass through a pipe as 4-byte records; it only ever holds whole
+# records, so each 4-byte read takes one. A slice of this many jobs needs
+# 4 KiB of them, which a pipe takes without blocking, so they are all written
+# before the first fork.
+_JOB = struct.Struct("<I")
+_JOBS_PER_FORK = 1024
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without returning its results."""
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process."""
+
+
+def _fan_out(jobs: list[tuple[ScenarioConfig, int]], workers: int) -> list:
+    """Run the jobs on this process and workers - 1 forked children.
+
+    Process k starts on job k. Every later job number is read, one at a
+    time and in job order, by whichever process is free next, from one pipe
+    that all of them share. A child pickles back its (job, result) pairs, or
+    its error, once the pipe is empty. No child outlives the call: if this
+    process fails or is interrupted, it kills and reaps the children left.
+    """
+    # Imported here: ~4 ms of set-up that a serial batch does not need.
+    import pickle
+    import signal
+
+    results = [None] * len(jobs)
+    queue, queue_w = os.pipe()
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        # Closed before the first fork, so a read from the empty queue returns b"".
+        with open(queue_w, "wb") as feed:
+            feed.write(b"".join(_JOB.pack(i) for i in range(workers, len(jobs))))
+        for first in range(1, workers):
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(result_r)
+                os.close(result_w)
+                raise
+            if pid == 0:  # a child leaves only by os._exit
+                status = 1
+                try:
+                    os.close(result_r)
+                    _child(jobs, first, queue, result_w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = result_r
+            os.close(result_w)
+        for i, result in _share(jobs, 0, queue):
+            results[i] = result
+        for pid, result_r in list(children.items()):
+            with open(result_r, "rb", closefd=False) as pipe:
+                data = pipe.read()  # read before waitpid: a child blocks until its pickle is read
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            os.close(result_r)
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise WorkerError(f"worker process {pid} ended with {how} and no results")
+            done, error, text = pickle.loads(data)  # bytes a child of this call wrote
+            if error is not None:
+                raise error from _WorkerTraceback(text)
+            for i, result in done:
+                results[i] = result
+    finally:
+        os.close(queue)
+        for pid, result_r in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(result_r)
+    return results
+
+
+def _share(jobs: list[tuple[ScenarioConfig, int]], first: int, queue: int):
+    """Run job ``first``, then each job whose number is read from the queue
+    pipe until it is empty; yield each (job number, RunResult)."""
+    i = first
+    while True:
+        config, seed = jobs[i]
+        yield i, simulate(config, seed)
+        record = os.read(queue, _JOB.size)
+        if not record:
+            return
+        (i,) = _JOB.unpack(record)
+
+
+def _child(jobs: list[tuple[ScenarioConfig, int]], first: int, queue: int, result_w: int) -> None:
+    """Run a forked child's share of the jobs and pickle the outcome to result_w."""
+    import pickle
+
+    try:
+        data = pickle.dumps((list(_share(jobs, first, queue)), None, None))
+    except BaseException as exc:  # it reaches the caller, which re-raises it
+        import traceback
+
+        text = traceback.format_exc()
+        try:
+            data = pickle.dumps((None, exc, text))
+        except Exception:
+            data = pickle.dumps((None, WorkerError(f"{type(exc).__name__}: {exc}"), text))
+    with open(result_w, "wb") as pipe:
+        pipe.write(data)
 
 
 def _rows(jobs: list[tuple[ScenarioConfig, int]], trace_dir: str | None) -> list[ResultRow]:

@@ -104,7 +104,7 @@ class FloodingProtocol:
     """One flooding process shared by every metric.
 
     It owns every node's control-plane state: ``rankings[n]``, node n's
-    ``dest -> {neighbor: [score, last_us]}`` table, which the balancer reads
+    ``dest -> {neighbor: (score, last_us)}`` table, which the balancer reads
     through ``live``; and ``forwarded[n]``, the highest seq node n has flooded
     per (kind, originator). A node's entry for its own messages is also its
     latest sequence number. It runs the rebroadcast dedup, the own-echo check,
@@ -129,7 +129,7 @@ class FloodingProtocol:
         self.positions = positions
         self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
         self.expiry_us = us_from_s(config.ranking_expiry_s)
-        self.rankings: list[dict[int, dict[int, list]]] = [{} for _ in positions]
+        self.rankings: list[dict[int, dict[int, tuple[float, int]]]] = [{} for _ in positions]
         self.forwarded: list[dict[tuple[ControlKind, int], int]] = [{} for _ in positions]
 
     def emit(self, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
@@ -151,11 +151,13 @@ class FloodingProtocol:
         live: dict[int, float] = {}
         if entries:
             expiry_us = self.expiry_us
-            for n, (score, last) in list(entries.items()):
-                if now_us - last > expiry_us:
-                    del entries[n]
-                else:
+            for n, (score, last) in entries.items():
+                if now_us - last <= expiry_us:
                     live[n] = score
+            # Deleting after the loop leaves the kept entries in their order.
+            if len(live) < len(entries):
+                for n in [n for n in entries if n not in live]:
+                    del entries[n]
         return live
 
     def receive(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
@@ -184,12 +186,11 @@ class FloodingProtocol:
             # Scores are at most 1 in any config validate() accepts; the cap
             # guards the table, while forwarders carry the uncapped score.
             capped = score if score < 1.0 else 1.0
+            # A store to an existing neighbour keeps its place in the table.
             if entries is None:
-                table[originator] = {prev_hop: [capped, now_us]}
-            elif (entry := entries.get(prev_hop)) is None:
-                entries[prev_hop] = [capped, now_us]
+                table[originator] = {prev_hop: (capped, now_us)}
             else:
-                entry[0], entry[1] = capped, now_us
+                entries[prev_hop] = (capped, now_us)
             if floods and forwarded[node].get(key, -1) < seq:
                 forwarded[node][key] = seq
                 # Forwarders stamp their own score; the per-hop penalty is

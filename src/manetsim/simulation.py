@@ -2,8 +2,8 @@
 
 One Simulation owns one Engine and is strictly single-threaded. A run
 depends on nothing but its (config, seed), so ``experiment.simulate_all``
-fans a batch out over forked worker processes, one instance per run, with
-the results of a serial batch. A finished run is freed by reference counting.
+shares a batch between its caller and forked children, one instance per
+run, with a serial batch's results. A finished run is freed by refcounting.
 """
 
 from __future__ import annotations

@@ -240,7 +240,7 @@ ME = 20
 class ReferenceRanking:
     def __init__(self, expiry_us):
         self.expiry_us = expiry_us
-        self.table = {}  # dest -> {neighbor: [score, last_us]}
+        self.table = {}  # dest -> {neighbor: (score, last_us)}
 
     def scores(self, dest, now_us):
         entries = self.table.get(dest)
@@ -338,7 +338,7 @@ def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, e
     old = ReferenceRanking(1_000_000)
     for ranking in (new.rankings[ME], old.table):
         for dest, entries in table.items():
-            ranking[dest] = {n: [score, last] for n, (score, last) in entries.items()}
+            ranking[dest] = {n: (score, last) for n, (score, last) in entries.items()}
     new_rr, old_rr = RRState(), RRState()
     now = 2_000_000
     for dest, prev_hop, ttl, gap, refresh in steps:
@@ -346,7 +346,7 @@ def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, e
         if refresh is not None:
             refresh_dest, neighbor, score = refresh
             for ranking in (new.rankings[ME], old.table):
-                ranking.setdefault(refresh_dest, {})[neighbor] = [score, now]
+                ranking.setdefault(refresh_dest, {})[neighbor] = (score, now)
         new_packet, old_packet = (data_frame(dst=dest, prev_hop=prev_hop, ttl=ttl) for _ in "ab")
         got = decide(new_packet, ME, new, new_rr, likelihood, now, exclude_prev, balancing)
         want = reference_decide(old_packet, ME, old, old_rr, likelihood, now, exclude_prev,

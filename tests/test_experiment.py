@@ -1,5 +1,5 @@
-import concurrent.futures
 import os
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -51,6 +51,14 @@ def test_scenario_id_separates_configs_not_seeds():
     assert scenario_id(FAST) != scenario_id(replace(FAST, lambda_factor=0.5))
     row_a, row_b = run_experiment(FAST, [1, 2])
     assert row_a.scenario_id == row_b.scenario_id
+
+
+def test_an_int_or_bool_for_a_float_field_names_the_same_run():
+    found = ScenarioConfig(nodes=4, sim_time_s=2.0, stream_start_s=1.0, bitrate_bps=90000)
+    assert type(found.bitrate_bps) is float
+    assert scenario_id(found) == scenario_id(replace(found, bitrate_bps=90000.0)) == "22d1e629a568"
+    assert repr(replace(FAST, speed_mps=True).speed_mps) == "1.0"  # a bool is an int
+    assert repr(replace(FAST, nodes=7).nodes) == "7"  # an int field keeps its int
 
 
 def test_sweep_produces_cartesian_product():
@@ -183,16 +191,76 @@ def test_a_replaced_simulate_sees_every_run(monkeypatch):
 
 def test_one_run_or_no_fork_starts_no_process(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    forks = []
+    fork = os.fork
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("process pool started")
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     assert len(run_experiment(FAST, [1])) == 1
-    with pytest.raises(AssertionError, match="process pool started"):
-        run_experiment(FAST, [1, 2])
+    assert forks == []
+    assert len(run_experiment(FAST, [1, 2])) == 2
+    assert forks == [os.getpid()]  # the caller runs the other run itself
     monkeypatch.delattr(os, "fork")
     assert len(run_experiment(FAST, [1, 2])) == 2
+    assert forks == [os.getpid()]
+
+
+def test_a_batch_longer_than_one_fork_slice_equals_the_serial_one(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = run_experiment(FAST, [1, 2, 3, 4, 5])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiment, "_JOBS_PER_FORK", 2)
+    assert run_experiment(FAST, [1, 2, 3, 4, 5]) == serial
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_normal_batch_reaps_every_worker(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert len(run_experiment(FAST, [1, 2, 3])) == 3
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_results_names_its_exit_status(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_until = Engine.run_until
+
+    def dying(engine, t_end_us):
+        if engine.master_seed == 2:  # job 1: the first job of the one child
+            os._exit(3)
+        return run_until(engine, t_end_us)
+
+    monkeypatch.setattr(Engine, "run_until", dying)
+    with pytest.raises(experiment.WorkerError,
+                       match=r"worker process \d+ ended with exit status 3 and no results"):
+        run_experiment(FAST, [1, 2, 3])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [SchedulingError("seed 1 failed"), KeyboardInterrupt()])
+def test_a_failure_in_the_callers_share_kills_and_reaps_the_workers(monkeypatch, error):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_until = Engine.run_until
+
+    def failing(engine, t_end_us):
+        if engine.master_seed == 1:  # job 0: the caller's first job
+            raise error
+        if engine.master_seed == 2:  # the child is still running when the caller fails
+            time.sleep(60)
+        return run_until(engine, t_end_us)
+
+    monkeypatch.setattr(Engine, "run_until", failing)
+    start = time.monotonic()
+    with pytest.raises(type(error)):
+        run_experiment(FAST, [1, 2, 3])
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):

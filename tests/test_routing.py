@@ -214,7 +214,7 @@ def make_ranking(entries, now_us=0):
     """A one-node batman protocol (3 s expiry) whose node 0 ranks these (dest, neighbor, score)."""
     protocol = make("batman", [(0.0, 0.0, 0.0)], ranking_expiry_s=3.0)
     for dest, neighbor, score in entries:
-        protocol.rankings[0].setdefault(dest, {})[neighbor] = [score, now_us]
+        protocol.rankings[0].setdefault(dest, {})[neighbor] = (score, now_us)
     return protocol
 
 
@@ -235,10 +235,10 @@ def test_best_forwarder_empty_table():
 
 def test_expired_entries_purged_before_max():
     protocol = make_ranking([(9, 1, 0.95)])
-    protocol.rankings[0][9][2] = [0.5, 3_500_000]
+    protocol.rankings[0][9][2] = (0.5, 3_500_000)
     # entry for 1 is 3.5 s old; entry for 2 is fresh
     assert protocol.live(0, 9, 3_500_000) == {2: 0.5}
-    assert protocol.rankings[0][9] == {2: [0.5, 3_500_000]}  # and 1 is purged
+    assert protocol.rankings[0][9] == {2: (0.5, 3_500_000)}  # and 1 is purged
     assert best_forwarder(protocol.live(0, 9, 3_500_000)) == 2
 
 
@@ -506,7 +506,7 @@ class ReferenceTQWindow:
 class ReferenceRanking:
     def __init__(self, expiry_us):
         self.expiry_us = expiry_us
-        self.table = {}  # dest -> {neighbor: [score, last_us]}
+        self.table = {}  # dest -> {neighbor: (score, last_us)}
 
     def scores(self, dest, now_us):
         entries = self.table.get(dest)
@@ -526,12 +526,9 @@ class ReferenceRanking:
             if entries:
                 entries.pop(neighbor, None)
         elif entries is None:
-            self.table[dest] = {neighbor: [min(1.0, score), now_us]}
-        elif (entry := entries.get(neighbor)) is None:
-            entries[neighbor] = [min(1.0, score), now_us]
+            self.table[dest] = {neighbor: (min(1.0, score), now_us)}
         else:
-            entry[0] = min(1.0, score)
-            entry[1] = now_us
+            entries[neighbor] = (min(1.0, score), now_us)
 
 
 def extrapolate_next(values):
