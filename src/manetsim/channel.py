@@ -16,17 +16,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .engine import Engine, EventKind
+from .engine import PACKET_ARRIVAL, TX_ATTEMPT, Engine
 from .mobility import Position
 
 if TYPE_CHECKING:  # config imports this module to check a run's link budget and airtime
     from .config import ScenarioConfig
 
 SPEED_OF_LIGHT = 3.0e8  # free-space simplification used throughout the link budget
-
-# Reading an Enum member off its class runs Python code before 3.12 (~0.1 us
-# on 3.11); the medium schedules one or two events per frame.
-_TX_ATTEMPT, _PACKET_ARRIVAL = EventKind.TX_ATTEMPT, EventKind.PACKET_ARRIVAL
 
 
 def path_loss_db(distance_m: float, params: ScenarioConfig) -> float:
@@ -124,8 +120,8 @@ class Medium:
         self.control_tx = 0
         self.data_tx = 0
         self.refresh_neighbors()
-        engine.on(EventKind.TX_ATTEMPT, self._on_attempt)
-        engine.on(EventKind.PACKET_ARRIVAL, self._on_arrival)
+        engine.on(TX_ATTEMPT, self._on_attempt)
+        engine.on(PACKET_ARRIVAL, self._on_arrival)
 
     def refresh_neighbors(self) -> None:
         """Recompute every node's in-range neighbours from the current positions.
@@ -156,7 +152,7 @@ class Medium:
         jitter = self._getrandbits(self._jitter_bits)
         while jitter >= self._jitter_span:
             jitter = self._getrandbits(self._jitter_bits)
-        self.engine.schedule(t_us + jitter, _TX_ATTEMPT, node_id)
+        self.engine.schedule(t_us + jitter, TX_ATTEMPT, node_id)
 
     def enqueue(self, node_id: int, frame: Frame) -> bool:
         """FIFO admit; drop-tail above capacity with the drop counted."""
@@ -213,7 +209,7 @@ class Medium:
             if t_end > other_st.rx_until:
                 other_st.rx_until = t_end
         on_air[node_id] = (t_end, frame)
-        self.engine.schedule(t_end, _PACKET_ARRIVAL, (node_id, receivers, lost))
+        self.engine.schedule(t_end, PACKET_ARRIVAL, (node_id, receivers, lost))
 
     def _on_arrival(self, payload: tuple) -> None:
         node_id, receivers, lost = payload

@@ -160,10 +160,14 @@ def validate(config: ScenarioConfig) -> None:
     def fail(message: str) -> None:
         raise ConfigError(f"invalid scenario: {message}")
 
-    # First, so that no later check or run-time conversion sees inf, nan, a
-    # time whose microseconds overflow a float, or a value outside its bounds.
+    # First, so that no later check or run-time conversion sees an int or
+    # bool field of another type, inf, nan, a time whose microseconds
+    # overflow a float, or a value outside its bounds. A float field already
+    # holds a float (see __post_init__); a bool is not an int here.
     for f in fields(config):
         value = getattr(config, f.name)
+        if f.type in ("int", "bool") and type(value).__name__ != f.type:
+            fail(f"{f.name} must be of type {f.type}, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             fail(f"{f.name} must be finite, got {value}")
         if f.name.endswith("_s") and not math.isfinite(value * US_PER_S):

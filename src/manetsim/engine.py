@@ -45,6 +45,16 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
+# Reading a member off an Enum class runs Python code before 3.12: 108 ns on
+# 3.11 and 155 ns on 3.10, against 6 ns for a module global. The simulation
+# and the medium read a kind for every event they schedule, so they read these.
+MOBILITY_TICK = EventKind.MOBILITY_TICK
+CONTROL_EMIT = EventKind.CONTROL_EMIT
+STREAM_SEND = EventKind.STREAM_SEND
+TX_ATTEMPT = EventKind.TX_ATTEMPT
+PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
+
+
 def _call(fn: Callable[[], None]) -> None:
     fn()
 

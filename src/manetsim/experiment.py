@@ -3,8 +3,8 @@
 Rows are fully deterministic functions of (config, seed): float columns are
 quantized to 9 significant digits at row construction and the runtime column
 reports the processed-event count, so identical inputs produce byte-identical
-CSV output. A batch's runs are shared between the calling process and
-children forked for the batch, with no executor (see ``simulate_all``);
+CSV output. A batch's runs are dealt out by a fixed stride between the
+calling process and children forked for the batch (see ``simulate_all``);
 rows, CSVs and trace files are built in the calling process, in job order,
 so the bytes do not depend on how many processes ran.
 """
@@ -16,7 +16,6 @@ import hashlib
 import io
 import math
 import os
-import struct
 from dataclasses import dataclass, fields, replace
 
 from . import simulation
@@ -84,59 +83,26 @@ def default_seeds(config: ScenarioConfig) -> list[int]:
 def simulate_all(jobs: list[tuple[ScenarioConfig, int]]) -> list[RunResult]:
     """The RunResult of each (config, seed) job, in job order.
 
-    The jobs run on min(len(jobs), os.cpu_count()) processes, this one and
-    forked children, with the results of running them one after another.
-    The batch runs in this process alone when that is one process, when the
-    platform cannot fork, or when ``simulate`` here has been replaced: a
-    caller observing every run (perfbench's recorder) then sees each one.
+    The jobs run on w = min(len(jobs), os.cpu_count()) processes: this one,
+    process 0, and w - 1 forked children. Process k runs jobs k, k + w,
+    k + 2w, ... in order, with the results of running them one after
+    another; a serial batch is the case w = 1 and forks nothing. w is 1 also
+    when the platform cannot fork or when ``simulate`` here has been
+    replaced: a caller observing every run (perfbench's recorder) then sees
+    each one. A child pickles back its results, or its error, through its
+    own pipe. No child outlives the call: if this process fails or is
+    interrupted, it kills and reaps the children left.
     """
     workers = min(len(jobs), os.cpu_count() or 1)
     if workers < 2 or not hasattr(os, "fork") or simulate is not simulation.simulate:
-        return [simulate(config, seed) for config, seed in jobs]
-    results: list[RunResult] = []
-    for start in range(0, len(jobs), _JOBS_PER_FORK):
-        part = jobs[start:start + _JOBS_PER_FORK]
-        results += _fan_out(part, min(len(part), workers))
-    return results
-
-
-# Job numbers pass through a pipe as 4-byte records; it only ever holds whole
-# records, so each 4-byte read takes one. A slice of this many jobs needs
-# 4 KiB of them, which a pipe takes without blocking, so they are all written
-# before the first fork.
-_JOB = struct.Struct("<I")
-_JOBS_PER_FORK = 1024
-
-
-class WorkerError(RuntimeError):
-    """A worker process ended without returning its results."""
-
-
-class _WorkerTraceback(Exception):
-    """The formatted traceback of an exception raised in a worker process."""
-
-
-def _fan_out(jobs: list[tuple[ScenarioConfig, int]], workers: int) -> list:
-    """Run the jobs on this process and workers - 1 forked children.
-
-    Process k starts on job k. Every later job number is read, one at a
-    time and in job order, by whichever process is free next, from one pipe
-    that all of them share. A child pickles back its (job, result) pairs, or
-    its error, once the pipe is empty. No child outlives the call: if this
-    process fails or is interrupted, it kills and reaps the children left.
-    """
-    # Imported here: ~4 ms of set-up that a serial batch does not need.
-    import pickle
-    import signal
-
-    results = [None] * len(jobs)
-    queue, queue_w = os.pipe()
-    children: dict[int, int] = {}  # pid -> read end of its result pipe
+        workers = 1
+    else:  # ~4 ms of set-up that a serial batch does not need
+        import pickle
+        import signal
+    results: list = [None] * len(jobs)
+    children: dict[int, tuple[int, int]] = {}  # pid -> (k, read end of its result pipe)
     try:
-        # Closed before the first fork, so a read from the empty queue returns b"".
-        with open(queue_w, "wb") as feed:
-            feed.write(b"".join(_JOB.pack(i) for i in range(workers, len(jobs))))
-        for first in range(1, workers):
+        for k in range(1, workers):
             result_r, result_w = os.pipe()
             try:
                 pid = os.fork()
@@ -148,15 +114,14 @@ def _fan_out(jobs: list[tuple[ScenarioConfig, int]], workers: int) -> list:
                 status = 1
                 try:
                     os.close(result_r)
-                    _child(jobs, first, queue, result_w)
+                    _child(jobs[k::workers], result_w)
                     status = 0
                 finally:
                     os._exit(status)
-            children[pid] = result_r
+            children[pid] = (k, result_r)
             os.close(result_w)
-        for i, result in _share(jobs, 0, queue):
-            results[i] = result
-        for pid, result_r in list(children.items()):
+        results[::workers] = _run(jobs[::workers])
+        for pid, (k, result_r) in list(children.items()):
             with open(result_r, "rb", closefd=False) as pipe:
                 data = pipe.read()  # read before waitpid: a child blocks until its pickle is read
             _, status = os.waitpid(pid, 0)
@@ -169,36 +134,33 @@ def _fan_out(jobs: list[tuple[ScenarioConfig, int]], workers: int) -> list:
             done, error, text = pickle.loads(data)  # bytes a child of this call wrote
             if error is not None:
                 raise error from _WorkerTraceback(text)
-            for i, result in done:
-                results[i] = result
+            results[k::workers] = done
     finally:
-        os.close(queue)
-        for pid, result_r in children.items():
+        for pid, (_, result_r) in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(result_r)
     return results
 
 
-def _share(jobs: list[tuple[ScenarioConfig, int]], first: int, queue: int):
-    """Run job ``first``, then each job whose number is read from the queue
-    pipe until it is empty; yield each (job number, RunResult)."""
-    i = first
-    while True:
-        config, seed = jobs[i]
-        yield i, simulate(config, seed)
-        record = os.read(queue, _JOB.size)
-        if not record:
-            return
-        (i,) = _JOB.unpack(record)
+class WorkerError(RuntimeError):
+    """A worker process ended without returning its results."""
 
 
-def _child(jobs: list[tuple[ScenarioConfig, int]], first: int, queue: int, result_w: int) -> None:
-    """Run a forked child's share of the jobs and pickle the outcome to result_w."""
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process."""
+
+
+def _run(jobs: list[tuple[ScenarioConfig, int]]) -> list[RunResult]:
+    return [simulate(config, seed) for config, seed in jobs]
+
+
+def _child(jobs: list[tuple[ScenarioConfig, int]], result_w: int) -> None:
+    """Run a forked child's jobs and pickle the outcome to result_w."""
     import pickle
 
     try:
-        data = pickle.dumps((list(_share(jobs, first, queue)), None, None))
+        data = pickle.dumps((_run(jobs), None, None))
     except BaseException as exc:  # it reaches the caller, which re-raises it
         import traceback
 

@@ -2,7 +2,7 @@
 
 One Simulation owns one Engine and is strictly single-threaded. A run
 depends on nothing but its (config, seed), so ``experiment.simulate_all``
-shares a batch between its caller and forked children, one instance per
+deals a batch out between its caller and forked children, one instance per
 run, with a serial batch's results. A finished run is freed by refcounting.
 """
 
@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .balancer import DropReason, RRState, plain_forward, postrouting_hook
 from .channel import Frame, Medium
 from .config import ScenarioConfig
-from .engine import Engine, EventKind, us_from_s
+from .engine import CONTROL_EMIT, MOBILITY_TICK, STREAM_SEND, Engine, us_from_s
 from .mobility import Position, predict_position, random_position, step_waypoint
 from .routing import PROTOCOLS, ControlMessage
 from .traffic import (
@@ -130,17 +130,17 @@ class Simulation:
         self.decisions: list[Decision] | None = [] if trace else None
 
         engine = self.engine
-        engine.on(EventKind.MOBILITY_TICK, self._on_mobility_tick)
-        engine.on(EventKind.CONTROL_EMIT, self._on_control_emit)
-        engine.on(EventKind.STREAM_SEND, self._on_stream_send)
-        engine.schedule(self.tick_us, EventKind.MOBILITY_TICK)
+        engine.on(MOBILITY_TICK, self._on_mobility_tick)
+        engine.on(CONTROL_EMIT, self._on_control_emit)
+        engine.on(STREAM_SEND, self._on_stream_send)
+        engine.schedule(self.tick_us, MOBILITY_TICK)
         for node in range(config.nodes):
             for kind, interval_us in self.protocol.emission_plan:
                 phase = control_rng.randrange(interval_us)
-                engine.schedule(phase, EventKind.CONTROL_EMIT, (node, kind, interval_us))
+                engine.schedule(phase, CONTROL_EMIT, (node, kind, interval_us))
         for idx, spec in enumerate(self.streams):
             if spec.start_us < spec.stop_us:
-                engine.schedule(spec.start_us, EventKind.STREAM_SEND, idx)
+                engine.schedule(spec.start_us, STREAM_SEND, idx)
 
     # -- event handlers -------------------------------------------------
 
@@ -158,7 +158,7 @@ class Simulation:
             self.protocol.predicted[:] = predict_position(self.history, config.prediction_steps, dt)
         next_tick = now + self.tick_us
         if next_tick <= self.end_us:
-            self.engine.schedule(next_tick, EventKind.MOBILITY_TICK)
+            self.engine.schedule(next_tick, MOBILITY_TICK)
 
     def _on_control_emit(self, payload: tuple) -> None:
         node, kind, interval_us = payload
@@ -166,7 +166,7 @@ class Simulation:
         self._flood(node, self.protocol.emit(node, kind, now), self.config.ttl)
         next_emit = now + interval_us
         if next_emit <= self.end_us:
-            self.engine.schedule(next_emit, EventKind.CONTROL_EMIT, (node, kind, interval_us))
+            self.engine.schedule(next_emit, CONTROL_EMIT, (node, kind, interval_us))
 
     def _on_stream_send(self, idx: int) -> None:
         spec = self.streams[idx]
@@ -188,7 +188,7 @@ class Simulation:
             stats.record_drop(DropReason.NO_ROUTE._value_)
         next_send = now + spec.interval_us
         if next_send < spec.stop_us:
-            self.engine.schedule(next_send, EventKind.STREAM_SEND, idx)
+            self.engine.schedule(next_send, STREAM_SEND, idx)
 
     def _on_frame_delivered(self, receivers: list[int], frame: Frame) -> None:
         now = self.engine.clock_us

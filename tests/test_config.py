@@ -293,6 +293,17 @@ def test_each_key_sets_one_field_with_its_annotated_type(section, key, literal):
     assert type(getattr(config, changed[0].name)).__name__ == kind
 
 
+def test_parsed_int_and_bool_fields_hold_their_own_type():
+    # validate(), which the parser calls, rejects an int field holding a float
+    # or a bool and a bool field holding an int; "1" for a bool parses to True.
+    config = parse_scenario_text("nodes = 6\nttl = 16\nbalancing = 1\n"
+                                 "exclude_prev_hop = off\n[mac]\njitter_us = 200\n"
+                                 "[batman]\ntq_window = 8\n")
+    assert [repr(getattr(config, name)) for name in (
+        "nodes", "ttl", "balancing", "exclude_prev_hop", "mac_jitter_us", "tq_window")] == [
+        "6", "16", "True", "False", "200", "8"]
+
+
 @pytest.mark.parametrize("text", [
     "lambda_factor = 0.5\n",  # the field name is not a file key
     "rate_bps = 1e6\n",  # a [mac] key outside its section

@@ -22,7 +22,7 @@ from manetsim.experiment import (
     sweep,
     write_csv,
 )
-from manetsim.simulation import simulate
+from manetsim.simulation import Simulation, simulate
 from manetsim.traffic import DROP_CAUSES
 
 FAST = ScenarioConfig(sim_time_s=6.0, nodes=6, stream_start_s=1.0)
@@ -59,6 +59,17 @@ def test_an_int_or_bool_for_a_float_field_names_the_same_run():
     assert scenario_id(found) == scenario_id(replace(found, bitrate_bps=90000.0)) == "22d1e629a568"
     assert repr(replace(FAST, speed_mps=True).speed_mps) == "1.0"  # a bool is an int
     assert repr(replace(FAST, nodes=7).nodes) == "7"  # an int field keeps its int
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nodes", 6.0), ("tq_window", 8.0), ("mac_jitter_us", 200.0), ("ttl", 16.0),
+    ("nodes", True), ("balancing", 1), ("exclude_prev_hop", 0),
+])
+def test_an_int_or_bool_field_of_another_type_is_rejected_before_running(field, value):
+    # Each used to crash mid-run (a float where the run needs an int) or name
+    # the run with a second scenario_id (1 for True, 16.0 for 16).
+    with pytest.raises(ConfigError, match=f"{field} must be of type"):
+        run_experiment(replace(FAST, **{field: value}), [1])
 
 
 def test_sweep_produces_cartesian_product():
@@ -208,12 +219,29 @@ def test_one_run_or_no_fork_starts_no_process(monkeypatch):
     assert forks == [os.getpid()]
 
 
-def test_a_batch_longer_than_one_fork_slice_equals_the_serial_one(monkeypatch):
+def test_a_batch_longer_than_the_process_count_equals_the_serial_one(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     serial = run_experiment(FAST, [1, 2, 3, 4, 5])
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(experiment, "_JOBS_PER_FORK", 2)
-    assert run_experiment(FAST, [1, 2, 3, 4, 5]) == serial
+    for workers in (2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        assert run_experiment(FAST, [1, 2, 3, 4, 5]) == serial
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_process_k_runs_every_job_k_mod_w(monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    run = Simulation.run
+
+    def tagged(sim):
+        return run(sim), os.getpid()
+
+    monkeypatch.setattr(Simulation, "run", tagged)  # forked workers inherit it
+    jobs = [(FAST, seed) for seed in range(1, 8)]
+    pids = [pid for _, pid in experiment.simulate_all(jobs)]
+    by_residue = [set(pids[k::workers]) for k in range(workers)]
+    assert by_residue[0] == {os.getpid()}
+    assert all(len(ran) == 1 for ran in by_residue)
+    assert len(set.union(*by_residue)) == workers
 
 
 def assert_no_child_left():
