@@ -6,9 +6,9 @@ Standard library only: the simulator is imported from ``src/`` next to this
 directory, never from an installed copy, and neither pytest nor hypothesis is
 needed. It reruns the pinned runs of ``tests/pinned_runs.py`` (state hash,
 CSV row, decision trace and float state) and checks the medium's jitter
-draw against ``randrange`` on the same stream, then one ``manetsim run``
-through the command line in a child process of the same interpreter, and
-compares the CSV file's sha256 with its pin. It prints one line per check
+draw against ``randrange`` on the same stream, then one ``manetsim run`` and
+one ``manetsim compare`` through the command line, each in a child process
+of the same interpreter, and compares each CSV file's sha256 with its pin. It prints one line per check
 and exits 0 when all of them hold, 1 otherwise.
 """
 
@@ -30,21 +30,22 @@ sys.path.insert(1, str(ROOT / "tests"))
 import pinned_runs  # noqa: E402
 
 
-def check_cli() -> tuple[bool, str]:
-    """One `manetsim run` in a child process; (matches pin, what was seen)."""
+def check_cli(command: str) -> tuple[bool, str]:
+    """One pinned `manetsim <command>` in a child process; (matches pin, what was seen)."""
+    args, pin = pinned_runs.CLI_PINS[command]
     with tempfile.TemporaryDirectory() as tmp:
         scenario, out = Path(tmp) / "scenario.ini", Path(tmp) / "result.csv"
         scenario.write_text(pinned_runs.CLI_SCENARIO)
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run(
-            [sys.executable, "-m", "manetsim.cli", "run", "--config", str(scenario),
-             *pinned_runs.CLI_ARGS, "--out", str(out)],
+            [sys.executable, "-m", "manetsim.cli", command, "--config", str(scenario),
+             *args, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         if proc.returncode != 0:
             return False, f"exit {proc.returncode}: {proc.stderr.strip()}"
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    return digest == pinned_runs.CLI_CSV_SHA256, f"csv sha256 {digest[:12]}"
+    return digest == pin, f"csv sha256 {digest[:12]}"
 
 
 def main() -> int:
@@ -62,9 +63,10 @@ def main() -> int:
         held = drawn == expected
         ok = ok and held
         print(f"{'ok  ' if held else 'FAIL'} jitter draw over {span} values equals randrange")
-    held, seen = check_cli()
-    ok = ok and held
-    print(f"{'ok  ' if held else 'FAIL'} cli run: {seen}")
+    for command in pinned_runs.CLI_PINS:
+        held, seen = check_cli(command)
+        ok = ok and held
+        print(f"{'ok  ' if held else 'FAIL'} cli {command}: {seen}")
     return 0 if ok else 1
 
 

@@ -9,6 +9,10 @@ Membership uses >= rather than a strict comparison so that likelihood 1.0
 spreads load exactly over score ties, and an empty filtered set (for example
 any likelihood above 1) falls back to the single best forwarder, which makes
 the scheme degrade to the unmodified protocol.
+
+A ranking changes far less often than its node forwards, so the hook and the
+plain path memoise their choice on the ``routing.Route`` they are given; each
+rule is still stated once, in ``best_forwarder`` and ``schedulable_set``.
 """
 
 from __future__ import annotations
@@ -84,14 +88,19 @@ def postrouting_hook(
     """Rewrite the packet's next hop to the load-balanced choice.
 
     Called for locally originated and transiting data frames, with the node's
-    live scores for the packet's destination; control frames never pass
-    through here. Returns the chosen forwarder (or a drop reason) plus the set
-    the choice was made from, for dispatch logging.
+    live scores for the packet's destination: any empty mapping, or a
+    ``Route``, on which the schedulable set is memoised per excluded hop and
+    likelihood. Control frames never pass through here. Returns the chosen
+    forwarder (or a drop reason) plus the set the choice was made from, for
+    dispatch logging.
     """
     if not live:
         return DropReason.NO_ROUTE, None
-    sset = schedulable_set(live, packet.dst, likelihood,
-                           packet.prev_hop if exclude_prev else None)
+    exclude = packet.prev_hop if exclude_prev else None
+    sets, key = live.sets, (exclude, likelihood)
+    sset = sets.get(key)
+    if sset is None:
+        sset = sets[key] = schedulable_set(live, packet.dst, likelihood, exclude)
     return _forward(packet, node_id, rr.take(sset)), sset
 
 
@@ -100,10 +109,14 @@ def plain_forward(
     node_id: int,
     live: dict[int, float],
 ) -> tuple[int | DropReason, None]:
-    """Unbalanced reference path: always the single best forwarder."""
+    """Unbalanced reference path: always the single best forwarder, memoised on
+    the ``Route`` that ``live`` is when it is not empty."""
     if not live:
         return DropReason.NO_ROUTE, None
-    return _forward(packet, node_id, best_forwarder(live)), None
+    best = live.best
+    if best is None:
+        best = live.best = best_forwarder(live)
+    return _forward(packet, node_id, best), None
 
 
 def _forward(packet: Frame, node_id: int, choice: int) -> int | DropReason:

@@ -233,11 +233,14 @@ def compare(
     seeds: list[int],
     trace_dir: str | None = None,
 ) -> list[ResultRow]:
-    """Plain vs balanced on identical seeds, paired per seed."""
+    """Plain vs balanced on identical seeds, paired per seed. Every plain run comes
+    before every balanced one in the batch, so each process runs both halves."""
     plain = replace(config, balancing=False)
     balanced = replace(config, balancing=True)
     validate(plain)
-    return _rows([(variant, seed) for seed in seeds for variant in (plain, balanced)], trace_dir)
+    rows = _rows([(plain, seed) for seed in seeds] + [(balanced, seed) for seed in seeds],
+                 trace_dir)
+    return [row for pair in zip(rows[:len(seeds)], rows[len(seeds):]) for row in pair]
 
 
 def _format_cell(value) -> str:

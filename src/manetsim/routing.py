@@ -100,13 +100,31 @@ def _index_sum_sq(n: int) -> float:
     return left_sum([d ** 2 for d in _index_deviations(n)])
 
 
+class Route(dict):
+    """A node's live ``{neighbor: score}`` map for one destination, with the balancer's
+    memoised argmax (``best``) and schedulable sets (``sets``, per excluded previous hop
+    and likelihood); ``deadline_us`` and ``version`` bound its reuse by ``live``."""
+
+    __slots__ = ("best", "sets", "deadline_us", "version")
+
+    def __init__(self, scores, deadline_us: int = -1, version: int | None = None):
+        super().__init__(scores)
+        self.best: int | None = None
+        self.sets: dict = {}
+        self.deadline_us = deadline_us
+        self.version = version
+
+
 class FloodingProtocol:
     """One flooding process shared by every metric.
 
     It owns every node's control-plane state: ``rankings[n]``, node n's
     ``dest -> {neighbor: (score, last_us)}`` table, which the balancer reads
-    through ``live``; and ``forwarded[n]``, the highest seq node n has flooded
-    per (kind, originator). A node's entry for its own messages is also its
+    through ``live``; ``routes[n]``, node n's ``dest -> Route`` cache of what
+    ``live`` last returned; ``versions``, one counter per originator that
+    ``receive`` bumps once per call, so a route built at an older count is
+    rebuilt; and ``forwarded[n]``, the highest seq node n has flooded per
+    (kind, originator). A node's entry for its own messages is also its
     latest sequence number. It runs the rebroadcast dedup, the own-echo check,
     the ranking update and the rebroadcast stamp. A metric reads its own
     parameters from the config, keeps any further per-node state itself, and
@@ -130,6 +148,8 @@ class FloodingProtocol:
         self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
         self.expiry_us = us_from_s(config.ranking_expiry_s)
         self.rankings: list[dict[int, dict[int, tuple[float, int]]]] = [{} for _ in positions]
+        self.routes: list[dict[int, Route]] = [{} for _ in positions]
+        self.versions: dict[int, int] = {}
         self.forwarded: list[dict[tuple[ControlKind, int], int]] = [{} for _ in positions]
 
     def emit(self, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
@@ -146,19 +166,35 @@ class FloodingProtocol:
 
     def live(self, node: int, dest: int, now_us: int) -> dict[int, float]:
         """Purge node's entries for dest not refreshed within ``expiry_us``, then return
-        {neighbor: score}. This rule alone decides which forwarders are live."""
+        {neighbor: score}. This rule alone decides which forwarders are live.
+
+        A nonempty result is a ``Route``, returned again while no ``receive`` has run
+        for dest and ``now_us`` is at most its oldest entry's ``last_us + expiry_us``:
+        until then the purge would delete nothing and give equal scores in order."""
         entries = self.rankings[node].get(dest)
+        if not entries:
+            return {}
+        route = self.routes[node].get(dest)
+        # ``<`` would be exact too: at the deadline a rebuild deletes nothing.
+        if (route is not None and now_us <= route.deadline_us
+                and route.version == self.versions.get(dest)):
+            return route
         live: dict[int, float] = {}
-        if entries:
-            expiry_us = self.expiry_us
-            for n, (score, last) in entries.items():
-                if now_us - last <= expiry_us:
-                    live[n] = score
-            # Deleting after the loop leaves the kept entries in their order.
-            if len(live) < len(entries):
-                for n in [n for n in entries if n not in live]:
-                    del entries[n]
-        return live
+        expiry_us = self.expiry_us
+        oldest = now_us
+        for n, (score, last) in entries.items():
+            if now_us - last <= expiry_us:
+                live[n] = score
+                if last < oldest:
+                    oldest = last
+        # Deleting after the loop leaves the kept entries in their order.
+        if len(live) < len(entries):
+            for n in [n for n in entries if n not in live]:
+                del entries[n]
+            if not live:
+                return live
+        route = self.routes[node][dest] = Route(live, oldest + expiry_us, self.versions.get(dest))
+        return route
 
     def receive(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
                 now_us: int) -> list[tuple[int, ControlMessage]]:
@@ -169,6 +205,8 @@ class FloodingProtocol:
         originator, seq), in receiver order.
         """
         kind, originator, seq = msg.kind, msg.originator, msg.seq
+        # Any copy may store or pop an entry for originator: every route to it is stale.
+        self.versions[originator] = self.versions.get(originator, 0) + 1
         if originator in receivers:
             receivers = [node for node in receivers if node != originator]
         scores = self.score_all(receivers, msg, prev_hop, now_us)

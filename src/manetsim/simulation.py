@@ -215,7 +215,8 @@ class Simulation:
     # -- data-plane forwarding (postrouting hook position) ----------------
 
     def _route(self, node: int, frame: Frame, live: dict[int, float]) -> None:
-        """Forward frame from node over ``live``, the node's scores for its destination."""
+        """Forward frame from node over ``live``, the node's scores for its destination:
+        the ``Route`` that ``protocol.live`` returns, on which the choice is memoised."""
         now = self.engine.clock_us
         config = self.config
         if config.balancing:

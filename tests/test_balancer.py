@@ -1,7 +1,7 @@
 import random
 from dataclasses import dataclass
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manetsim.balancer import (
@@ -14,7 +14,7 @@ from manetsim.balancer import (
 )
 from manetsim.channel import Frame
 from manetsim.config import ScenarioConfig
-from manetsim.routing import FloodingProtocol
+from manetsim.routing import ControlKind, ControlMessage, FloodingProtocol, Route
 
 
 def members(scores, likelihood, exclude=None):
@@ -173,7 +173,7 @@ def data_frame(dst=9, prev_hop=None, ttl=16):
 
 def test_hook_excludes_previous_hop():
     packet = data_frame(prev_hop=1)
-    decision, sset = postrouting_hook(packet, 3, {1: 0.95, 5: 0.93}, RRState(), 0.9)
+    decision, sset = postrouting_hook(packet, 3, Route({1: 0.95, 5: 0.93}), RRState(), 0.9)
     assert decision == 5
     assert packet.next_hop == 5
     assert packet.prev_hop == 3
@@ -182,7 +182,7 @@ def test_hook_excludes_previous_hop():
 
 def test_hook_drops_on_ttl_expiry():
     packet = data_frame(ttl=1)
-    decision, _ = postrouting_hook(packet, 3, {1: 0.95}, RRState(), 0.9)
+    decision, _ = postrouting_hook(packet, 3, Route({1: 0.95}), RRState(), 0.9)
     assert decision is DropReason.TTL
 
 
@@ -200,8 +200,8 @@ def test_hook_with_high_likelihood_matches_plain_forwarding():
         prev = rng.choice([None] + list(scores))
         balanced = data_frame(prev_hop=prev)
         plain = data_frame(prev_hop=prev)
-        got_balanced, _ = postrouting_hook(balanced, 3, scores, RRState(), 1.1)
-        got_plain, _ = plain_forward(plain, 3, scores)
+        got_balanced, _ = postrouting_hook(balanced, 3, Route(scores), RRState(), 1.1)
+        got_plain, _ = plain_forward(plain, 3, Route(scores))
         assert got_balanced == got_plain
         assert balanced.next_hop == plain.next_hop
         assert balanced.ttl == plain.ttl
@@ -209,7 +209,7 @@ def test_hook_with_high_likelihood_matches_plain_forwarding():
 
 def test_exclusion_toggle_allows_bounce_back():
     packet = data_frame(prev_hop=1)
-    decision, sset = postrouting_hook(packet, 3, {1: 0.95, 5: 0.93}, RRState(), 0.9,
+    decision, sset = postrouting_hook(packet, 3, Route({1: 0.95, 5: 0.93}), RRState(), 0.9,
                                       exclude_prev=False)
     assert sset.members == (1, 5)  # previous hop stays eligible
     assert decision == 1
@@ -222,7 +222,7 @@ def test_control_frames_never_enter_hook_by_contract():
     # checked end-to-end in test_simulation.
     packet = data_frame()
     assert packet.next_hop is None
-    decision, _ = postrouting_hook(packet, 3, {1: 0.95, 5: 0.93}, RRState(), 0.9)
+    decision, _ = postrouting_hook(packet, 3, Route({1: 0.95, 5: 0.93}), RRState(), 0.9)
     assert packet.next_hop == decision == 1
 
 
@@ -232,9 +232,24 @@ def test_control_frames_never_enter_hook_by_contract():
 # and the plain path each purged and read it themselves, the threshold
 # filter's fallback read it a second time through the ranking's own argmax,
 # and an empty ranking surfaced as a None forwarder from the cursor. The new
-# side is FloodingProtocol.live, the one purge rule, over node ME's table.
+# side is FloodingProtocol.live, the one purge rule, over node ME's table, and
+# the choices memoised on the Route it returns. Entries change through
+# receive, which is what tells live that its cached route is stale.
 
 ME = 20
+
+
+class CarriedScoreFlooding(FloodingProtocol):
+    """Scores every receiver of a copy by the copy's carried score."""
+
+    def score_all(self, receivers, msg, prev_hop, now_us):
+        return [msg.carried_score] * len(receivers)
+
+
+def copy_of(dest, score):
+    """A copy of dest's originator message carrying score."""
+    return ControlMessage(kind=ControlKind.OGM, originator=dest, seq=0,
+                          sender_position=(0.0, 0.0, 0.0), carried_score=score)
 
 
 class ReferenceRanking:
@@ -334,7 +349,7 @@ path_steps = st.tuples(
 @settings(max_examples=300, deadline=None)
 def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, exclude_prev,
                                                      balancing):
-    new = FloodingProtocol(ScenarioConfig(ranking_expiry_s=1.0), [(0.0, 0.0, 0.0)] * (ME + 1))
+    new = CarriedScoreFlooding(ScenarioConfig(ranking_expiry_s=1.0), [(0.0, 0.0, 0.0)] * (ME + 1))
     old = ReferenceRanking(1_000_000)
     for ranking in (new.rankings[ME], old.table):
         for dest, entries in table.items():
@@ -345,8 +360,8 @@ def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, e
         now += gap
         if refresh is not None:
             refresh_dest, neighbor, score = refresh
-            for ranking in (new.rankings[ME], old.table):
-                ranking.setdefault(refresh_dest, {})[neighbor] = (score, now)
+            new.receive([ME], copy_of(refresh_dest, score), neighbor, now)
+            old.table.setdefault(refresh_dest, {})[neighbor] = (score, now)
         new_packet, old_packet = (data_frame(dst=dest, prev_hop=prev_hop, ttl=ttl) for _ in "ab")
         got = decide(new_packet, ME, new, new_rr, likelihood, now, exclude_prev, balancing)
         want = reference_decide(old_packet, ME, old, old_rr, likelihood, now, exclude_prev,
@@ -360,3 +375,73 @@ def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, e
                 == (old_packet.ttl, old_packet.prev_hop, old_packet.next_hop))
         assert new_rr._cursors == old_rr._cursors
         assert new.rankings[ME] == old.table
+
+
+# -- the route cache against the uncached reference -----------------------------
+#
+# A step is a copy of dest's message heard from a neighbour by ME, by another
+# node or by no node, then ME's live scores, tables and both decisions checked
+# at that time. A score at or below zero pops the entry, one above one is
+# stored as one. The time lands 1 us before, at or 1 us past the oldest or the
+# newest of ME's entries for dest plus the expiry, or a gap past the last step.
+
+OTHER = ME + 1
+EXPIRY_US = 1_000_000
+cache_steps = st.tuples(
+    st.sampled_from(["me", "other", None]),
+    st.integers(0, 2),
+    st.integers(0, 4),
+    st.sampled_from([-0.5, 0.0, 0.3, 0.6, 1.0, 1.5]),
+    st.one_of(st.tuples(st.just("gap"), st.sampled_from([0, 1, 250_000, 600_000])),
+              st.tuples(st.sampled_from(["oldest", "newest"]), st.sampled_from([-1, 0, 1]))),
+    st.one_of(st.none(), st.integers(0, 4)),
+)
+
+
+def reference_receive(table, dest, neighbor, score, now_us):
+    entries = table.get(dest)
+    if score <= 0.0:
+        if entries:
+            entries.pop(neighbor, None)
+    else:
+        table.setdefault(dest, {})[neighbor] = (min(score, 1.0), now_us)
+
+
+# Each example kills one cache mutant: a copy that only pops must make the route
+# stale; the deadline is the oldest entry's, to the microsecond; a schedulable
+# set is kept per excluded previous hop.
+@example([("me", 0, 1, 1.0, ("gap", 0), None), ("me", 0, 2, 0.6, ("gap", 0), None),
+          ("me", 0, 1, 0.0, ("gap", 0), None)], 0.9)
+@example([("me", 0, 1, 1.0, ("gap", 0), None), ("me", 0, 2, 0.6, ("gap", 250_000), None),
+          (None, 0, 0, 0.0, ("oldest", 1), None)], 0.9)
+@example([("me", 0, 1, 1.0, ("gap", 0), None), ("me", 0, 2, 1.0, ("gap", 0), 1),
+          (None, 0, 0, 0.0, ("gap", 0), 2)], 0.9)
+@given(st.lists(cache_steps, min_size=1, max_size=20), path_likelihoods)
+@settings(max_examples=300, deadline=None)
+def test_cached_routes_equal_the_uncached_reference(steps, likelihood):
+    new = CarriedScoreFlooding(ScenarioConfig(ranking_expiry_s=1.0),
+                               [(0.0, 0.0, 0.0)] * (OTHER + 1))
+    old = {ME: ReferenceRanking(EXPIRY_US), OTHER: ReferenceRanking(EXPIRY_US)}
+    new_rr, old_rr = RRState(), RRState()
+    now = 2_000_000
+    for who, dest, neighbor, score, (anchor, offset), prev_hop in steps:
+        lasts = [last for _, last in old[ME].table.get(dest, {}).values()]
+        if anchor == "gap" or not lasts:
+            now += offset
+        else:
+            now = max(now, (min(lasts) if anchor == "oldest" else max(lasts)) + EXPIRY_US + offset)
+        if who is not None:
+            node = ME if who == "me" else OTHER
+            new.receive([node], copy_of(dest, score), neighbor, now)
+            reference_receive(old[node].table, dest, neighbor, score, now)
+        assert list(new.live(ME, dest, now).items()) == list(old[ME].scores(dest, now).items())
+        for balancing in (True, False):
+            new_packet, old_packet = (data_frame(dst=dest, prev_hop=prev_hop) for _ in "ab")
+            got = decide(new_packet, ME, new, new_rr, likelihood, now, True, balancing)
+            want = reference_decide(old_packet, ME, old[ME], old_rr, likelihood, now, True,
+                                    balancing)
+            assert got[0] == want[0]
+            assert (None if got[1] is None else (got[1].members, got[1].fallback)) == (
+                None if want[1] is None else (want[1].members, want[1].fallback))
+            assert new_rr._cursors == old_rr._cursors
+        assert [new.rankings[ME], new.rankings[OTHER]] == [old[ME].table, old[OTHER].table]

@@ -244,6 +244,32 @@ def test_process_k_runs_every_job_k_mod_w(monkeypatch, workers):
     assert len(set.union(*by_residue)) == workers
 
 
+def test_compare_gives_each_process_a_plain_and_a_balanced_run(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run, row = Simulation.run, experiment.result_row
+    ran = []
+
+    def tagged(sim):
+        result = run(sim)
+        result.pid = os.getpid()
+        return result
+
+    def recording(config, result):
+        ran.append((result.pid, config.balancing))
+        return row(config, result)
+
+    monkeypatch.setattr(Simulation, "run", tagged)  # forked workers inherit it
+    monkeypatch.setattr(experiment, "result_row", recording)
+    rows = compare(FAST, [1, 2])
+    assert [(row.seed, row.balanced) for row in rows] == [
+        (1, False), (1, True), (2, False), (2, True)]
+    halves = {}
+    for pid, balanced in ran:
+        halves.setdefault(pid, []).append(balanced)
+    assert os.getpid() in halves
+    assert sorted(map(sorted, halves.values())) == [[False, True], [False, True]]
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
