@@ -8,11 +8,12 @@ and the simulator is imported from ``src/`` next to this directory. Every
 batch call of the workload runs once, with its CSV, serially in this process
 and under cProfile; scenario texts are parsed before profiling starts. A
 scenario file is one ``run_experiment`` call on the given simulation seeds
-(default 1). The script prints the CPU seconds of one more pass without the
-profiler, the total number of calls, then the calls made in each module of
-``src/manetsim`` and the rest (standard library and builtins) as ``other``.
-The counts depend on the code and the workload only, not on the host, so a
-fresh interpreter repeats them exactly; the CPU seconds do not.
+(default 1). The script prints the total number of calls, then the calls
+made in each module of ``src/manetsim`` and the rest (standard library and
+builtins) as ``other``. The counts depend on the code and the workload only,
+not on the host, so a fresh interpreter repeats them exactly. It prints no
+time: one pass's CPU seconds swing too much between interpreters to compare
+two trees; perfbench measures time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import cProfile
 import pstats
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -76,13 +76,6 @@ def count_calls(workload: Workload, workload_seed: int) -> Counter[str]:
     return count_batch_calls(workload_batches(workload, workload_seed))
 
 
-def cpu_seconds(batches: list[tuple]) -> float:
-    """CPU seconds of one unprofiled pass."""
-    start = time.process_time()
-    one_pass(batches)
-    return time.process_time() - start
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", nargs="?", choices=sorted(WORKLOADS))
@@ -98,7 +91,6 @@ def main(argv: list[str]) -> int:
     else:
         batches = workload_batches(WORKLOADS[args.workload], args.seed)
     counts = count_batch_calls(batches)
-    print(f"{cpu_seconds(batches):10.3f}  cpu_s (unprofiled pass)")
     print(f"{sum(counts.values()):10d}  total")
     for name, calls in sorted(counts.items()):
         print(f"{calls:10d}  {name}")

@@ -4,9 +4,9 @@ Rows are fully deterministic functions of (config, seed): float columns are
 quantized to 9 significant digits at row construction and the runtime column
 reports the processed-event count, so identical inputs produce byte-identical
 CSV output. A batch's runs are dealt out by a fixed stride between the
-calling process and children forked for the batch (see ``simulate_all``);
-rows, CSVs and trace files are built in the calling process, in job order,
-so the bytes do not depend on how many processes ran.
+calling process and children it starts on multiprocessing's fork context
+(see ``simulate_all``); rows, CSVs and trace files are built in the calling
+process, in job order, so the bytes do not depend on how many processes ran.
 """
 
 from __future__ import annotations
@@ -84,62 +84,51 @@ def simulate_all(jobs: list[tuple[ScenarioConfig, int]]) -> list[RunResult]:
     """The RunResult of each (config, seed) job, in job order.
 
     The jobs run on w = min(len(jobs), os.cpu_count()) processes: this one,
-    process 0, and w - 1 forked children. Process k runs jobs k, k + w,
-    k + 2w, ... in order, with the results of running them one after
-    another; a serial batch is the case w = 1 and forks nothing. w is 1 also
-    when the platform cannot fork or when ``simulate`` here has been
+    process 0, and w - 1 children on multiprocessing's fork context. Process k
+    runs jobs k, k + w, k + 2w, ... in order, with the results of running them
+    one after another; a serial batch is the case w = 1 and forks nothing. w
+    is 1 also when the platform cannot fork or when ``simulate`` here has been
     replaced: a caller observing every run (perfbench's recorder) then sees
-    each one. A child pickles back its results, or its error, through its
-    own pipe. No child outlives the call: if this process fails or is
-    interrupted, it kills and reaps the children left.
+    each one. A child sends back its results, or its error, over its own pipe.
+    No child outlives the call: if this process fails or is interrupted, it
+    kills and reaps the children left. A daemonic multiprocessing worker may
+    start no children, so there a call with w > 1 fails in ``start()``.
     """
     workers = min(len(jobs), os.cpu_count() or 1)
     if workers < 2 or not hasattr(os, "fork") or simulate is not simulation.simulate:
-        workers = 1
-    else:  # ~4 ms of set-up that a serial batch does not need
-        import pickle
-        import signal
+        return _run(jobs)
+    import multiprocessing  # ~10 ms of set-up that a serial batch does not need
+
+    context = multiprocessing.get_context("fork")
     results: list = [None] * len(jobs)
-    children: dict[int, tuple[int, int]] = {}  # pid -> (k, read end of its result pipe)
+    children = []  # (k, process, receiving end of its pipe)
     try:
         for k in range(1, workers):
-            result_r, result_w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(result_r)
-                os.close(result_w)
-                raise
-            if pid == 0:  # a child leaves only by os._exit
-                status = 1
-                try:
-                    os.close(result_r)
-                    _child(jobs[k::workers], result_w)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children[pid] = (k, result_r)
-            os.close(result_w)
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_child, args=(jobs[k::workers], sender))
+            children.append((k, child, receiver))
+            with sender:  # the parent's copy of the child's end: closed even if start() fails
+                child.start()
         results[::workers] = _run(jobs[::workers])
-        for pid, (k, result_r) in list(children.items()):
-            with open(result_r, "rb", closefd=False) as pipe:
-                data = pipe.read()  # read before waitpid: a child blocks until its pickle is read
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            os.close(result_r)
-            if status != 0:
-                code = os.waitstatus_to_exitcode(status)
+        for k, child, receiver in children:
+            try:
+                done, error, text = receiver.recv()
+            except (EOFError, OSError):
+                child.join()
+                code = child.exitcode
                 how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                raise WorkerError(f"worker process {pid} ended with {how} and no results")
-            done, error, text = pickle.loads(data)  # bytes a child of this call wrote
+                raise WorkerError(
+                    f"worker process {child.pid} ended with {how} and no results") from None
+            child.join()
             if error is not None:
                 raise error from _WorkerTraceback(text)
             results[k::workers] = done
     finally:
-        for pid, (_, result_r) in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(result_r)
+        for _, child, receiver in children:
+            if child.is_alive():
+                child.kill()
+                child.join()
+            receiver.close()
     return results
 
 
@@ -155,22 +144,18 @@ def _run(jobs: list[tuple[ScenarioConfig, int]]) -> list[RunResult]:
     return [simulate(config, seed) for config, seed in jobs]
 
 
-def _child(jobs: list[tuple[ScenarioConfig, int]], result_w: int) -> None:
-    """Run a forked child's jobs and pickle the outcome to result_w."""
-    import pickle
-
+def _child(jobs: list[tuple[ScenarioConfig, int]], sender) -> None:
+    """Run a forked child's jobs and send the outcome through sender."""
     try:
-        data = pickle.dumps((_run(jobs), None, None))
+        sender.send((_run(jobs), None, None))
     except BaseException as exc:  # it reaches the caller, which re-raises it
         import traceback
 
         text = traceback.format_exc()
         try:
-            data = pickle.dumps((None, exc, text))
+            sender.send((None, exc, text))
         except Exception:
-            data = pickle.dumps((None, WorkerError(f"{type(exc).__name__}: {exc}"), text))
-    with open(result_w, "wb") as pipe:
-        pipe.write(data)
+            sender.send((None, WorkerError(f"{type(exc).__name__}: {exc}"), text))
 
 
 def _rows(jobs: list[tuple[ScenarioConfig, int]], trace_dir: str | None) -> list[ResultRow]:

@@ -41,9 +41,7 @@ def test_counts_repeat_exactly():
 def scenario_counts_in_fresh_interpreter(path):
     out = subprocess.run([sys.executable, str(SCRIPT), "--scenario", str(path), "--seeds", "1,2"],
                          capture_output=True, text=True, timeout=60, check=True).stdout
-    cpu_line, *count_lines = out.splitlines()
-    assert cpu_line.endswith("cpu_s (unprofiled pass)") and float(cpu_line.split()[0]) > 0
-    return {name: int(calls) for calls, name in map(str.split, count_lines)}
+    return {name: int(calls) for calls, name in map(str.split, out.splitlines())}
 
 
 def test_scenario_file_counts_repeat_exactly(tmp_path):

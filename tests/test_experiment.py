@@ -1,4 +1,5 @@
 import os
+import signal
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -330,3 +331,43 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
     with pytest.raises(SchedulingError, match="seed 2 failed") as failure:
         run_experiment(FAST, [1, 2, 3])
     assert int(str(failure.value).rsplit(" ", 1)[1]) != os.getpid()
+
+
+def test_a_worker_killed_by_a_signal_names_the_signal(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_until = Engine.run_until
+
+    def killed(engine, t_end_us):
+        if engine.master_seed == 2:  # job 1: the first job of the one child
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_until(engine, t_end_us)
+
+    monkeypatch.setattr(Engine, "run_until", killed)
+    with pytest.raises(experiment.WorkerError,
+                       match=r"worker process \d+ ended with signal 9 and no results"):
+        run_experiment(FAST, [1, 2, 3])
+    assert_no_child_left()
+
+
+class Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # pickling the exception pickles this too, and fails
+
+
+def test_a_worker_error_that_cannot_be_pickled_arrives_by_name(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_until = Engine.run_until
+
+    def failing(engine, t_end_us):
+        if engine.master_seed == 2:
+            raise Unpicklable("seed 2 failed")
+        return run_until(engine, t_end_us)
+
+    monkeypatch.setattr(Engine, "run_until", failing)
+    with pytest.raises(experiment.WorkerError, match=r"^Unpicklable: seed 2 failed$") as failure:
+        run_experiment(FAST, [1, 2, 3])
+    cause = failure.value.__cause__
+    assert type(cause).__name__ == "_WorkerTraceback"
+    assert str(cause).startswith("Traceback") and "Unpicklable: seed 2 failed" in str(cause)
+    assert_no_child_left()
