@@ -6,6 +6,11 @@ Two receptions overlapping at a receiver destroy both, so a node keeps only
 its latest reception end and its one clean reception. A node defers its start
 while it hears a transmission, plus a random jitter from the "mac" RNG stream.
 Each transmission ends in at most one delivery call, clean receivers ascending.
+
+Carrier sense reads the node's latest reception end, since a transmission
+registers its end at every node in range as it starts and range is symmetric.
+After a topology change, until the frames then on the air end, it scans the
+on-air map for the senders the node hears now.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ class _MacState:
         self.queue: deque[Frame] = deque()
         self.queue_drops = 0
         # Latest end of any reception registered at this node. A reception
-        # that starts before it overlaps one still in the air here.
+        # that starts before it overlaps one still in the air here, and
+        # carrier sense defers to it.
         self.rx_until = 0
         # The lost-receiver list of the transmission behind this node's one
         # clean reception; None once that reception is hit. It ends at rx_until.
@@ -130,7 +136,9 @@ class Medium:
         and ``neighbor_sets[n]`` holds the same ids. Carrier sense and receiver
         sets read only these, so this must run after every position update.
         The ascending order fixes the order in which receptions are
-        registered and delivered.
+        registered and delivered. Until every frame now on the air ends, at
+        ``scan_until``, carrier sense scans the on-air map: a reception clock
+        may count a sender that has moved out of range or miss one moved in.
         """
         positions = self.positions
         range2 = self.range2
@@ -144,6 +152,7 @@ class Medium:
                     neighbors[b].append(a)
         self.neighbors = neighbors
         self.neighbor_sets = [set(near) for near in neighbors]
+        self.scan_until = max([t_end for t_end, _ in self.on_air.values()], default=0)
 
     def _attempt_after(self, node_id: int, t_us: int) -> None:
         """Schedule node_id's next transmit attempt at t_us plus a fresh jitter."""
@@ -169,18 +178,21 @@ class Medium:
         now = self.engine.clock_us
         # Carrier sense: defer while any receivable transmission is in progress.
         # One that ends at now is over, though its arrival may not have run yet.
-        busy_until = now
-        audible = self.neighbor_sets[node_id]
+        # The node's reception clock tells, but for a while after a topology change.
+        states = self.states
         on_air = self.on_air
-        for sender_id in on_air:
-            if sender_id in audible:
-                t_end = on_air[sender_id][0]
-                if t_end > busy_until:
-                    busy_until = t_end
+        busy_until = states[node_id].rx_until
+        if now < self.scan_until:
+            busy_until = now
+            audible = self.neighbor_sets[node_id]
+            for sender_id in on_air:
+                if sender_id in audible:
+                    t_end = on_air[sender_id][0]
+                    if t_end > busy_until:
+                        busy_until = t_end
         if busy_until > now:
             self._attempt_after(node_id, busy_until)
             return
-        states = self.states
         frame = states[node_id].queue.popleft()
         t_end = now + self.airtime_us(frame.size_bytes)
         if frame.next_hop is None:

@@ -37,8 +37,8 @@ class ControlKind(Enum):
     HELLO = "hello"
     TC = "tc"
 
-    # Identity hashing in C; see EventKind. Hashed on every scored copy of a
-    # flooded kind, through the FloodingProtocol.forwarded key.
+    # Identity hashing in C; see EventKind. Hashed on every emit and every
+    # receive call, through the FloodingProtocol.forwarded key.
     __hash__ = object.__hash__
 
 
@@ -118,21 +118,24 @@ class Route(dict):
 class FloodingProtocol:
     """One flooding process shared by every metric.
 
-    It owns every node's control-plane state: ``rankings[n]``, node n's
-    ``dest -> {neighbor: (score, last_us)}`` table, which the balancer reads
-    through ``live``; ``routes[n]``, node n's ``dest -> Route`` cache of what
-    ``live`` last returned; ``versions``, one counter per originator that
-    ``receive`` bumps once per call, so a route built at an older count is
-    rebuilt; and ``forwarded[n]``, the highest seq node n has flooded per
-    (kind, originator). A node's entry for its own messages is also its
-    latest sequence number. It runs the rebroadcast dedup, the own-echo check,
-    the ranking update and the rebroadcast stamp. A metric reads its own
-    parameters from the config, keeps any further per-node state itself, and
-    supplies only ``score_all``, one score per receiver of a copy. It may
-    override ``emission_plan``, the (kind, interval_us) pairs every node emits
-    on (one OGM per interval by default); ``flooded_kinds``, the kinds a
-    receiver rebroadcasts (OGMs); and ``hop_penalty``, the factor a forwarder
-    applies to a carried score.
+    It owns every node's control-plane state. Each table is laid out by the
+    key one ``receive`` call holds fixed, as a column with one slot per node,
+    created when its key is first stored or emitted: ``rankings[dest][n]`` is
+    node n's ``{neighbor: (score, last_us)}`` dict for dest, or None, which
+    the balancer reads through ``live``; ``forwarded[(kind, originator)][n]``
+    is the highest seq node n has flooded, -1 when none. A node's slot for
+    its own messages is also its latest sequence number. ``routes[n]`` is
+    node n's ``dest -> Route`` cache of what ``live`` last returned, and
+    ``versions`` holds one counter per originator that ``receive`` bumps once
+    per call, so a route built at an older count is rebuilt. It runs the
+    rebroadcast dedup, the own-echo check, the ranking update and the
+    rebroadcast stamp. A metric reads its own parameters from the config,
+    keeps any further per-node state itself, and supplies only
+    ``score_all``, one score per receiver of a copy. It may override
+    ``emission_plan``, the (kind, interval_us) pairs every node emits on (one
+    OGM per interval by default); ``flooded_kinds``, the kinds a receiver
+    rebroadcasts (OGMs); and ``hop_penalty``, the factor a forwarder applies
+    to a carried score.
 
     ``positions`` is the run's position list, updated in place by the
     mobility tick. ``predicted`` is None unless the metric predicts; then the
@@ -147,16 +150,18 @@ class FloodingProtocol:
         self.positions = positions
         self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
         self.expiry_us = us_from_s(config.ranking_expiry_s)
-        self.rankings: list[dict[int, dict[int, tuple[float, int]]]] = [{} for _ in positions]
+        self.rankings: dict[int, list[dict[int, tuple[float, int]] | None]] = {}
         self.routes: list[dict[int, Route]] = [{} for _ in positions]
         self.versions: dict[int, int] = {}
-        self.forwarded: list[dict[tuple[ControlKind, int], int]] = [{} for _ in positions]
+        self.forwarded: dict[tuple[ControlKind, int], list[int]] = {}
 
     def emit(self, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
         # receive skips a message's originator before its dedup step, so only
-        # emit writes this entry: it is the node's latest seq for the kind.
-        forwarded = self.forwarded[node]
-        seq = forwarded[(kind, node)] = forwarded.get((kind, node), -1) + 1
+        # emit writes this slot: it is the node's latest seq for the kind.
+        seen = self.forwarded.get((kind, node))
+        if seen is None:
+            seen = self.forwarded[(kind, node)] = [-1] * len(self.positions)
+        seq = seen[node] = seen[node] + 1
         own_pos, predicted = self.positions[node], self.predicted
         return ControlMessage(
             kind=kind, originator=node, seq=seq, sender_position=own_pos,
@@ -171,7 +176,8 @@ class FloodingProtocol:
         A nonempty result is a ``Route``, returned again while no ``receive`` has run
         for dest and ``now_us`` is at most its oldest entry's ``last_us + expiry_us``:
         until then the purge would delete nothing and give equal scores in order."""
-        entries = self.rankings[node].get(dest)
+        column = self.rankings.get(dest)
+        entries = None if column is None else column[node]
         if not entries:
             return {}
         route = self.routes[node].get(dest)
@@ -213,24 +219,31 @@ class FloodingProtocol:
         key = (kind, originator)
         floods = kind in self.flooded_kinds
         rankings, forwarded, predicted = self.rankings, self.forwarded, self.predicted
+        # The two columns this call reads, each created at its first store.
+        column, seen = rankings.get(originator), forwarded.get(key)
         rebroadcasts = []
         for node, score in zip(receivers, scores):
-            table = rankings[node]
-            entries = table.get(originator)
             if score <= 0.0:
-                if entries:
-                    entries.pop(prev_hop, None)
+                if column is not None and column[node]:
+                    column[node].pop(prev_hop, None)
                 continue
             # Scores are at most 1 in any config validate() accepts; the cap
             # guards the table, while forwarders carry the uncapped score.
             capped = score if score < 1.0 else 1.0
+            if column is None:
+                column = rankings[originator] = [None] * len(self.positions)
+            entries = column[node]
             # A store to an existing neighbour keeps its place in the table.
             if entries is None:
-                table[originator] = {prev_hop: (capped, now_us)}
+                column[node] = {prev_hop: (capped, now_us)}
             else:
                 entries[prev_hop] = (capped, now_us)
-            if floods and forwarded[node].get(key, -1) < seq:
-                forwarded[node][key] = seq
+            if not floods:
+                continue
+            if seen is None:
+                seen = forwarded[key] = [-1] * len(self.positions)
+            if seen[node] < seq:
+                seen[node] = seq
                 # Forwarders stamp their own score; the per-hop penalty is
                 # folded in here so every receiver applies the identical rule.
                 rebroadcasts.append((node, ControlMessage(
@@ -244,27 +257,33 @@ class FloodingProtocol:
 
 
 class BatmanProtocol(FloodingProtocol):
-    """Originator-message flooding with windowed link quality and hop penalty."""
+    """Originator-message flooding with windowed link quality and hop penalty.
+
+    ``tq_windows[neighbor][n]`` is node n's window over neighbor's own OGMs,
+    or None; a neighbor's column is created with its first window.
+    """
 
     def __init__(self, config: ScenarioConfig, positions: list[Position]):
         super().__init__(config, positions)
         self.tq_window_len = config.tq_window
         self.hop_penalty = config.hop_penalty
-        self.tq_windows: list[dict[int, TQWindow]] = [{} for _ in positions]
+        self.tq_windows: dict[int, list[TQWindow | None]] = {}
 
     def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
         """TQ window of the neighbor the copy came through, times the carried score."""
-        tq_windows, carried, direct = self.tq_windows, msg.carried_score, msg.originator == prev_hop
-        scores = []
-        for node in receivers:
-            windows = tq_windows[node]
-            window = windows.get(prev_hop)
-            if direct:  # a neighbor's own OGM first feeds its window
+        windows, carried = self.tq_windows.get(prev_hop), msg.carried_score
+        if msg.originator == prev_hop:  # a neighbor's own OGM first feeds its window
+            if windows is None:
+                windows = self.tq_windows[prev_hop] = [None] * len(self.positions)
+            for node in receivers:
+                window = windows[node]
                 if window is None:
-                    window = windows[prev_hop] = TQWindow(self.tq_window_len)
+                    window = windows[node] = TQWindow(self.tq_window_len)
                 window.update(msg.seq)
-            scores.append((window.quality if window is not None else 0.0) * carried)
-        return scores
+        elif windows is None:
+            return [0.0 * carried] * len(receivers)
+        return [(window.quality if window is not None else 0.0) * carried
+                for window in map(windows.__getitem__, receivers)]
 
 
 class GeoOlsrProtocol(FloodingProtocol):
@@ -289,7 +308,8 @@ class BatmobileProtocol(FloodingProtocol):
     """Originator-message flooding scored by current plus predicted link distances.
 
     Each node admits its raw scores through the trend clamp, ``admit``, over
-    its own ``trends[n]``: ``(dest, neighbor) -> (values, last_us)``.
+    its own slot of ``trends[(dest, neighbor)]``: ``(values, last_us)``, or
+    None. A key's column is created with its first buffer.
     """
 
     def __init__(self, config: ScenarioConfig, positions: list[Position]):
@@ -300,7 +320,7 @@ class BatmobileProtocol(FloodingProtocol):
         self.buffer_len = config.score_buffer
         self.clamp = config.trend_clamp
         self.predicted = list(positions)
-        self.trends: list[dict[tuple[int, int], tuple[list[float], int]]] = [{} for _ in positions]
+        self.trends: dict[tuple[int, int], list[tuple[list[float], int] | None]] = {}
 
     def admit(self, nodes: list[int], dest: int, neighbor: int, raws: list[float],
               now_us: int) -> list[float]:
@@ -309,11 +329,13 @@ class BatmobileProtocol(FloodingProtocol):
         way. A buffer resets after a gap longer than ``expiry_us``. Each clamp is the
         conditional CPython's two-argument max or min computes (``max(a, b)`` is ``b if
         b > a else a``), which agrees with it on every float, NaN and signed zeros too."""
-        trends, key, expiry_us, clamp = self.trends, (dest, neighbor), self.expiry_us, self.clamp
+        key, expiry_us, clamp = (dest, neighbor), self.expiry_us, self.clamp
+        column = self.trends.get(key)
+        if column is None and nodes:
+            column = self.trends[key] = [None] * len(self.positions)
         admitted_all = []
         for node, raw in zip(nodes, raws):
-            node_trends = trends[node]
-            entry = node_trends.get(key)
+            entry = column[node]
             values = [] if entry is None or now_us - entry[1] > expiry_us else entry[0]
             if values:
                 # The least-squares line through (index, value), one step past the end.
@@ -329,7 +351,7 @@ class BatmobileProtocol(FloodingProtocol):
             admitted = (raw if raw < 1.0 else 1.0) if raw > 0.0 else 0.0  # min(1.0, max(0.0, raw))
             values.append(admitted)
             del values[:-self.buffer_len]  # keep the newest buffer_len
-            node_trends[key] = (values, now_us)
+            column[node] = (values, now_us)
             admitted_all.append(admitted)
         return admitted_all
 

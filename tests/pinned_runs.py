@@ -118,19 +118,35 @@ def decisions_digest(decisions) -> str:
     return digest.hexdigest()
 
 
+def node_tables(protocol) -> dict[str, list[dict]]:
+    """Each of the protocol's column tables as one dict per node, as a node would
+    hold it: ``rankings`` {dest: entries}, ``forwarded`` {(kind, originator): seq},
+    and, where the metric keeps them, ``tq_windows`` {neighbor: window} and
+    ``trends`` {(dest, neighbor): (values, last_us)}. An empty slot, None or -1
+    for ``forwarded``, is no key. The values are the protocol's own objects."""
+    empty_slot = {"rankings": None, "forwarded": -1, "tq_windows": None, "trends": None}
+    nodes = range(len(protocol.positions))
+    return {
+        name: [{key: column[node] for key, column in getattr(protocol, name).items()
+                if column[node] != empty} for node in nodes]
+        for name, empty in empty_slot.items() if hasattr(protocol, name)
+    }
+
+
 def float_state_digest(protocol) -> str:
     """sha256 of a protocol's float state, one line per entry in sorted order,
     every float as its repr: each ranking entry, batman's windows, batmobile's
     trend buffers, then the predicted positions."""
+    tables = node_tables(protocol)
     lines = []
-    for node, table in enumerate(protocol.rankings):
+    for node, table in enumerate(tables["rankings"]):
         for dest, entries in sorted(table.items()):
             for neighbor, (score, last_us) in sorted(entries.items()):
                 lines.append(f"rank {node} {dest} {neighbor} {score!r} {last_us}")
-    for node, windows in enumerate(getattr(protocol, "tq_windows", ())):
+    for node, windows in enumerate(tables.get("tq_windows", ())):
         for neighbor, w in sorted(windows.items()):
             lines.append(f"tq {node} {neighbor} {w.bits} {w.last_seq} {w.quality!r}")
-    for node, buffers in enumerate(getattr(protocol, "trends", ())):
+    for node, buffers in enumerate(tables.get("trends", ())):
         for (dest, neighbor), (values, last_us) in sorted(buffers.items()):
             lines.append(f"trend {node} {dest} {neighbor} {values!r} {last_us}")
     lines.append(f"predicted {protocol.predicted!r}")

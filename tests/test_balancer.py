@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from pinned_runs import node_tables
 
 from manetsim.balancer import (
     DropReason,
@@ -351,9 +352,9 @@ def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, e
                                                      balancing):
     new = CarriedScoreFlooding(ScenarioConfig(ranking_expiry_s=1.0), [(0.0, 0.0, 0.0)] * (ME + 1))
     old = ReferenceRanking(1_000_000)
-    for ranking in (new.rankings[ME], old.table):
-        for dest, entries in table.items():
-            ranking[dest] = {n: (score, last) for n, (score, last) in entries.items()}
+    for dest, entries in table.items():
+        new.rankings.setdefault(dest, [None] * (ME + 1))[ME] = dict(entries)
+        old.table[dest] = dict(entries)
     new_rr, old_rr = RRState(), RRState()
     now = 2_000_000
     for dest, prev_hop, ttl, gap, refresh in steps:
@@ -374,7 +375,7 @@ def test_decision_path_equals_the_per_call_reference(table, steps, likelihood, e
         assert ((new_packet.ttl, new_packet.prev_hop, new_packet.next_hop)
                 == (old_packet.ttl, old_packet.prev_hop, old_packet.next_hop))
         assert new_rr._cursors == old_rr._cursors
-        assert new.rankings[ME] == old.table
+        assert node_tables(new)["rankings"][ME] == old.table
 
 
 # -- the route cache against the uncached reference -----------------------------
@@ -444,4 +445,5 @@ def test_cached_routes_equal_the_uncached_reference(steps, likelihood):
             assert (None if got[1] is None else (got[1].members, got[1].fallback)) == (
                 None if want[1] is None else (want[1].members, want[1].fallback))
             assert new_rr._cursors == old_rr._cursors
-        assert [new.rankings[ME], new.rankings[OTHER]] == [old[ME].table, old[OTHER].table]
+        rankings = node_tables(new)["rankings"]
+        assert [rankings[ME], rankings[OTHER]] == [old[ME].table, old[OTHER].table]

@@ -317,6 +317,35 @@ def test_hidden_broadcasts_lose_only_the_shared_receiver():
     assert h.deliveries == [([3], first), ([4], second)]
 
 
+def test_carrier_sense_follows_a_topology_change_inside_an_airtime():
+    # A's full frame is on the air when B moves out of its range and C into it.
+    # B's reception clock still runs to A's end and C's never saw A, so each
+    # must sense the senders it hears now. D's short frame, far from all, is
+    # also on the air then and ends first: sensing must scan until A's end.
+    a, b, c, d = range(4)
+    h = Harness([(0.0, 0.0, 0.0), (30.0, 0.0, 0.0), (100.0, 0.0, 0.0), (300.0, 0.0, 0.0)],
+                config=NO_JITTER)
+    h.send(a, broadcast_frame(a, size=1460))
+    h.send(d, broadcast_frame(d))
+
+    def swap_b_and_c():
+        positions = h.medium.positions
+        positions[b], positions[c] = positions[c], positions[b]
+        h.medium.refresh_neighbors()
+
+    h.engine.schedule(10, EventKind.CALLBACK, swap_b_and_c)
+    send_at(h, 100, b, broadcast_frame(b))
+    send_at(h, 100, c, broadcast_frame(c))
+    short = airtime_us(64, NO_JITTER)
+    assert short < 100 < T_FULL
+    h.engine.run_until(100)
+    assert h.medium.neighbors == [[c], [], [a], []]
+    # B hears no one and transmits at once; C defers to A's end.
+    assert {n: end for n, (end, _) in h.medium.on_air.items()} == {a: T_FULL, b: 100 + short}
+    h.engine.run_until(T_FULL)
+    assert {n: end for n, (end, _) in h.medium.on_air.items()} == {c: T_FULL + short}
+
+
 def test_delivered_receiver_list_belongs_to_the_callback():
     seen = []
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from pinned_runs import node_tables
 
 from manetsim import config as config_module
 from manetsim.balancer import DropReason, best_forwarder, plain_forward
@@ -214,7 +215,8 @@ def make_ranking(entries, now_us=0):
     """A one-node batman protocol (3 s expiry) whose node 0 ranks these (dest, neighbor, score)."""
     protocol = make("batman", [(0.0, 0.0, 0.0)], ranking_expiry_s=3.0)
     for dest, neighbor, score in entries:
-        protocol.rankings[0].setdefault(dest, {})[neighbor] = (score, now_us)
+        column = protocol.rankings.setdefault(dest, [{}])
+        column[0][neighbor] = (score, now_us)
     return protocol
 
 
@@ -235,10 +237,10 @@ def test_best_forwarder_empty_table():
 
 def test_expired_entries_purged_before_max():
     protocol = make_ranking([(9, 1, 0.95)])
-    protocol.rankings[0][9][2] = (0.5, 3_500_000)
+    protocol.rankings[9][0][2] = (0.5, 3_500_000)
     # entry for 1 is 3.5 s old; entry for 2 is fresh
     assert protocol.live(0, 9, 3_500_000) == {2: 0.5}
-    assert protocol.rankings[0][9] == {2: (0.5, 3_500_000)}  # and 1 is purged
+    assert protocol.rankings[9][0] == {2: (0.5, 3_500_000)}  # and 1 is purged
     assert best_forwarder(protocol.live(0, 9, 3_500_000)) == 2
 
 
@@ -255,7 +257,8 @@ def test_zero_score_update_for_an_unknown_destination_adds_no_key():
     protocol.receive([0], ogm(9, 0), 9, 0)
     protocol.receive([0], ogm(4, 0, carried=0.0), 4, 100)
     protocol.receive([0], ogm(9, 1, carried=-0.5), 2, 100)  # no window for 2: -0.0
-    assert list(protocol.rankings[0]) == [9]
+    assert list(node_tables(protocol)["rankings"][0]) == [9]
+    assert list(protocol.rankings) == [9]  # and no column for 4 or 9's other hops
     assert protocol.live(0, 4, 100) == {}
 
 
@@ -290,8 +293,8 @@ def test_each_protocol_reads_its_own_parameters_from_config():
     assert batmobile.comm_range_m == 23.140184411076447
     assert (batmobile.prediction_weight, batmobile.buffer_len, batmobile.clamp) == (5, 6, 0.2)
     assert batmobile.expiry_us == 4_000_000
-    assert batmobile.trends == [{}] * 4
-    assert len({id(trends) for trends in batmobile.trends}) == 4
+    assert batmobile.trends == {}
+    assert node_tables(batmobile)["trends"] == [{}] * 4
     assert batmobile.predicted == positions and batmobile.predicted is not positions
 
     for protocol in (batman, golsr, batmobile):
@@ -307,9 +310,13 @@ def test_each_protocol_reads_its_own_parameters_from_config():
 def test_every_protocol_owns_one_ranking_per_node_with_the_config_expiry(name):
     protocol = make(name, [(0.0, 0.0, 0.0)] * 3, ranking_expiry_s=4.0)
     assert protocol.expiry_us == 4_000_000
-    assert protocol.rankings == [{}, {}, {}]
-    assert len({id(ranking) for ranking in protocol.rankings}) == 3
-    assert protocol.forwarded == [{}, {}, {}]
+    # No column until a key is first stored or emitted.
+    assert protocol.rankings == {} and protocol.forwarded == {}
+    tables = node_tables(protocol)
+    assert tables["rankings"] == tables["forwarded"] == [{}, {}, {}]
+    # An emit fills its node's slot alone.
+    protocol.emit(1, protocol.emission_plan[0][0], 0)
+    assert node_tables(protocol)["forwarded"] == [{}, {(protocol.emission_plan[0][0], 1): 0}, {}]
 
 
 # -- control-plane flooding ---------------------------------------------------
@@ -331,7 +338,7 @@ def test_same_message_via_two_neighbors_updates_both_entries():
         window = TQWindow()
         for seq in range(8):
             window.update(seq)
-        protocol.tq_windows[me][neighbor] = window
+        protocol.tq_windows[neighbor] = [window]
     first = protocol.receive([me], ogm(origin, 0, carried=0.9), via_b, 1000)
     second = protocol.receive([me], ogm(origin, 0, carried=0.9), via_f, 2000)
     assert [node for node, _ in first] == [me]  # rebroadcast on first receipt
@@ -344,7 +351,7 @@ def test_rebroadcast_stamps_score_and_penalty():
     window = TQWindow()
     for seq in range(8):
         window.update(seq)
-    protocol.tq_windows[0][1] = window
+    protocol.tq_windows[1] = [window]
     [(_, out)] = protocol.receive([0], ogm(9, 0, carried=0.8), 1, 1000)
     assert out.carried_score == pytest.approx(0.8 * 0.95)
     assert out.sender_position == (5.0, 0.0, 0.0)
@@ -354,7 +361,7 @@ def test_direct_ogm_feeds_tq_window_and_ranking():
     protocol = make("batman", [(0.0, 0.0, 0.0)])
     for seq in range(4):
         protocol.receive([0], ogm(3, seq), 3, 1000 + seq)
-    assert protocol.tq_windows[0][3].quality == pytest.approx(4 / 8)
+    assert protocol.tq_windows[3][0].quality == pytest.approx(4 / 8)
     assert protocol.live(0, 3, 2000)[3] == pytest.approx(4 / 8)
 
 
@@ -429,17 +436,24 @@ transmissions = st.tuples(
 )
 
 
-def snapshot(protocol, node):
-    """A copy of everything receive may change for node."""
-    windows = getattr(protocol, "tq_windows", None)
-    trends = getattr(protocol, "trends", None)
+def by_key(table):
+    """table's items in the order of their keys' reprs: a node's table is read by key,
+    so only the order within one destination's entries can differ in behaviour."""
+    return dict(sorted(table.items(), key=lambda item: repr(item[0])))
+
+
+def snapshot(side, node):
+    """A copy of everything receive may change for node. A per-copy reference
+    keeps its tables per node; a protocol's are rebuilt from its columns."""
+    tables = side.per_node if isinstance(side, PerCopyFlooding) else node_tables(side)
+    windows, trends = tables.get("tq_windows"), tables.get("trends")
     return copy.deepcopy((
-        protocol.rankings[node],
-        None if windows is None else {
+        by_key(tables["rankings"][node]),
+        None if windows is None else by_key({
             n: (w.bits, w.last_seq, w.quality() if isinstance(w, ReferenceTQWindow) else w.quality)
-            for n, w in windows[node].items()},
-        protocol.forwarded[node],
-        None if trends is None else trends[node],
+            for n, w in windows[node].items()}),
+        by_key(tables["forwarded"][node]),
+        None if trends is None else by_key(trends[node]),
     ))
 
 
@@ -571,18 +585,20 @@ class ReferenceScoreTrend:
 
 
 class PerCopyFlooding:
-    """``rankings[n]`` is ``ranking_objects[n].table``, so snapshot reads both sides alike."""
+    """Keeps each table per node, in ``per_node``, in the shapes ``node_tables``
+    rebuilds a protocol's in: ``per_node["rankings"][n]`` is ``ranking_objects[n].table``."""
 
     def __init__(self, config, positions):
         super().__init__(config, positions)
         self.ranking_objects = [ReferenceRanking(self.expiry_us) for _ in positions]
-        self.rankings = [ranking.table for ranking in self.ranking_objects]
+        self.per_node = {"rankings": [ranking.table for ranking in self.ranking_objects],
+                         "forwarded": [{} for _ in positions]}
 
     def receive(self, receivers, msg, prev_hop, now_us):
         kind, originator, seq = msg.kind, msg.originator, msg.seq
         key = (kind, originator)
         floods = kind in self.flooded_kinds
-        score_fn, rankings, forwarded = self.score, self.ranking_objects, self.forwarded
+        score_fn, rankings, forwarded = self.score, self.ranking_objects, self.per_node["forwarded"]
         rebroadcasts = []
         for node in receivers:
             if node == originator:
@@ -602,8 +618,12 @@ class PerCopyFlooding:
 
 
 class PerCopyBatman(PerCopyFlooding, BatmanProtocol):
+    def __init__(self, config, positions):
+        super().__init__(config, positions)
+        self.per_node["tq_windows"] = [{} for _ in positions]
+
     def score(self, node, msg, prev_hop, now_us):
-        windows = self.tq_windows[node]
+        windows = self.per_node["tq_windows"][node]
         window = windows.get(prev_hop)
         if msg.originator == prev_hop:
             if window is None:
@@ -618,13 +638,13 @@ class PerCopyGeoOlsr(PerCopyFlooding, GeoOlsrProtocol):
 
 
 class PerCopyBatmobile(PerCopyFlooding, BatmobileProtocol):
-    """``trends[n]`` is ``trend_objects[n]._buffers``, as rankings are for PerCopyFlooding."""
+    """``per_node["trends"][n]`` is ``trend_objects[n]._buffers``, as rankings are."""
 
     def __init__(self, config, positions):
         super().__init__(config, positions)
         self.trend_objects = [ReferenceScoreTrend(config.score_buffer, config.trend_clamp,
                                                   self.expiry_us) for _ in positions]
-        self.trends = [trend._buffers for trend in self.trend_objects]
+        self.per_node["trends"] = [trend._buffers for trend in self.trend_objects]
         self.weight_scale = config.score_buffer
 
     def score(self, node, msg, prev_hop, now_us):
@@ -663,6 +683,8 @@ reference_steps = st.tuples(
 @example("batmobile", [(1, 0, 1, [0], 1.0, 0, 0, False),
                        (1, 1, 1, [0], -0.4, 0, 0, False)])  # the trend clamps it to zero
 @example("batman", [(1, 0, 1, [0], 1.5, 0, 0, False)])  # a score above one is stored as one
+@example("batmobile", [(1, 0, 1, [5], 1.0, 0, 0, False),
+                       (1, 1, 2, [5], 1.0, 0, 100_000, True)])  # the last node id's slots
 @example("batman", [(1, 0, 1, [0, 2], 1.0, 0, 0, False), (3, 0, 1, [0], 1.0, 0, 1_500_000, True),
                     (1, 1, 1, [0], 0.0, 0, 0, False)])  # a zero score after an expiry purge
 @settings(max_examples=200, deadline=None)
@@ -814,7 +836,7 @@ def test_batman_emits_twenty_ogms_in_ten_seconds():
     sim = Simulation(config, seed=1)
     sim.run()
     for node in range(config.nodes):
-        assert sim.protocol.forwarded[node][(ControlKind.OGM, node)] + 1 == 20
+        assert sim.protocol.forwarded[(ControlKind.OGM, node)][node] + 1 == 20
 
 
 def test_golsr_emits_hellos_and_tcs_on_their_grids():
@@ -822,5 +844,5 @@ def test_golsr_emits_hellos_and_tcs_on_their_grids():
     sim = Simulation(config, seed=1)
     sim.run()
     for node in range(config.nodes):
-        assert sim.protocol.forwarded[node][(ControlKind.HELLO, node)] + 1 == 20
-        assert sim.protocol.forwarded[node][(ControlKind.TC, node)] + 1 == 10
+        assert sim.protocol.forwarded[(ControlKind.HELLO, node)][node] + 1 == 20
+        assert sim.protocol.forwarded[(ControlKind.TC, node)][node] + 1 == 10

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pinned_runs import node_tables
 
 from manetsim import mobility, simulation
 from manetsim.balancer import DropReason
@@ -129,10 +130,11 @@ def test_flood_depth_limited_by_ttl():
     sim = Simulation(config, 1, initial_positions=positions, streams=[stream])
     sim.run()
     # originator 0 is known three hops out but not four
-    assert 0 in sim.protocol.rankings[1]
-    assert 0 in sim.protocol.rankings[2]
-    assert 0 in sim.protocol.rankings[3]
-    assert 0 not in sim.protocol.rankings[4]
+    rankings = node_tables(sim.protocol)["rankings"]
+    assert 0 in rankings[1]
+    assert 0 in rankings[2]
+    assert 0 in rankings[3]
+    assert 0 not in rankings[4]
 
 
 def test_ttl_one_copy_still_marks_its_message_forwarded():
@@ -146,7 +148,7 @@ def test_ttl_one_copy_still_marks_its_message_forwarded():
         return Frame(dst=None, size_bytes=config.control_bytes, prev_hop=1, ttl=ttl, payload=msg)
 
     sim._on_frame_delivered([3], copy(ttl=1))
-    assert 0 in sim.protocol.rankings[3]  # the last-hop copy is still scored
+    assert 0 in node_tables(sim.protocol)["rankings"][3]  # the last-hop copy is still scored
     sim._on_frame_delivered([2, 3], copy(ttl=5))
     queued = [[f.payload.originator for f in st.queue] for st in sim.medium.states]
     assert queued == [[], [], [0], []]  # 2 heard it first at ttl 5; 3 already had it
@@ -352,7 +354,7 @@ def test_emission_counts_survive_queue_pressure():
     sim.run()
     # Each node's count of its own OGMs is its own dedup entry plus one.
     total = sum(forwarded[(ControlKind.OGM, node)] + 1
-                for node, forwarded in enumerate(sim.protocol.forwarded))
+                for node, forwarded in enumerate(node_tables(sim.protocol)["forwarded"]))
     assert total == 5 * 20
     assert sim.medium.control_tx > 0
 
