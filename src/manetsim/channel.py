@@ -9,8 +9,8 @@ Each transmission ends in at most one delivery call, clean receivers ascending.
 
 Carrier sense reads the node's latest reception end, since a transmission
 registers its end at every node in range as it starts and range is symmetric.
-After a topology change, until the frames then on the air end, it scans the
-on-air map for the senders the node hears now.
+After a topology change, until the frames then on the air end, it looks the
+node's current neighbours up in the on-air map.
 """
 
 from __future__ import annotations
@@ -30,26 +30,9 @@ if TYPE_CHECKING:  # config imports this module to check a run's link budget and
 SPEED_OF_LIGHT = 3.0e8  # free-space simplification used throughout the link budget
 
 
-def path_loss_db(distance_m: float, params: ScenarioConfig) -> float:
-    """Single-slope log-distance loss: 10 * n * log10(4*pi*d*f/c).
-
-    Distances at or below zero are clamped to 0.1 m (co-located radios).
-    """
-    if distance_m <= 0:
-        distance_m = 0.1
-    return (
-        10.0
-        * params.path_loss_exponent
-        * math.log10(4.0 * math.pi * distance_m * params.frequency_hz / SPEED_OF_LIGHT)
-    )
-
-
-def receivable(distance_m: float, params: ScenarioConfig) -> bool:
-    return params.tx_power_dbm - path_loss_db(distance_m, params) >= params.sensitivity_dbm
-
-
 def max_range_m(params: ScenarioConfig) -> float:
-    """Largest distance still receivable; closed-form inverse of path_loss_db."""
+    """Largest distance at which a frame is still received, under the single-slope
+    log-distance loss 10 * n * log10(4*pi*d*f/c), in closed form."""
     budget_db = params.tx_power_dbm - params.sensitivity_dbm
     return (
         SPEED_OF_LIGHT
@@ -132,13 +115,13 @@ class Medium:
     def refresh_neighbors(self) -> None:
         """Recompute every node's in-range neighbours from the current positions.
 
-        ``neighbors[n]`` lists the ids in range of node n in ascending order,
-        and ``neighbor_sets[n]`` holds the same ids. Carrier sense and receiver
-        sets read only these, so this must run after every position update.
-        The ascending order fixes the order in which receptions are
-        registered and delivered. Until every frame now on the air ends, at
-        ``scan_until``, carrier sense scans the on-air map: a reception clock
-        may count a sender that has moved out of range or miss one moved in.
+        ``neighbors[n]`` lists the ids in range of node n in ascending order.
+        Carrier sense and receiver sets read only these lists, so this must
+        run after every position update. The ascending order fixes the order
+        in which receptions are registered and delivered. Until every frame
+        now on the air ends, at ``scan_until``, carrier sense looks its node's
+        neighbours up in the on-air map: a reception clock may count a sender
+        that has moved out of range or miss one moved in.
         """
         positions = self.positions
         range2 = self.range2
@@ -151,7 +134,6 @@ class Medium:
                     near_a.append(b)
                     neighbors[b].append(a)
         self.neighbors = neighbors
-        self.neighbor_sets = [set(near) for near in neighbors]
         self.scan_until = max([t_end for t_end, _ in self.on_air.values()], default=0)
 
     def _attempt_after(self, node_id: int, t_us: int) -> None:
@@ -176,7 +158,7 @@ class Medium:
 
     def _on_attempt(self, node_id: int) -> None:
         now = self.engine.clock_us
-        # Carrier sense: defer while any receivable transmission is in progress.
+        # Carrier sense: defer while any transmission in range is in progress.
         # One that ends at now is over, though its arrival may not have run yet.
         # The node's reception clock tells, but for a while after a topology change.
         states = self.states
@@ -184,9 +166,8 @@ class Medium:
         busy_until = states[node_id].rx_until
         if now < self.scan_until:
             busy_until = now
-            audible = self.neighbor_sets[node_id]
-            for sender_id in on_air:
-                if sender_id in audible:
+            for sender_id in self.neighbors[node_id]:
+                if sender_id in on_air:
                     t_end = on_air[sender_id][0]
                     if t_end > busy_until:
                         busy_until = t_end

@@ -13,12 +13,13 @@ import operator
 import sys
 from dataclasses import dataclass, field, fields, replace
 
+from . import routing
 from .channel import airtime_us, max_range_m
 from .engine import US_PER_S, us_from_s
 from .mobility import Area, distance
 from .traffic import MTU_BYTES, send_interval_us
 
-PROTOCOLS = ("batman", "golsr", "batmobile")
+PROTOCOLS = tuple(routing.PROTOCOLS)
 
 
 class ConfigError(Exception):

@@ -49,9 +49,13 @@ class ResultRow:
 CSV_COLUMNS = tuple("lambda" if f.name == "lambda_factor" else f.name for f in fields(ResultRow))
 
 
+# A float's text in every CSV this module writes: 9 significant digits.
+_float_text = "{:.9g}".format
+
+
 def quantize(value: float) -> float:
-    """Round-trip through the 9-significant-digit CSV representation."""
-    return float(f"{value:.9g}")
+    """Round-trip through the CSV representation of a float."""
+    return float(_float_text(value))
 
 
 def scenario_id(config: ScenarioConfig) -> str:
@@ -232,7 +236,7 @@ def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return _float_text(value)
     return str(value)
 
 
@@ -258,6 +262,6 @@ def write_pdr_trace(result: RunResult, path: str) -> None:
         writer.writerow(("window_end_s", "sent", "received", "current_pdr"))
         for window_end, sent, received, pdr in result.pdr_trace:
             writer.writerow((
-                f"{window_end:.9g}", sent, received,
-                "" if pdr is None else f"{pdr:.9g}",
+                _float_text(window_end), sent, received,
+                "" if pdr is None else _float_text(pdr),
             ))

@@ -25,11 +25,14 @@ from enum import Enum
 from itertools import repeat
 from math import sqrt
 from operator import mul, sub
+from typing import TYPE_CHECKING
 
 from .channel import max_range_m
-from .config import ScenarioConfig
 from .engine import left_sum, us_from_s
 from .mobility import Position, distance
+
+if TYPE_CHECKING:  # config imports this module for the protocol names
+    from .config import ScenarioConfig
 
 
 class ControlKind(Enum):
@@ -120,22 +123,22 @@ class FloodingProtocol:
 
     It owns every node's control-plane state. Each table is laid out by the
     key one ``receive`` call holds fixed, as a column with one slot per node,
-    created when its key is first stored or emitted: ``rankings[dest][n]`` is
-    node n's ``{neighbor: (score, last_us)}`` dict for dest, or None, which
-    the balancer reads through ``live``; ``forwarded[(kind, originator)][n]``
-    is the highest seq node n has flooded, -1 when none. A node's slot for
-    its own messages is also its latest sequence number. ``routes[n]`` is
-    node n's ``dest -> Route`` cache of what ``live`` last returned, and
-    ``versions`` holds one counter per originator that ``receive`` bumps once
-    per call, so a route built at an older count is rebuilt. It runs the
-    rebroadcast dedup, the own-echo check, the ranking update and the
-    rebroadcast stamp. A metric reads its own parameters from the config,
-    keeps any further per-node state itself, and supplies only
-    ``score_all``, one score per receiver of a copy. It may override
-    ``emission_plan``, the (kind, interval_us) pairs every node emits on (one
-    OGM per interval by default); ``flooded_kinds``, the kinds a receiver
-    rebroadcasts (OGMs); and ``hop_penalty``, the factor a forwarder applies
-    to a carried score.
+    which ``_new_column`` creates when its key is first stored or emitted:
+    ``rankings[dest][n]`` is node n's ``{neighbor: (score, last_us)}`` dict
+    for dest, or None, which the balancer reads through ``live``;
+    ``forwarded[(kind, originator)][n]`` is the highest seq node n has
+    flooded, -1 when none. A node's slot for its own messages is also its
+    latest sequence number. ``routes[n]`` is node n's ``dest -> Route`` cache
+    of what ``live`` last returned, and ``versions`` holds one counter per
+    originator that ``receive`` bumps once per call, so a route built at an
+    older count is rebuilt. It runs the rebroadcast dedup, the own-echo check,
+    the ranking update and the rebroadcast stamp. A metric reads its own
+    parameters from the config, keeps any further per-node state itself, and
+    supplies only ``score_all``, one score per receiver of a copy. It may
+    override ``emission_plan``, the (kind, interval_us) pairs every node emits
+    on (one OGM per interval by default); ``flooded_kinds``, the kinds a
+    receiver rebroadcasts (OGMs); and ``hop_penalty``, the factor a forwarder
+    applies to a carried score.
 
     ``positions`` is the run's position list, updated in place by the
     mobility tick. ``predicted`` is None unless the metric predicts; then the
@@ -155,12 +158,17 @@ class FloodingProtocol:
         self.versions: dict[int, int] = {}
         self.forwarded: dict[tuple[ControlKind, int], list[int]] = {}
 
+    def _new_column(self, table: dict, key, empty=None) -> list:
+        """Store and return key's column in table: one slot per node, each ``empty``."""
+        column = table[key] = [empty] * len(self.positions)
+        return column
+
     def emit(self, node: int, kind: ControlKind, now_us: int) -> ControlMessage:
         # receive skips a message's originator before its dedup step, so only
         # emit writes this slot: it is the node's latest seq for the kind.
         seen = self.forwarded.get((kind, node))
         if seen is None:
-            seen = self.forwarded[(kind, node)] = [-1] * len(self.positions)
+            seen = self._new_column(self.forwarded, (kind, node), -1)
         seq = seen[node] = seen[node] + 1
         own_pos, predicted = self.positions[node], self.predicted
         return ControlMessage(
@@ -231,7 +239,7 @@ class FloodingProtocol:
             # guards the table, while forwarders carry the uncapped score.
             capped = score if score < 1.0 else 1.0
             if column is None:
-                column = rankings[originator] = [None] * len(self.positions)
+                column = self._new_column(rankings, originator)
             entries = column[node]
             # A store to an existing neighbour keeps its place in the table.
             if entries is None:
@@ -241,7 +249,7 @@ class FloodingProtocol:
             if not floods:
                 continue
             if seen is None:
-                seen = forwarded[key] = [-1] * len(self.positions)
+                seen = self._new_column(forwarded, key, -1)
             if seen[node] < seq:
                 seen[node] = seq
                 # Forwarders stamp their own score; the per-hop penalty is
@@ -274,7 +282,7 @@ class BatmanProtocol(FloodingProtocol):
         windows, carried = self.tq_windows.get(prev_hop), msg.carried_score
         if msg.originator == prev_hop:  # a neighbor's own OGM first feeds its window
             if windows is None:
-                windows = self.tq_windows[prev_hop] = [None] * len(self.positions)
+                windows = self._new_column(self.tq_windows, prev_hop)
             for node in receivers:
                 window = windows[node]
                 if window is None:
@@ -332,7 +340,7 @@ class BatmobileProtocol(FloodingProtocol):
         key, expiry_us, clamp = (dest, neighbor), self.expiry_us, self.clamp
         column = self.trends.get(key)
         if column is None and nodes:
-            column = self.trends[key] = [None] * len(self.positions)
+            column = self._new_column(self.trends, key)
         admitted_all = []
         for node, raw in zip(nodes, raws):
             entry = column[node]

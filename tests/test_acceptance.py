@@ -12,6 +12,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from linkbudget import receivable
 
 from manetsim.balancer import (
     DropReason,
@@ -20,7 +21,7 @@ from manetsim.balancer import (
     postrouting_hook,
     schedulable_set,
 )
-from manetsim.channel import Frame, max_range_m, receivable
+from manetsim.channel import Frame, max_range_m
 from manetsim.config import ScenarioConfig
 from manetsim.engine import EventKind, us_from_s
 from manetsim.experiment import rows_to_csv_text, run_experiment, simulate_all

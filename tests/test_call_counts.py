@@ -1,4 +1,5 @@
-"""scripts/call_counts.py: its counts repeat exactly from one interpreter to the next."""
+"""scripts/call_counts.py: its counts repeat exactly from one interpreter to the next,
+and a reader that closes its output early gets no traceback."""
 
 import ast
 import subprocess
@@ -38,6 +39,10 @@ def test_counts_repeat_exactly():
     assert first["simulation.py"] > 0 and first["routing.py"] > 0
 
 
+TINY_SCENARIO = ("[scenario]\nnodes = 6\narea_x = 150\narea_y = 150\nsim_time_s = 3\n"
+                 "stream_start_s = 1\nprotocol = batmobile\n")
+
+
 def scenario_counts_in_fresh_interpreter(path):
     out = subprocess.run([sys.executable, str(SCRIPT), "--scenario", str(path), "--seeds", "1,2"],
                          capture_output=True, text=True, timeout=60, check=True).stdout
@@ -46,9 +51,19 @@ def scenario_counts_in_fresh_interpreter(path):
 
 def test_scenario_file_counts_repeat_exactly(tmp_path):
     path = tmp_path / "tiny.scenario"
-    path.write_text("[scenario]\nnodes = 6\narea_x = 150\narea_y = 150\nsim_time_s = 3\n"
-                    "stream_start_s = 1\nprotocol = batmobile\n")
+    path.write_text(TINY_SCENARIO)
     first = scenario_counts_in_fresh_interpreter(path)
     assert scenario_counts_in_fresh_interpreter(path) == first
     assert first["total"] == sum(calls for name, calls in first.items() if name != "total")
     assert first["routing.py"] > 0
+
+
+def test_a_reader_that_closes_early_ends_the_script_quietly(tmp_path):
+    path = tmp_path / "tiny.scenario"
+    path.write_text(TINY_SCENARIO)
+    child = subprocess.Popen([sys.executable, str(SCRIPT), "--scenario", str(path)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # As ``| head -1`` does after its line, but before any output: every write fails.
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=60)
+    assert (child.returncode, stderr) == (1, b"")

@@ -1,19 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from linkbudget import path_loss_db, receivable
 
-from manetsim.channel import (
-    Frame,
-    Medium,
-    airtime_s,
-    airtime_us,
-    max_range_m,
-    path_loss_db,
-    receivable,
-)
-from manetsim.config import ScenarioConfig
+from manetsim.channel import Frame, Medium, airtime_s, airtime_us, max_range_m
+from manetsim.config import ConfigError, ScenarioConfig, validate
 from manetsim.engine import Engine, EventKind, us_from_s
 from manetsim.simulation import Simulation
 
@@ -77,6 +70,22 @@ def test_reception_threshold_monotone(d1, d2):
     lo, hi = sorted((d1, d2))
     if receivable(hi, PARAMS):
         assert receivable(lo, PARAMS)
+
+
+@given(st.floats(-50.0, 60.0), st.floats(-150.0, 50.0),
+       st.floats(2.0, 8.0, exclude_min=True), st.floats(1e3, 1e12))
+@settings(max_examples=200)
+def test_max_range_is_the_reception_threshold_of_any_accepted_link_budget(
+        tx_power_dbm, sensitivity_dbm, path_loss_exponent, frequency_hz):
+    params = ScenarioConfig(tx_power_dbm=tx_power_dbm, sensitivity_dbm=sensitivity_dbm,
+                            path_loss_exponent=path_loss_exponent, frequency_hz=frequency_hz)
+    try:
+        validate(params)
+    except ConfigError:
+        assume(False)
+    r = max_range_m(params)
+    assert receivable(r * (1 - 1e-9), params)
+    assert not receivable(r * (1 + 1e-9), params)
 
 
 def test_airtime_reference_values():
@@ -376,7 +385,6 @@ def brute_force_neighbors(positions, range2):
 def assert_cache_matches(medium):
     expected = brute_force_neighbors(medium.positions, medium.range2)
     assert medium.neighbors == expected
-    assert medium.neighbor_sets == [set(near) for near in expected]
     for a, near in enumerate(medium.neighbors):
         assert a not in near
         assert near == sorted(near)
@@ -398,8 +406,8 @@ def test_neighbor_cache_equals_brute_force(extra, rnd):
     assert_cache_matches(h.medium)
     edge = [i for i, p in enumerate(positions) if p == (r, 0.0, 0.0)][0]
     origin = [i for i, p in enumerate(positions) if p == (0.0, 0.0, 0.0)]
-    assert all(i in h.medium.neighbor_sets[edge] for i in origin)
-    assert origin[1] in h.medium.neighbor_sets[origin[0]]
+    assert all(i in h.medium.neighbors[edge] for i in origin)
+    assert origin[1] in h.medium.neighbors[origin[0]]
 
 
 def test_neighbor_cache_follows_moving_nodes():
@@ -415,18 +423,30 @@ def test_neighbor_cache_follows_moving_nodes():
 
 
 # -- brute-force medium oracle --------------------------------------------------
-# A static topology and a schedule of enqueues with zero jitter. The reference
-# reads each transmission's start and end from the engine's heap, replays
-# carrier sense for every start, and decides each receiver's outcome by
-# half-open overlap against every other transmission that node hears.
+# A topology, a schedule of enqueues with zero jitter, and at most one move of
+# the nodes. The reference reads each transmission's start and end from the
+# engine's heap, replays carrier sense for every start with the neighbours in
+# force at that instant, and decides each receiver's outcome by half-open
+# overlap against every other transmission that reached the node. A
+# transmission reaches the sender's neighbours at its start.
 
 
-def checked_harness(positions, schedule):
+def checked_harness(positions, schedule, move=None):
     """Harness that enqueues ``schedule``'s (t_us, node, frame) entries, and
     after every event records each transmission that starts and checks the
     pending-attempt invariant: an idle node with a non-empty queue has exactly
-    one attempt pending, and a transmitting node has none."""
+    one attempt pending, and a transmitting node has none. A ``move``, (t_us,
+    positions), puts the nodes there at t_us, before any attempt or arrival
+    at that time, as a mobility tick does."""
     h = Harness(positions, config=NO_JITTER)
+    if move is not None:
+        t_us, moved = move
+
+        def relocate():
+            h.medium.positions[:] = moved
+            h.medium.refresh_neighbors()
+
+        h.engine.schedule(t_us, EventKind.CALLBACK, relocate)
     for t_us, node, frame in schedule:
         send_at(h, t_us, node, frame)
     h.calls, h.losses = [], []  # (end_us, packet_id, receivers or cause)
@@ -465,16 +485,22 @@ def checked_harness(positions, schedule):
     return h
 
 
-def reference_outcomes(positions, schedule, starts):
+def reference_outcomes(positions, schedule, starts, move=None):
     """What the medium must deliver and lose, given the observed transmissions.
 
     Checks on the way that each start is the one carrier sense gives: a node's
     k-th frame is ready at its enqueue or at the node's previous end, whichever
     is later, and starts at the first moment after that when no node it hears
-    is on the air. Returns (end_us, packet_id, receivers) per delivery call and
-    (end_us, packet_id, cause) per lost unicast, sorted.
+    then is on the air. Returns (end_us, packet_id, receivers) per delivery
+    call and (end_us, packet_id, cause) per lost unicast, sorted.
     """
-    hears = brute_force_neighbors(positions, max_range_m(NO_JITTER) ** 2)
+    range2 = max_range_m(NO_JITTER) ** 2
+    before = brute_force_neighbors(positions, range2)
+    after = before if move is None else brute_force_neighbors(move[1], range2)
+
+    def hears_at(t_us):
+        return before if move is None or t_us < move[0] else after
+
     frames_of = [[] for _ in positions]
     for t_us, node, frame in sorted(schedule, key=lambda entry: entry[0]):
         frames_of[node].append((t_us, frame))
@@ -486,7 +512,7 @@ def reference_outcomes(positions, schedule, starts):
         for (queued_us, frame), (start, end) in zip(frames, starts_of[node]):
             t = max(queued_us, previous_end)
             while True:
-                busy = [e for n, s, e in starts if n in hears[node] and s <= t < e]
+                busy = [e for n, s, e in starts if n in hears_at(t)[node] and s <= t < e]
                 if not busy:
                     break
                 t = max(busy)
@@ -495,8 +521,9 @@ def reference_outcomes(positions, schedule, starts):
             previous_end = end
     delivered, lost = [], []
     for sender, start, end, frame in txs:
-        clean = [r for r in hears[sender]
-                 if not any(r in hears[n] and s < end and start < e
+        receivers = hears_at(start)[sender]
+        clean = [r for r in receivers
+                 if not any(r in hears_at(s)[n] and s < end and start < e
                             for n, s, e, f in txs if f is not frame)]
         hop = frame.next_hop
         if hop is None:
@@ -505,7 +532,7 @@ def reference_outcomes(positions, schedule, starts):
         elif hop in clean:
             delivered.append((end, frame.packet_id, [hop]))
         else:
-            lost.append((end, frame.packet_id, "collision" if hop in hears[sender] else "link"))
+            lost.append((end, frame.packet_id, "collision" if hop in receivers else "link"))
     return sorted(delivered), sorted(lost)
 
 
@@ -547,3 +574,27 @@ def test_medium_equals_brute_force_reference(case):
     h.run(1.0)
     assert not h.engine._heap
     assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(positions, schedule, h.starts)
+
+
+@st.composite
+def moving_medium_schedules(draw):
+    """A medium schedule and one move at a drawn time, mostly while frames are
+    on the air: each node keeps its place or lands anywhere, so senders move
+    into and out of range of their neighbours."""
+    positions, schedule = draw(medium_schedules())
+    t_us = draw(st.sampled_from([1, 100, 300, 508, 600]) | st.integers(1, 3000))
+    moved = [old if stays else (x, y, 0.0) for old, (stays, x, y) in zip(positions, draw(
+        st.lists(st.tuples(st.booleans(), _COORDINATE, _COORDINATE),
+                 min_size=len(positions), max_size=len(positions))))]
+    return positions, schedule, (t_us, moved)
+
+
+@given(moving_medium_schedules())
+@settings(max_examples=200, deadline=None)
+def test_medium_equals_brute_force_reference_across_a_topology_change(case):
+    positions, schedule, move = case
+    h = checked_harness(positions, schedule, move)
+    h.run(1.0)
+    assert not h.engine._heap
+    assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(
+        positions, schedule, h.starts, move)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pinned_runs import node_tables
 
-from manetsim import config as config_module
 from manetsim.balancer import DropReason, best_forwarder, plain_forward
 from manetsim.channel import Frame, max_range_m
 from manetsim.config import ScenarioConfig
@@ -263,10 +262,6 @@ def test_zero_score_update_for_an_unknown_destination_adds_no_key():
 
 
 # -- protocols from config ---------------------------------------------------
-
-def test_protocol_table_covers_the_config_names_in_order():
-    assert tuple(PROTOCOLS) == config_module.PROTOCOLS
-
 
 def test_each_protocol_reads_its_own_parameters_from_config():
     # Each metric takes its µs intervals, diagonal, range, buffer, clamp and
