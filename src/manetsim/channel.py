@@ -19,6 +19,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
 from .engine import PACKET_ARRIVAL, TX_ATTEMPT, Engine
@@ -28,6 +29,10 @@ if TYPE_CHECKING:  # config imports this module to check a run's link budget and
     from .config import ScenarioConfig
 
 SPEED_OF_LIGHT = 3.0e8  # free-space simplification used throughout the link budget
+# The Verlet skin covers this many mobility ticks of travel, plus a floor
+# that lets a node at rest or nearly so keep its lists.
+SKIN_TICKS = 4
+SKIN_FLOOR_M = 1.0
 
 
 def max_range_m(params: ScenarioConfig) -> float:
@@ -94,13 +99,24 @@ class Medium:
         self.config = config
         self.on_deliver = on_deliver
         self.on_unicast_lost = on_unicast_lost
+        self._push, self._next_seq = engine.push, engine.next_seq
         # The jitter is randrange(mac_jitter_us + 1) on the "mac" stream, drawn
         # as randrange draws it (Random._randbelow): bit_length bits, redrawn
-        # while out of range, so the sequence is the same.
-        self._getrandbits = engine.rng_stream("mac").getrandbits
-        self._jitter_span = config.mac_jitter_us + 1
-        self._jitter_bits = self._jitter_span.bit_length()
-        self.range2 = max_range_m(config) ** 2
+        # while out of range, so the sequence is the same. The iterator is lazy
+        # and runs in C: each call draws exactly the bits that draw needs.
+        span = config.mac_jitter_us + 1
+        getrandbits = engine.rng_stream("mac").getrandbits
+        self._jitter = filter(span.__gt__, map(getrandbits, repeat(span.bit_length()))).__next__
+        range_m = max_range_m(config)
+        self.range2 = range_m ** 2
+        # Verlet lists: the candidate pairs lie within range plus a skin of
+        # SKIN_TICKS ticks of travel and two floors. They stand until some node
+        # has moved more than half the travel and a floor's half since their
+        # build, so no pair closes more than the travel and a floor meanwhile;
+        # the floor left over is far above float rounding.
+        travel_m = SKIN_TICKS * config.speed_mps * config.mobility_update_s
+        self._reach_m = range_m + travel_m + 2 * SKIN_FLOOR_M
+        self._moved_limit_m = (travel_m + SKIN_FLOOR_M) / 2
         # A pure function of the frame size here, so computed once per size.
         self.airtime_us = functools.cache(functools.partial(airtime_us, config=config))
         self.states = [_MacState() for _ in positions]
@@ -108,9 +124,22 @@ class Medium:
         self.on_air: dict[int, tuple[int, Frame]] = {}
         self.control_tx = 0
         self.data_tx = 0
+        self.neighbors: list[list[int]] | None = None
+        self._build_candidates()
         self.refresh_neighbors()
         engine.on(TX_ATTEMPT, self._on_attempt)
         engine.on(PACKET_ARRIVAL, self._on_arrival)
+
+    def _build_candidates(self) -> None:
+        """Anchor the Verlet lists at the current positions: ``_candidates[a]``
+        lists, ascending, each b > a within reach of a."""
+        positions, reach_m = self.positions, self._reach_m
+        self._anchors = positions[:]
+        self._candidates = [
+            [b for b, pos_b in enumerate(positions[a + 1:], a + 1)
+             if math.dist(pos_a, pos_b) <= reach_m]
+            for a, pos_a in enumerate(positions)
+        ]
 
     def refresh_neighbors(self) -> None:
         """Recompute every node's in-range neighbours from the current positions.
@@ -118,32 +147,31 @@ class Medium:
         ``neighbors[n]`` lists the ids in range of node n in ascending order.
         Carrier sense and receiver sets read only these lists, so this must
         run after every position update. The ascending order fixes the order
-        in which receptions are registered and delivered. Until every frame
-        now on the air ends, at ``scan_until``, carrier sense looks its node's
-        neighbours up in the on-air map: a reception clock may count a sender
-        that has moved out of range or miss one moved in.
+        in which receptions are registered and delivered. When a list changes,
+        until every frame now on the air ends, at ``scan_until``, carrier
+        sense looks its node's neighbours up in the on-air map: a reception
+        clock may count a sender that has moved out of range or miss one moved
+        in. When none changes, the lists and ``scan_until`` stay as they are:
+        every reception clock then counts the on-air senders the scan would.
         """
-        positions = self.positions
-        range2 = self.range2
+        positions, range2 = self.positions, self.range2
+        if max(map(math.dist, positions, self._anchors)) > self._moved_limit_m:
+            self._build_candidates()
+        # Each candidate pair is tested in (a, b) order with the expression a
+        # full scan would use, so the lists come out the same and ascending.
         neighbors: list[list[int]] = [[] for _ in positions]
-        for a, (ax, ay, az) in enumerate(positions):
-            near_a = neighbors[a]
-            for b in range(a + 1, len(positions)):
-                bx, by, bz = positions[b]
-                if (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2 <= range2:
-                    near_a.append(b)
-                    neighbors[b].append(a)
-        self.neighbors = neighbors
-        self.scan_until = max([t_end for t_end, _ in self.on_air.values()], default=0)
-
-    def _attempt_after(self, node_id: int, t_us: int) -> None:
-        """Schedule node_id's next transmit attempt at t_us plus a fresh jitter."""
-        # Every caller keeps one invariant: an idle node with a non-empty queue
-        # has exactly one attempt pending, and a transmitting node has none.
-        jitter = self._getrandbits(self._jitter_bits)
-        while jitter >= self._jitter_span:
-            jitter = self._getrandbits(self._jitter_bits)
-        self.engine.schedule(t_us + jitter, TX_ATTEMPT, node_id)
+        for a, candidates in enumerate(self._candidates):
+            if candidates:
+                ax, ay, az = positions[a]
+                near_a = neighbors[a]
+                for b in candidates:
+                    bx, by, bz = positions[b]
+                    if (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2 <= range2:
+                        near_a.append(b)
+                        neighbors[b].append(a)
+        if neighbors != self.neighbors:
+            self.neighbors = neighbors
+            self.scan_until = max([t_end for t_end, _ in self.on_air.values()], default=0)
 
     def enqueue(self, node_id: int, frame: Frame) -> bool:
         """FIFO admit; drop-tail above capacity with the drop counted."""
@@ -152,8 +180,12 @@ class Medium:
             st.queue_drops += 1
             return False
         st.queue.append(frame)
+        # Every attempt the medium pushes keeps one invariant: an idle node
+        # with a non-empty queue has exactly one attempt pending, and a
+        # transmitting node has none. This one fires a jitter (>= 0) after the clock.
         if len(st.queue) == 1 and node_id not in self.on_air:
-            self._attempt_after(node_id, self.engine.clock_us)
+            self._push((self.engine.clock_us + self._jitter(), self._next_seq(), TX_ATTEMPT,
+                        node_id))
         return True
 
     def _on_attempt(self, node_id: int) -> None:
@@ -171,8 +203,8 @@ class Medium:
                     t_end = on_air[sender_id][0]
                     if t_end > busy_until:
                         busy_until = t_end
-        if busy_until > now:
-            self._attempt_after(node_id, busy_until)
+        if busy_until > now:  # so the deferred attempt lies after the clock
+            self._push((busy_until + self._jitter(), self._next_seq(), TX_ATTEMPT, node_id))
             return
         frame = states[node_id].queue.popleft()
         t_end = now + self.airtime_us(frame.size_bytes)
@@ -202,7 +234,8 @@ class Medium:
             if t_end > other_st.rx_until:
                 other_st.rx_until = t_end
         on_air[node_id] = (t_end, frame)
-        self.engine.schedule(t_end, PACKET_ARRIVAL, (node_id, receivers, lost))
+        # An airtime is at least 1 us, so the arrival lies after the clock.
+        self._push((t_end, self._next_seq(), PACKET_ARRIVAL, (node_id, receivers, lost)))
 
     def _on_arrival(self, payload: tuple) -> None:
         node_id, receivers, lost = payload
@@ -221,8 +254,9 @@ class Medium:
             self.on_deliver([addressed], frame)
         else:  # only data frames carry a next hop
             self.on_unicast_lost(frame, "collision" if addressed in receivers else "link")
-        if self.states[node_id].queue:
-            self._attempt_after(node_id, self.engine.clock_us)
+        if self.states[node_id].queue:  # the next attempt, a jitter (>= 0) after the clock
+            self._push((self.engine.clock_us + self._jitter(), self._next_seq(), TX_ATTEMPT,
+                        node_id))
 
     def queued_data_frames(self) -> list[Frame]:
         """Stream frames still held by the medium (queued or on the air)."""

@@ -3,8 +3,10 @@ RNG streams, and one float summation order."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
+import itertools
 import random
 from enum import Enum
 from typing import Any, Callable, Iterable
@@ -76,10 +78,15 @@ class Engine:
     def __init__(self, master_seed: int = 0):
         self.master_seed = master_seed
         self.clock_us = 0
-        # (fire_time_us, seq, kind, payload): seq is unique, so heapq orders
-        # entries by comparing two ints in C and never reaches the kind.
+        # The queue's one entry layout is (fire_time_us, seq, kind, payload),
+        # with seq from next_seq: unique, so heapq orders entries by comparing
+        # two ints in C and never reaches the kind. push(entry) queues an entry
+        # with no Python frame between the caller and heappush. It skips
+        # schedule()'s past check, so every caller that uses it states why its
+        # fire time cannot lie before clock_us; everything else calls schedule().
         self._heap: list[tuple[int, int, EventKind, Any]] = []
-        self._seq = 0
+        self.push = functools.partial(heapq.heappush, self._heap)
+        self.next_seq = itertools.count().__next__
         # A CALLBACK's payload is the zero-argument callable to run. It is set
         # here, not through on(), so that code wrapping on() (perfbench's
         # tracer) sees only the handlers the simulator registers.
@@ -113,9 +120,7 @@ class Engine:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at {fire_time_us} us; clock is {self.clock_us} us"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (fire_time_us, seq, kind, payload))
+        self.push((fire_time_us, self.next_seq(), kind, payload))
 
     def run_until(self, t_end_us: int) -> int:
         """Process every event with fire_time <= t_end_us, in order.

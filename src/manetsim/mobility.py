@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
+from itertools import chain, repeat
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .engine import left_sum, s_from_us
@@ -79,13 +81,20 @@ def predict_position(
     # Center times on the last sample for numerical stability.
     ts = [s_from_us(t) - t_last for t, _ in samples]
     t_mean = left_sum(ts) / n
-    var = left_sum([(t - t_mean) ** 2 for t in ts])
+    dts = [t - t_mean for t in ts]
+    var = left_sum([dt ** 2 for dt in dts])
     horizon = horizon_steps * update_interval_s
-    fits = []  # node by node, x, y and z of each
-    for track in zip(*(positions for _, positions in samples)):  # one node's positions
-        for xs in zip(*track):  # one coordinate of them
-            x_mean = left_sum(xs) / n
-            slope = left_sum([(t - t_mean) * (x - x_mean) for t, x in zip(ts, xs)]) / var
-            intercept = x_mean - slope * t_mean
-            fits.append(intercept + slope * horizon)
+    # One flat row per snapshot, every node's x, y and z side by side. Each
+    # column is fitted with left_sum's operations in its order, from int 0.
+    rows = [list(chain.from_iterable(positions)) for _, positions in samples]
+    sums = [0] * len(rows[0])
+    for row in rows:
+        sums = list(map(add, sums, row))
+    means = [total / n for total in sums]
+    covs = [0] * len(means)
+    for dt, row in zip(dts, rows):
+        covs = list(map(add, covs, map(mul, repeat(dt), map(sub, row, means))))
+    slopes = [cov / var for cov in covs]
+    # The intercept, mean - slope * t_mean, plus the slope times the horizon.
+    fits = [mean - slope * t_mean + slope * horizon for mean, slope in zip(means, slopes)]
     return list(zip(fits[0::3], fits[1::3], fits[2::3]))

@@ -171,11 +171,10 @@ class FloodingProtocol:
             seen = self._new_column(self.forwarded, (kind, node), -1)
         seq = seen[node] = seen[node] + 1
         own_pos, predicted = self.positions[node], self.predicted
-        return ControlMessage(
-            kind=kind, originator=node, seq=seq, sender_position=own_pos,
-            originator_position=own_pos,
-            sender_predicted=None if predicted is None else predicted[node],
-        )
+        # Positional, in ControlMessage's field order, here and in receive:
+        # each flood builds one, and keywords cost twice the call.
+        return ControlMessage(kind, node, seq, own_pos, 1.0, own_pos,
+                              None if predicted is None else predicted[node])
 
     def live(self, node: int, dest: int, now_us: int) -> dict[int, float]:
         """Purge node's entries for dest not refreshed within ``expiry_us``, then return
@@ -255,12 +254,8 @@ class FloodingProtocol:
                 # Forwarders stamp their own score; the per-hop penalty is
                 # folded in here so every receiver applies the identical rule.
                 rebroadcasts.append((node, ControlMessage(
-                    kind=kind, originator=originator, seq=seq,
-                    sender_position=self.positions[node],
-                    carried_score=score * self.hop_penalty,
-                    originator_position=msg.originator_position,
-                    sender_predicted=None if predicted is None else predicted[node],
-                )))
+                    kind, originator, seq, self.positions[node], score * self.hop_penalty,
+                    msg.originator_position, None if predicted is None else predicted[node])))
         return rebroadcasts
 
 

@@ -28,6 +28,10 @@ from .traffic import (
     pdr_series,
 )
 
+# Reading a member off an Enum class runs Python code before 3.12 (see
+# engine.py); every no-route send reads this one.
+NO_ROUTE = DropReason.NO_ROUTE
+
 
 class Decision(NamedTuple):
     """One data-plane forwarding decision: a packet at a node, and where it went."""
@@ -130,6 +134,7 @@ class Simulation:
         self.decisions: list[Decision] | None = [] if trace else None
 
         engine = self.engine
+        self._push, self._next_seq = engine.push, engine.next_seq
         engine.on(MOBILITY_TICK, self._on_mobility_tick)
         engine.on(CONTROL_EMIT, self._on_control_emit)
         engine.on(STREAM_SEND, self._on_stream_send)
@@ -171,24 +176,25 @@ class Simulation:
     def _on_stream_send(self, idx: int) -> None:
         spec = self.streams[idx]
         now = self.engine.clock_us
-        stats = self.stats[idx]
-        stats.record_sent(now)
         self._packet_counter += 1
         live = self.protocol.live(spec.src, spec.dst, now)
         if live:
-            frame = Frame(dst=spec.dst, size_bytes=spec.payload_bytes,
-                          packet_id=self._packet_counter, ttl=self.config.ttl, stream_idx=idx)
+            self.stats[idx].record_sent(now)
+            # Positional, in Frame's field order: keywords cost twice the call.
+            frame = Frame(spec.dst, spec.payload_bytes, None, None, self._packet_counter,
+                          self.config.ttl, None, idx)
             self._route(spec.src, frame, live)
         else:
             # Most sends at a sparse scale end here: the hook and the plain
             # path would both answer NO_ROUTE, so no frame is built for them.
             if self.decisions is not None:
                 self.decisions.append(Decision(now, spec.src, self._packet_counter, spec.dst,
-                                               DropReason.NO_ROUTE, None))
-            stats.record_drop(DropReason.NO_ROUTE._value_)
+                                               NO_ROUTE, None))
+            self.stats[idx].record_sent(now, NO_ROUTE._value_)
+        # interval_us is at least 1, so the next send lies after the clock.
         next_send = now + spec.interval_us
         if next_send < spec.stop_us:
-            self.engine.schedule(next_send, STREAM_SEND, idx)
+            self._push((next_send, self._next_seq(), STREAM_SEND, idx))
 
     def _on_frame_delivered(self, receivers: list[int], frame: Frame) -> None:
         now = self.engine.clock_us
@@ -206,8 +212,9 @@ class Simulation:
 
     def _flood(self, node: int, msg: ControlMessage, ttl: int) -> None:
         """Queue one broadcast copy of msg at node, with ttl hops left."""
-        self.medium.enqueue(node, Frame(dst=None, size_bytes=self.config.control_bytes,
-                                        prev_hop=node, ttl=ttl, payload=msg))
+        # A broadcast from node: no dst, next hop or packet id (see _on_stream_send).
+        frame = Frame(None, self.config.control_bytes, node, None, None, ttl, msg)
+        self.medium.enqueue(node, frame)
 
     def _on_unicast_lost(self, frame: Frame, cause: str) -> None:
         self.stats[frame.stream_idx].record_drop(cause)

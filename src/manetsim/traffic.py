@@ -86,10 +86,13 @@ class StreamStats:
         self.received_w: dict[int, int] = {}
         self.drops: dict[str, int] = {cause: 0 for cause in DROP_CAUSES}
 
-    def record_sent(self, t_us: int) -> None:
+    def record_sent(self, t_us: int, drop: str | None = None) -> None:
+        """Count a send at t_us, and its drop at the source when ``drop`` names a cause."""
         self.sent += 1
         idx = t_us // self.window_us
         self.sent_w[idx] = self.sent_w.get(idx, 0) + 1
+        if drop is not None:
+            self.drops[drop] += 1
 
     def record_received(self, t_us: int) -> None:
         self.received += 1

@@ -16,10 +16,11 @@ and ``seed_oracle``, which shares its CSV-row digest.
 
 import hashlib
 import random
+from operator import itemgetter
 
 from seed_oracle import observed
 
-from manetsim.channel import Medium
+from manetsim.channel import Frame, Medium
 from manetsim.config import ScenarioConfig
 from manetsim.engine import Engine, stream_seed
 from manetsim.simulation import Simulation
@@ -171,14 +172,17 @@ JITTER_SPANS = (1, 2, 3, 16, 17, 1001)
 
 def jitter_draws(span: int, count: int = 300) -> tuple[list[int], list[int]]:
     """The medium's first `count` jitter draws for a jitter of `span` values,
-    and `randrange(span)` on a fresh copy of the same "mac" stream."""
+    and `randrange(span)` on a fresh copy of the same "mac" stream.
+
+    Each draw is the fire time of the attempt an idle node's first queued
+    frame pushes at clock 0, read from the engine's queue in push order."""
     engine = Engine(master_seed=SEED)
-    drawn: list[int] = []
-    engine.schedule = lambda t_us, kind, payload=None: drawn.append(t_us)
     medium = Medium(engine, [(0.0, 0.0, 0.0)], ScenarioConfig(mac_jitter_us=span - 1),
                     on_deliver=lambda receivers, frame: None,
                     on_unicast_lost=lambda frame, cause: None)
     for _ in range(count):
-        medium._attempt_after(0, 0)
+        medium.enqueue(0, Frame(None, 64))
+        medium.states[0].queue.clear()
+    drawn = [t_us for t_us, _seq, _kind, _node in sorted(engine._heap, key=itemgetter(1))]
     reference = random.Random(stream_seed(SEED, "mac"))
     return drawn, [reference.randrange(span) for _ in range(count)]

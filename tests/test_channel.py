@@ -410,6 +410,78 @@ def test_neighbor_cache_equals_brute_force(extra, rnd):
     assert origin[1] in h.medium.neighbors[origin[0]]
 
 
+# One tick's moves: (node pick, offset in units of a tick's travel) steps
+# and (node pick, point) teleports; a pick is taken modulo the node count.
+UNIT = st.floats(-1.0, 1.0)
+MOVE = (st.tuples(st.integers(0, 63), st.tuples(UNIT, UNIT, UNIT), st.none())
+        | st.tuples(st.integers(0, 63), st.none(), st.tuples(coordinate, coordinate, coordinate)))
+
+
+@given(st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 30.0),
+       st.floats(0.0, 0.4),
+       st.lists(st.tuples(coordinate, coordinate, st.floats(0.0, 10.0)), max_size=10),
+       st.lists(st.lists(MOVE, max_size=6), max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_verlet_lists_equal_brute_force_and_keep_an_unchanged_topology(speed, gap, extra, ticks):
+    # Speeds of 0 and 1e-9 m/s leave only the skin's floor. Nodes 0 and 1 are
+    # co-located; node 2 starts just out of node 0's range and, at the first
+    # tick, steps less than the floor to exactly max_range_m from it.
+    config = ScenarioConfig(speed_mps=speed)
+    r = max_range_m(config)
+    h = Harness([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (r + gap, 0.0, 0.0), *extra], config=config)
+    medium, positions = h.medium, h.medium.positions
+    assert_cache_matches(medium)
+    step_m = speed * config.mobility_update_s + 0.25  # so that nodes at rest still move
+
+    def tick(number, moves):
+        for pick, offset, point in moves:
+            node = pick % len(positions)
+            if offset is not None:
+                x, y, z = positions[node]
+                point = (x + offset[0] * step_m, y + offset[1] * step_m, z + offset[2] * step_m)
+            positions[node] = point
+        # Frames on the air, so that a scan_until set by this tick differs from the last.
+        medium.on_air = {node: (1000 * number + node, None) for node in range(number % 3)}
+        before, scan_before = medium.neighbors, medium.scan_until
+        changed = brute_force_neighbors(positions, medium.range2) != before
+        medium.refresh_neighbors()
+        assert_cache_matches(medium)
+        if changed:
+            assert medium.scan_until == max([t_end for t_end, _ in medium.on_air.values()],
+                                            default=0)
+        else:
+            assert medium.neighbors is before
+            assert medium.scan_until == scan_before
+
+    tick(0, [(2, None, (r, 0.0, 0.0))])
+    assert 2 in medium.neighbors[0]
+    for number, moves in enumerate(ticks, 1):
+        tick(number, moves)
+    # A teleport far longer than any skin, then onto node 0.
+    far = len(positions) - 1
+    tick(len(ticks) + 1, [(far, None, (1e3, 1e3, 10.0))])
+    tick(len(ticks) + 2, [(far, None, positions[0])])
+    assert 0 in medium.neighbors[far]
+
+
+@pytest.mark.parametrize("speed", [0.0, 2.0, 13.889, 30.0])
+def test_verlet_lists_follow_two_nodes_closing_head_on(speed):
+    # Each tick both nodes cover a tick's travel (at least 0.25 m) toward
+    # each other, from a start that no skin reaches, until they pass.
+    config = ScenarioConfig(speed_mps=speed)
+    step_m = max(speed * config.mobility_update_s, 0.25)
+    start = 2 * max_range_m(config)
+    h = Harness([(0.0, 0.0, 0.0), (start, 0.0, 0.0)], config=config)
+    positions, seen = h.medium.positions, []
+    while positions[0][0] < positions[1][0]:
+        positions[0] = (positions[0][0] + step_m, 0.0, 0.0)
+        positions[1] = (positions[1][0] - step_m, 0.0, 0.0)
+        h.medium.refresh_neighbors()
+        assert_cache_matches(h.medium)
+        seen.append(bool(h.medium.neighbors[0]))
+    assert seen[0] is False and seen[-1] is True
+
+
 def test_neighbor_cache_follows_moving_nodes():
     # batmobile, so that the position window shows when the ticks fired.
     config = ScenarioConfig(nodes=20, area_x=150.0, area_y=150.0, speed_mps=20.0,

@@ -379,3 +379,25 @@ def test_a_finished_simulation_is_freed_without_a_gc_pass(protocol, monkeypatch)
     finally:
         gc.enable()
     assert result.conservation_ok and result.sent > 0
+
+
+def test_pushed_events_never_lie_before_the_clock():
+    # crowd50's scenario at 2 s. The medium and the stream sends push their
+    # events without Engine.schedule's past check; after every event, the
+    # earliest entry must still lie at or after the clock.
+    config = ScenarioConfig(area_x=150.0, area_y=150.0, nodes=50, streams=3, sim_time_s=2.0,
+                            stream_start_s=1.0)
+    sim = Simulation(config, 1)
+    engine, heap = sim.engine, sim.engine._heap
+    checked = []
+
+    def checking(handler):
+        def step(payload):
+            handler(payload)
+            assert not heap or heap[0][0] >= engine.clock_us
+            checked.append(1)
+        return step
+
+    engine._handlers = {kind: checking(handler) for kind, handler in engine._handlers.items()}
+    result = sim.run()
+    assert len(checked) == result.events_processed == simulate(config, 1).events_processed
