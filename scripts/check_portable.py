@@ -5,7 +5,8 @@
 Standard library only: the simulator is imported from ``src/`` next to this
 directory, never from an installed copy, and neither pytest nor hypothesis is
 needed. It reruns the pinned runs of ``tests/pinned_runs.py`` (state hash,
-CSV row, decision trace and float state) and checks the medium's jitter
+CSV row, decision trace and float state, each run also widened to keep
+every node's rankings) and checks the medium's jitter
 draw against ``randrange`` on the same stream, then one ``manetsim run`` and
 one ``manetsim compare`` through the command line, each in a child process
 of the same interpreter, and compares each CSV file's sha256 with its pin. It prints one line per check
@@ -58,6 +59,8 @@ def main() -> int:
         print(f"{'ok  ' if held else 'FAIL'} pin {name}: state_hash {observed[0][:12]}, "
               f"row sha256 {observed[1][:12]}, trace sha256 {observed[2][:12]}, "
               f"float sha256 {observed[3][:12]}")
+        if not held:
+            print(f"     saw {observed}")
     for span in pinned_runs.JITTER_SPANS:
         drawn, expected = pinned_runs.jitter_draws(span)
         held = drawn == expected

@@ -11,15 +11,19 @@ Three metrics populate the per-destination neighbor rankings:
 
 All three share one flooding process (FloodingProtocol) with per-(kind,
 originator) rebroadcast dedup and differ only in how they score a received
-copy. Every received copy refreshes the ranking entry for the neighbor it came
-through, which is what gives each node more than one candidate forwarder per
-destination. One transmission's copies reach ``receive`` together, as one
+copy. A received copy whose originator is a kept destination refreshes the
+ranking entry for the neighbor it came through, which is what gives each node
+more than one candidate forwarder per destination. The balancer reads a
+ranking only for a packet's destination, so a run keeps rankings for its
+streams' destinations alone; every copy is still scored, deduplicated and
+rebroadcast. One transmission's copies reach ``receive`` together, as one
 receiver list, and each metric scores them all in one call.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Container
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -130,7 +134,7 @@ class FloodingProtocol:
     flooded, -1 when none. A node's slot for its own messages is also its
     latest sequence number. ``routes[n]`` is node n's ``dest -> Route`` cache
     of what ``live`` last returned, and ``versions`` holds one counter per
-    originator that ``receive`` bumps once per call, so a route built at an
+    destination that ``receive`` bumps once per call, so a route built at an
     older count is rebuilt. It runs the rebroadcast dedup, the own-echo check,
     the ranking update and the rebroadcast stamp. A metric reads its own
     parameters from the config, keeps any further per-node state itself, and
@@ -139,6 +143,12 @@ class FloodingProtocol:
     on (one OGM per interval by default); ``flooded_kinds``, the kinds a
     receiver rebroadcasts (OGMs); and ``hop_penalty``, the factor a forwarder
     applies to a carried score.
+
+    ``destinations`` holds the originators whose rankings and versions are
+    kept, or is None to keep every originator's. ``Simulation`` narrows it to
+    its streams' destinations, the only ones ``live`` is asked for. A copy
+    from any other originator is scored, deduplicated and rebroadcast alike,
+    and stores no ranking entry.
 
     ``positions`` is the run's position list, updated in place by the
     mobility tick. ``predicted`` is None unless the metric predicts; then the
@@ -153,6 +163,7 @@ class FloodingProtocol:
         self.positions = positions
         self.emission_plan = [(ControlKind.OGM, us_from_s(config.ogm_interval_s))]
         self.expiry_us = us_from_s(config.ranking_expiry_s)
+        self.destinations: Container[int] | None = None
         self.rankings: dict[int, list[dict[int, tuple[float, int]] | None]] = {}
         self.routes: list[dict[int, Route]] = [{} for _ in positions]
         self.versions: dict[int, int] = {}
@@ -218,34 +229,43 @@ class FloodingProtocol:
         originator, seq), in receiver order.
         """
         kind, originator, seq = msg.kind, msg.originator, msg.seq
-        # Any copy may store or pop an entry for originator: every route to it is stale.
-        self.versions[originator] = self.versions.get(originator, 0) + 1
+        destinations = self.destinations
+        kept = destinations is None or originator in destinations
+        if kept:
+            # Any copy may store or pop an entry for originator: every route to it is stale.
+            self.versions[originator] = self.versions.get(originator, 0) + 1
         if originator in receivers:
             receivers = [node for node in receivers if node != originator]
+        # Every copy is scored: a score decides a rebroadcast, is carried on,
+        # and advances a metric's own state, whether or not its ranking is kept.
         scores = self.score_all(receivers, msg, prev_hop, now_us)
-        key = (kind, originator)
-        floods = kind in self.flooded_kinds
-        rankings, forwarded, predicted = self.rankings, self.forwarded, self.predicted
-        # The two columns this call reads, each created at its first store.
-        column, seen = rankings.get(originator), forwarded.get(key)
+        if kept:
+            rankings = self.rankings
+            column = rankings.get(originator)  # created at its first store
+            for node, score in zip(receivers, scores):
+                if score <= 0.0:
+                    if column is not None and column[node]:
+                        column[node].pop(prev_hop, None)
+                    continue
+                # Scores are at most 1 in any config validate() accepts; the cap
+                # guards the table, while forwarders carry the uncapped score.
+                capped = score if score < 1.0 else 1.0
+                if column is None:
+                    column = self._new_column(rankings, originator)
+                entries = column[node]
+                # A store to an existing neighbour keeps its place in the table.
+                if entries is None:
+                    column[node] = {prev_hop: (capped, now_us)}
+                else:
+                    entries[prev_hop] = (capped, now_us)
         rebroadcasts = []
+        if kind not in self.flooded_kinds:
+            return rebroadcasts
+        key, forwarded, predicted = (kind, originator), self.forwarded, self.predicted
+        seen = forwarded.get(key)  # created at the first copy a receiver forwards
         for node, score in zip(receivers, scores):
+            # Not ``score > 0.0``, which would also drop a NaN score.
             if score <= 0.0:
-                if column is not None and column[node]:
-                    column[node].pop(prev_hop, None)
-                continue
-            # Scores are at most 1 in any config validate() accepts; the cap
-            # guards the table, while forwarders carry the uncapped score.
-            capped = score if score < 1.0 else 1.0
-            if column is None:
-                column = self._new_column(rankings, originator)
-            entries = column[node]
-            # A store to an existing neighbour keeps its place in the table.
-            if entries is None:
-                column[node] = {prev_hop: (capped, now_us)}
-            else:
-                entries[prev_hop] = (capped, now_us)
-            if not floods:
                 continue
             if seen is None:
                 seen = self._new_column(forwarded, key, -1)

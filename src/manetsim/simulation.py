@@ -127,6 +127,8 @@ class Simulation:
                 for src, dst in draw_endpoints(config.nodes, config.streams, traffic_rng)
             ]
         self.streams = streams
+        # live is asked only for a stream's destination, so only those rankings are kept.
+        self.protocol.destinations = {spec.dst for spec in streams}
         window_us = us_from_s(config.window_s)
         self.stats = [StreamStats(window_us) for _ in streams]
 

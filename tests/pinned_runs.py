@@ -8,6 +8,11 @@ counts packets but not where they went, so each run is also pinned by a
 digest of its decision trace: every forwarding choice, in order. Neither sees
 a score, so each run is pinned by a digest of its protocol's float state too.
 
+A run keeps rankings only for its streams' destinations, so each pin is read
+from a widened run, whose protocol keeps every node's as one built directly
+does. The run as ``Simulation`` builds it must agree with the widened run on
+all the rest (``production_differences``).
+
 The medium's jitter draw is pinned too: it must equal ``randrange`` on the
 same stream. Both ``tests/test_pins.py`` and ``scripts/check_portable.py``
 read this module, so it imports nothing beyond the standard library, ``manetsim``
@@ -134,13 +139,20 @@ def node_tables(protocol) -> dict[str, list[dict]]:
     }
 
 
-def float_state_digest(protocol) -> str:
+def kept_rankings(protocol, dests) -> list[dict]:
+    """``node_tables(protocol)["rankings"]``, each node's restricted to dests."""
+    return [{dest: entries for dest, entries in table.items() if dest in dests}
+            for table in node_tables(protocol)["rankings"]]
+
+
+def float_state_digest(protocol, dests=None) -> str:
     """sha256 of a protocol's float state, one line per entry in sorted order,
-    every float as its repr: each ranking entry, batman's windows, batmobile's
-    trend buffers, then the predicted positions."""
+    every float as its repr: each ranking entry (for dests only, if given),
+    batman's windows, batmobile's trend buffers, then the predicted positions."""
     tables = node_tables(protocol)
     lines = []
-    for node, table in enumerate(tables["rankings"]):
+    for node, table in enumerate(tables["rankings"] if dests is None
+                                 else kept_rankings(protocol, dests)):
         for dest, entries in sorted(table.items()):
             for neighbor, (score, last_us) in sorted(entries.items()):
                 lines.append(f"rank {node} {dest} {neighbor} {score!r} {last_us}")
@@ -154,15 +166,45 @@ def float_state_digest(protocol) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def traced_pair(config: ScenarioConfig, seed: int = SEED, **kwargs) -> list[tuple]:
+    """Two traced runs of (config, seed), each as (simulation, result): first as
+    ``Simulation`` builds it, then widened, its protocol keeping every node's
+    rankings. kwargs go to ``Simulation``."""
+    pair = []
+    for widen in (False, True):
+        sim = Simulation(config, seed, trace=True, **kwargs)
+        if widen:
+            sim.protocol.destinations = range(config.nodes)
+        pair.append((sim, sim.run()))
+    return pair
+
+
+def production_differences(config: ScenarioConfig, pair: list[tuple]) -> list[str]:
+    """What the first run of a ``traced_pair`` does not reproduce of the widened
+    one: its state hash and CSV row, its decisions, its rankings (the widened
+    run's for the streams' destinations), or the rest of its float state."""
+    (sim, result), (wide, wide_result) = pair
+    dests = {spec.dst for spec in sim.streams}
+    checks = {
+        "state hash or CSV row": (observed(config, result), observed(config, wide_result)),
+        "decisions": (result.decisions, wide_result.decisions),
+        "rankings": (node_tables(sim.protocol)["rankings"], kept_rankings(wide.protocol, dests)),
+        "float state": (float_state_digest(sim.protocol), float_state_digest(wide.protocol, dests)),
+    }
+    return [what for what, (got, want) in checks.items() if got != want]
+
+
 def observe(name: str) -> tuple[str, str, str, str]:
     """The (state_hash, CSV-row sha256, trace sha256, float-state sha256) that
-    pinned run `name` gives now. Tracing leaves the state hash and the CSV row
-    as they are."""
+    pinned run `name` gives now, read from its widened run. If the run as
+    ``Simulation`` builds it differs, the last field names what differs, and
+    so equals no pin. Tracing leaves the state hash and the CSV row as they are."""
     config = SCENARIOS[name]
-    sim = Simulation(config, SEED, trace=True)
-    result = sim.run()
+    pair = traced_pair(config)
+    (wide, result), differs = pair[1], production_differences(config, pair)
     return (*observed(config, result), decisions_digest(result.decisions),
-            float_state_digest(sim.protocol))
+            f"production run differs: {', '.join(differs)}" if differs
+            else float_state_digest(wide.protocol))
 
 
 # The jitter spans (mac_jitter_us + 1) whose draws are checked: 1 still

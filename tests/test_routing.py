@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pinned_runs import node_tables
+from pinned_runs import kept_rankings, node_tables
 
 from manetsim.balancer import DropReason, best_forwarder, plain_forward
 from manetsim.channel import Frame, max_range_m
@@ -480,6 +480,44 @@ def test_batched_receive_equals_one_receiver_at_a_time(name, steps):
         if origin in receivers:  # the originator ignores its own echo
             assert snapshot(together, origin) == echo_before
             assert origin not in [node for node, _ in batched]
+
+
+# -- kept destinations: rankings only where live is asked -------------------
+
+@given(st.sampled_from(sorted(FLOODERS)), st.sets(st.integers(0, 5)),
+       st.lists(transmissions, min_size=1, max_size=12))
+@example("batman", {1}, [(1, 0, 1, [0], 1.0, 0), (1, 1, 1, [0], 0.0, 0)])  # a zero score pops
+@example("batmobile", {2}, [(1, 0, 1, [0, 2], 1.0, 0), (2, 0, 1, [0, 3], 0.6, 0)])
+@example("golsr", set(), [(3, 0, 1, [0, 2], 1.0, 1), (3, 0, 2, [0, 4], 1.0, 1)])
+@settings(max_examples=150, deadline=None)
+def test_receive_keeping_some_destinations_equals_keeping_every_node(name, dests, steps):
+    overrides, kinds = FLOODERS[name]
+    # Keeping every node is what a protocol built directly does.
+    kept, full = make(name, SPOT, **overrides), make(name, SPOT, **overrides)
+    kept.destinations = dests
+    for protocol in (kept, full):
+        if protocol.predicted is not None:
+            protocol.predicted[:] = SPOT_PRED
+    pred = full.predicted or [None] * len(SPOT)
+    nodes = range(len(SPOT))
+    for step, (origin, seq, prev_hop, receivers, carried, kind) in enumerate(steps):
+        receivers = [r for r in receivers if r != prev_hop]
+        now = 1000 + 100_000 * step
+        msg = ControlMessage(kind=kinds[kind % len(kinds)], originator=origin, seq=seq,
+                             sender_position=SPOT[prev_hop], carried_score=carried,
+                             originator_position=SPOT[origin], sender_predicted=pred[prev_hop])
+        # repr, unlike ==, tells each carried score's bits apart, 0.0 from -0.0 too.
+        assert (repr(kept.receive(receivers, msg, prev_hop, now))
+                == repr(full.receive(receivers, msg, prev_hop, now)))
+        # Windows, forwarded seqs and trends: everything but the rankings.
+        assert ([snapshot(kept, n)[1:] for n in nodes]
+                == [snapshot(full, n)[1:] for n in nodes])
+        assert node_tables(kept)["rankings"] == kept_rankings(full, dests)
+        assert set(kept.rankings) <= dests and set(kept.versions) <= dests
+        # A cached route is rebuilt after every copy for its destination.
+        for node in nodes:
+            for dest in dests:
+                assert kept.live(node, dest, now) == full.live(node, dest, now)
 
 
 # -- receive against the per-copy reference ----------------------------------

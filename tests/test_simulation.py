@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from pinned_runs import node_tables
+from pinned_runs import node_tables, production_differences, traced_pair
 
 from manetsim import mobility, simulation
 from manetsim.balancer import DropReason
@@ -126,7 +126,8 @@ def test_a_queued_frame_is_a_broadcast_exactly_when_it_has_no_destination(protoc
 def test_flood_depth_limited_by_ttl():
     positions = [(40.0 * k, 0.0, 0.0) for k in range(5)]
     config = static_config(5, ttl=3, area_x=400.0)
-    stream = StreamSpec(0, 1, us_from_s(5.0), us_from_s(6.0))
+    # A run keeps rankings for its streams' destinations only: this one's is 0.
+    stream = StreamSpec(1, 0, us_from_s(5.0), us_from_s(6.0))
     sim = Simulation(config, 1, initial_positions=positions, streams=[stream])
     sim.run()
     # originator 0 is known three hops out but not four
@@ -140,7 +141,9 @@ def test_flood_depth_limited_by_ttl():
 def test_ttl_one_copy_still_marks_its_message_forwarded():
     # golsr scores every TC copy above zero, so only the dedup can stop a rebroadcast.
     config = static_config(4, protocol="golsr")
-    sim = Simulation(config, 1, initial_positions=DIAMOND, streams=[])
+    # A stream to 0, so that the run keeps originator 0's rankings; it never sends.
+    stream = StreamSpec(3, 0, us_from_s(5.0), us_from_s(20.0))
+    sim = Simulation(config, 1, initial_positions=DIAMOND, streams=[stream])
     msg = ControlMessage(kind=ControlKind.TC, originator=0, seq=0,
                          sender_position=DIAMOND[1], originator_position=DIAMOND[0])
 
@@ -201,6 +204,45 @@ def test_random_valid_configs_keep_the_run_invariants(config, seed, high_lambda)
     high = simulate(replace(config, balancing=True, lambda_factor=high_lambda), seed, trace=True)
     plain = simulate(replace(config, balancing=False), seed, trace=True)
     assert [d[:5] for d in high.decisions] == [d[:5] for d in plain.decisions]
+
+
+@st.composite
+def stream_scenarios(draw):
+    """A small config over any protocol, plain or balanced, with either 1-4 streams
+    drawn from the config or a stream list given outright: empty, or 1-4 streams
+    whose destinations may repeat."""
+    nodes = draw(st.integers(2, 10))
+    config = ScenarioConfig(
+        nodes=nodes,
+        streams=draw(st.integers(1, min(4, nodes // 2))),
+        area_x=draw(st.sampled_from([60.0, 150.0, 300.0])),
+        area_y=150.0,
+        sim_time_s=draw(st.floats(1.5, 4.0)),
+        stream_start_s=draw(st.floats(0.0, 1.0)),
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        balancing=draw(st.booleans()),
+        lambda_factor=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        ttl=draw(st.integers(1, 8)),
+    )
+    if draw(st.booleans()):
+        return config, None
+    start, stop = us_from_s(config.stream_start_s), us_from_s(config.sim_time_s)
+    pairs = draw(st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
+                          .filter(lambda pair: pair[0] != pair[1]), max_size=4))
+    return config, [StreamSpec(src, dst, start, stop, config.bitrate_bps, config.payload_bytes)
+                    for src, dst in pairs]
+
+
+@given(stream_scenarios(), st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_keeping_only_stream_destinations_equals_keeping_every_node(scenario, seed):
+    # The run as Simulation builds it, and one widened to keep every node's rankings.
+    config, streams = scenario
+    validate(config)
+    pair = traced_pair(config, seed, streams=streams)
+    assert production_differences(config, pair) == []
+    sim = pair[0][0]
+    assert set(sim.protocol.rankings) <= {spec.dst for spec in sim.streams}
 
 
 @pytest.mark.parametrize("protocol", ["batman", "golsr", "batmobile"])
