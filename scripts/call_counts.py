@@ -13,8 +13,9 @@ made in each module of ``src/manetsim`` and the rest (standard library and
 builtins) as ``other``. The counts depend on the code, the workload and the
 Python version, not on the host, so a fresh interpreter of the same version
 repeats them exactly. Versions differ: 3.10 and 3.11 count one call per list
-comprehension, which 3.12 inlines (PEP 709), so crowd50 reads 2,445,712 calls
-on 3.12.1 where it reads 2,524,536 on 3.11.7 at the same tree. Take both
+comprehension, which 3.12 inlines (PEP 709), so crowd50 reads 1,107,604 calls
+on 3.12.1 where it reads 1,161,486 on 3.11.7 at the same tree (the one
+measured in BENCH_35.json, whose control emits wait in FIFOs). Take both
 halves of a before/after pair with one interpreter. It prints no time: one
 pass's CPU seconds swing too much between interpreters to compare two trees;
 perfbench measures time. A reader that closes early (``| head -1``) ends the

@@ -5,7 +5,9 @@ occupies [t, t + airtime] and reaches every node inside the reception range.
 Two receptions overlapping at a receiver destroy both, so a node keeps only
 its latest reception end and its one clean reception. A node defers its start
 while it hears a transmission, plus a random jitter from the "mac" RNG stream.
-Each transmission ends in at most one delivery call, clean receivers ascending.
+Each transmission keeps the receivers that still hear it cleanly, ascending,
+and an overlap deletes the one receiver it hits; the transmission ends in at
+most one delivery call, to exactly those receivers.
 
 Carrier sense reads the node's latest reception end, since a transmission
 registers its end at every node in range as it starts and range is symmetric.
@@ -69,18 +71,13 @@ class Frame:
 
 
 class _MacState:
-    __slots__ = ("queue", "queue_drops", "rx_until", "rx_clean")
+    """A node's transmit queue and its drop-tail count."""
+
+    __slots__ = ("queue", "queue_drops")
 
     def __init__(self) -> None:
         self.queue: deque[Frame] = deque()
         self.queue_drops = 0
-        # Latest end of any reception registered at this node. A reception
-        # that starts before it overlaps one still in the air here, and
-        # carrier sense defers to it.
-        self.rx_until = 0
-        # The lost-receiver list of the transmission behind this node's one
-        # clean reception; None once that reception is hit. It ends at rx_until.
-        self.rx_clean: list[int] | None = None
 
 
 class Medium:
@@ -120,6 +117,14 @@ class Medium:
         # A pure function of the frame size here, so computed once per size.
         self.airtime_us = functools.cache(functools.partial(airtime_us, config=config))
         self.states = [_MacState() for _ in positions]
+        # rx_until[n]: the latest end of any reception registered at node n. A
+        # reception that starts before it overlaps one still on the air there,
+        # and carrier sense defers to it.
+        self.rx_until = [0] * len(positions)
+        # rx_clean[n]: the clean-receiver dict of the transmission behind node
+        # n's one clean reception, which ends at rx_until[n]; None once that
+        # reception is hit.
+        self.rx_clean: list[dict[int, None] | None] = [None] * len(positions)
         # Each transmitting node's (t_end_us, frame), removed at arrival.
         self.on_air: dict[int, tuple[int, Frame]] = {}
         self.control_tx = 0
@@ -193,9 +198,8 @@ class Medium:
         # Carrier sense: defer while any transmission in range is in progress.
         # One that ends at now is over, though its arrival may not have run yet.
         # The node's reception clock tells, but for a while after a topology change.
-        states = self.states
-        on_air = self.on_air
-        busy_until = states[node_id].rx_until
+        on_air, rx_until = self.on_air, self.rx_until
+        busy_until = rx_until[node_id]
         if now < self.scan_until:
             busy_until = now
             for sender_id in self.neighbors[node_id]:
@@ -206,7 +210,7 @@ class Medium:
         if busy_until > now:  # so the deferred attempt lies after the clock
             self._push((busy_until + self._jitter(), self._next_seq(), TX_ATTEMPT, node_id))
             return
-        frame = states[node_id].queue.popleft()
+        frame = self.states[node_id].queue.popleft()
         t_end = now + self.airtime_us(frame.size_bytes)
         if frame.next_hop is None:
             self.control_tx += 1
@@ -218,39 +222,37 @@ class Medium:
         # within one airtime is sub-millimeter): refresh_neighbors replaces the
         # neighbour lists and never changes one in place.
         receivers = self.neighbors[node_id]
-        # The receivers that lose this frame. A list, not a set: a set held
-        # for each frame's airtime raised crowd50's peak RSS by ~0.2 MB.
-        lost: list[int] = []
+        # The receivers that still hear this frame cleanly, as dict keys: they
+        # go in ascending, and a later overlap deletes its one receiver, which
+        # leaves the rest in order. A reception that ends at now is over: its
+        # frame's arrival, before or after this attempt, delivers from that
+        # frame's own dict, which this start leaves alone.
+        clean: dict[int, None] = {}
+        rx_clean = self.rx_clean
         for other in receivers:
-            other_st = states[other]
-            if other_st.rx_until <= now:
-                other_st.rx_clean = lost
+            if rx_until[other] <= now:
+                clean[other] = None
+                rx_clean[other] = clean
+                rx_until[other] = t_end  # t_end > now >= rx_until
             else:
-                lost.append(other)
-                if other_st.rx_clean is not None:
-                    other_st.rx_clean.append(other)
-                    other_st.rx_clean = None
-            # Always true for a clean reception: t_end > now >= rx_until.
-            if t_end > other_st.rx_until:
-                other_st.rx_until = t_end
+                hit = rx_clean[other]
+                if hit is not None:
+                    del hit[other]
+                    rx_clean[other] = None
+                if t_end > rx_until[other]:
+                    rx_until[other] = t_end
         on_air[node_id] = (t_end, frame)
         # An airtime is at least 1 us, so the arrival lies after the clock.
-        self._push((t_end, self._next_seq(), PACKET_ARRIVAL, (node_id, receivers, lost)))
+        self._push((t_end, self._next_seq(), PACKET_ARRIVAL, (node_id, receivers, clean)))
 
     def _on_arrival(self, payload: tuple) -> None:
-        node_id, receivers, lost = payload
+        node_id, receivers, clean = payload
         _, frame = self.on_air.pop(node_id)
         addressed = frame.next_hop
         if addressed is None:
-            # A copy either way: the callback owns the list it is given.
-            if lost:
-                lost_set = set(lost)
-                clean = [r for r in receivers if r not in lost_set]
-            else:
-                clean = receivers[:]
-            if clean:
-                self.on_deliver(clean, frame)
-        elif addressed not in lost and addressed in receivers:
+            if clean:  # a fresh list: the callback owns the list it is given
+                self.on_deliver(list(clean), frame)
+        elif addressed in clean:
             self.on_deliver([addressed], frame)
         else:  # only data frames carry a next hop
             self.on_unicast_lost(frame, "collision" if addressed in receivers else "link")

@@ -84,6 +84,9 @@ class Engine:
         # with no Python frame between the caller and heappush. It skips
         # schedule()'s past check, so every caller that uses it states why its
         # fire time cannot lie before clock_us; everything else calls schedule().
+        # An entry may wait off the heap with its seq already taken, as the
+        # simulation's control emits do, and is pushed when it becomes the
+        # earliest of its kind: the heap orders it by the same key.
         self._heap: list[tuple[int, int, EventKind, Any]] = []
         self.push = functools.partial(heapq.heappush, self._heap)
         self.next_seq = itertools.count().__next__
@@ -129,10 +132,10 @@ class Engine:
         on t_end_us even when the queue empties early.
         """
         count = 0
-        heap = self._heap
+        heap, pop = self._heap, heapq.heappop
         handlers = self._handlers
         while heap and heap[0][0] <= t_end_us:
-            self.clock_us, _, kind, payload = heapq.heappop(heap)
+            self.clock_us, _, kind, payload = pop(heap)
             handlers[kind](payload)
             count += 1
         self.clock_us = max(self.clock_us, t_end_us)

@@ -15,9 +15,10 @@ copy. A received copy whose originator is a kept destination refreshes the
 ranking entry for the neighbor it came through, which is what gives each node
 more than one candidate forwarder per destination. The balancer reads a
 ranking only for a packet's destination, so a run keeps rankings for its
-streams' destinations alone; every copy is still scored, deduplicated and
-rebroadcast. One transmission's copies reach ``receive`` together, as one
-receiver list, and each metric scores them all in one call.
+streams' destinations alone. One transmission's copies reach ``receive``
+together, as one receiver list. Every copy steps each receiver's metric
+state, but it is scored only where a score is read: by a kept ranking, or
+by the rebroadcast test at a receiver that has not yet flooded it.
 """
 
 from __future__ import annotations
@@ -138,17 +139,20 @@ class FloodingProtocol:
     older count is rebuilt. It runs the rebroadcast dedup, the own-echo check,
     the ranking update and the rebroadcast stamp. A metric reads its own
     parameters from the config, keeps any further per-node state itself, and
-    supplies only ``score_all``, one score per receiver of a copy. It may
-    override ``emission_plan``, the (kind, interval_us) pairs every node emits
-    on (one OGM per interval by default); ``flooded_kinds``, the kinds a
-    receiver rebroadcasts (OGMs); and ``hop_penalty``, the factor a forwarder
-    applies to a carried score.
+    supplies ``score_all``, one score per receiver it is given, a pure read.
+    It may override ``advance``, which steps that per-node state at every
+    receiver of every copy before any score is read (batman's TQ windows,
+    batmobile's trend buffers); ``emission_plan``, the (kind, interval_us)
+    pairs every node emits on (one OGM per interval by default);
+    ``flooded_kinds``, the kinds a receiver rebroadcasts (OGMs); and
+    ``hop_penalty``, the factor a forwarder applies to a carried score.
 
     ``destinations`` holds the originators whose rankings and versions are
     kept, or is None to keep every originator's. ``Simulation`` narrows it to
     its streams' destinations, the only ones ``live`` is asked for. A copy
-    from any other originator is scored, deduplicated and rebroadcast alike,
-    and stores no ranking entry.
+    from any other originator stores no ranking entry, so its score is read
+    only by the rebroadcast test: it is scored at the receivers that have not
+    flooded it yet, and not at all when its kind is not flooded.
 
     ``positions`` is the run's position list, updated in place by the
     mobility tick. ``predicted`` is None unless the metric predicts; then the
@@ -220,26 +224,33 @@ class FloodingProtocol:
         route = self.routes[node][dest] = Route(live, oldest + expiry_us, self.versions.get(dest))
         return route
 
+    def advance(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
+                now_us: int) -> None:
+        """Step each receiver's per-copy metric state for this copy; none by default."""
+
     def receive(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
                 now_us: int) -> list[tuple[int, ControlMessage]]:
         """Hand one copy of msg, heard from prev_hop, to every receiver in order.
 
-        The originator drops its own echo before scoring. Returns (receiver,
-        rebroadcast) for each receiver that forwards its first copy of (kind,
-        originator, seq), in receiver order.
+        The originator drops its own echo first. Every other receiver's metric
+        state advances; the copy is then scored only where a score is read: at
+        every receiver for a kept originator, whose ranking stores it, and
+        otherwise, for a flooded kind only, at each receiver that has not yet
+        flooded (kind, originator, seq). Returns (receiver, rebroadcast) for
+        each receiver that forwards its first copy of it, in receiver order.
         """
         kind, originator, seq = msg.kind, msg.originator, msg.seq
-        destinations = self.destinations
-        kept = destinations is None or originator in destinations
-        if kept:
-            # Any copy may store or pop an entry for originator: every route to it is stale.
-            self.versions[originator] = self.versions.get(originator, 0) + 1
         if originator in receivers:
             receivers = [node for node in receivers if node != originator]
-        # Every copy is scored: a score decides a rebroadcast, is carried on,
-        # and advances a metric's own state, whether or not its ranking is kept.
-        scores = self.score_all(receivers, msg, prev_hop, now_us)
-        if kept:
+        self.advance(receivers, msg, prev_hop, now_us)
+        flooded = kind in self.flooded_kinds
+        key, forwarded = (kind, originator), self.forwarded
+        seen = forwarded.get(key)  # created at the first copy a receiver forwards
+        destinations = self.destinations
+        if destinations is None or originator in destinations:
+            # Any copy may store or pop an entry for originator: every route to it is stale.
+            self.versions[originator] = self.versions.get(originator, 0) + 1
+            scores = self.score_all(receivers, msg, prev_hop, now_us)
             rankings = self.rankings
             column = rankings.get(originator)  # created at its first store
             for node, score in zip(receivers, scores):
@@ -258,11 +269,17 @@ class FloodingProtocol:
                     column[node] = {prev_hop: (capped, now_us)}
                 else:
                     entries[prev_hop] = (capped, now_us)
+        elif flooded:
+            # Only the rebroadcast test reads the score, at a receiver below seq.
+            if seen is not None:
+                receivers = [node for node in receivers if seen[node] < seq]
+                if not receivers:
+                    return []
+            scores = self.score_all(receivers, msg, prev_hop, now_us)
+        if not flooded:
+            return []  # only a flooded kind is rebroadcast
         rebroadcasts = []
-        if kind not in self.flooded_kinds:
-            return rebroadcasts
-        key, forwarded, predicted = (kind, originator), self.forwarded, self.predicted
-        seen = forwarded.get(key)  # created at the first copy a receiver forwards
+        predicted = self.predicted
         for node, score in zip(receivers, scores):
             # Not ``score > 0.0``, which would also drop a NaN score.
             if score <= 0.0:
@@ -292,18 +309,23 @@ class BatmanProtocol(FloodingProtocol):
         self.hop_penalty = config.hop_penalty
         self.tq_windows: dict[int, list[TQWindow | None]] = {}
 
+    def advance(self, receivers, msg, prev_hop, now_us) -> None:
+        """A neighbor's own OGM feeds each receiver's window over that neighbor."""
+        if msg.originator != prev_hop:
+            return
+        windows = self.tq_windows.get(prev_hop)
+        if windows is None:
+            windows = self._new_column(self.tq_windows, prev_hop)
+        for node in receivers:
+            window = windows[node]
+            if window is None:
+                window = windows[node] = TQWindow(self.tq_window_len)
+            window.update(msg.seq)
+
     def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
         """TQ window of the neighbor the copy came through, times the carried score."""
         windows, carried = self.tq_windows.get(prev_hop), msg.carried_score
-        if msg.originator == prev_hop:  # a neighbor's own OGM first feeds its window
-            if windows is None:
-                windows = self._new_column(self.tq_windows, prev_hop)
-            for node in receivers:
-                window = windows[node]
-                if window is None:
-                    window = windows[node] = TQWindow(self.tq_window_len)
-                window.update(msg.seq)
-        elif windows is None:
+        if windows is None:
             return [0.0 * carried] * len(receivers)
         return [(window.quality if window is not None else 0.0) * carried
                 for window in map(windows.__getitem__, receivers)]
@@ -346,8 +368,8 @@ class BatmobileProtocol(FloodingProtocol):
         self.trends: dict[tuple[int, int], list[tuple[list[float], int] | None]] = {}
 
     def admit(self, nodes: list[int], dest: int, neighbor: int, raws: list[float],
-              now_us: int) -> list[float]:
-        """Each node's raw score for (dest, neighbor), admitted only within +/- clamp
+              now_us: int) -> None:
+        """Buffer each node's raw score for (dest, neighbor), admitted only within +/- clamp
         of its buffered trend's next value, which damps single-sample jumps either
         way. A buffer resets after a gap longer than ``expiry_us``. Each clamp is the
         conditional CPython's two-argument max or min computes (``max(a, b)`` is ``b if
@@ -356,7 +378,6 @@ class BatmobileProtocol(FloodingProtocol):
         column = self.trends.get(key)
         if column is None and nodes:
             column = self._new_column(self.trends, key)
-        admitted_all = []
         for node, raw in zip(nodes, raws):
             entry = column[node]
             values = [] if entry is None or now_us - entry[1] > expiry_us else entry[0]
@@ -375,13 +396,12 @@ class BatmobileProtocol(FloodingProtocol):
             values.append(admitted)
             del values[:-self.buffer_len]  # keep the newest buffer_len
             column[node] = (values, now_us)
-            admitted_all.append(admitted)
-        return admitted_all
 
-    def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
-        """Link score times the carried score, admitted through each receiver's trend clamp.
-        The link score weighs the current and predicted distances to the sender, each in
-        ``mobility.distance``'s expression and clamped as in ``admit``, over buffer_len."""
+    def advance(self, receivers, msg, prev_hop, now_us) -> None:
+        """Admit each receiver's raw score, its link score times the carried score,
+        through its trend clamp. The link score weighs the current and predicted
+        distances to the sender, each in ``mobility.distance``'s expression and
+        clamped as in ``admit``, over buffer_len."""
         sx, sy, sz = msg.sender_position
         px, py, pz = msg.sender_predicted
         positions, predicted, carried = self.positions, self.predicted, msg.carried_score
@@ -395,7 +415,12 @@ class BatmobileProtocol(FloodingProtocol):
             s_pred = 1.0 - sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2) / comm_range_m
             s_pred = (s_pred if s_pred < 1.0 else 1.0) if s_pred > 0.0 else 0.0
             raws.append((weight * s_pred + (scale - weight) * s_now) / scale * carried)
-        return self.admit(receivers, msg.originator, prev_hop, raws, now_us)
+        self.admit(receivers, msg.originator, prev_hop, raws, now_us)
+
+    def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
+        """The score each receiver's trend admitted last, which ``advance`` did for this copy."""
+        column = self.trends.get((msg.originator, prev_hop))
+        return [column[node][0][-1] for node in receivers]
 
 
 PROTOCOLS = {"batman": BatmanProtocol, "golsr": GeoOlsrProtocol, "batmobile": BatmobileProtocol}

@@ -141,13 +141,29 @@ class Simulation:
         engine.on(CONTROL_EMIT, self._on_control_emit)
         engine.on(STREAM_SEND, self._on_stream_send)
         engine.schedule(self.tick_us, MOBILITY_TICK)
-        for node in range(config.nodes):
-            for kind, interval_us in self.protocol.emission_plan:
-                phase = control_rng.randrange(interval_us)
-                engine.schedule(phase, CONTROL_EMIT, (node, kind, interval_us))
+        self._schedule_emits(control_rng)
         for idx, spec in enumerate(self.streams):
             if spec.start_us < spec.stop_us:
                 engine.schedule(spec.start_us, STREAM_SEND, idx)
+
+    def _schedule_emits(self, control_rng) -> None:
+        """Key every node's first emit of each emission-plan entry, node by node.
+
+        Each entry's keyed emits wait in one FIFO, ``_emits[kind]`` (a plan
+        names a kind once), with only its head on the heap. An emit keys its successor one interval later
+        with a newer seq, so a FIFO stays in key order, and the heap gives
+        every emit up under the key and in the order it would with all on it.
+        """
+        fifos = {kind: [] for kind, _ in self.protocol.emission_plan}
+        for node in range(self.config.nodes):
+            for kind, interval_us in self.protocol.emission_plan:
+                phase = control_rng.randrange(interval_us)
+                fifos[kind].append((phase, self._next_seq(), CONTROL_EMIT,
+                                    (node, kind, interval_us)))
+        self._emits = {kind: deque(sorted(entries)) for kind, entries in fifos.items()}
+        for fifo in self._emits.values():
+            if fifo:  # a phase is at least 0, the clock
+                self._push(fifo[0])
 
     # -- event handlers -------------------------------------------------
 
@@ -171,9 +187,14 @@ class Simulation:
         node, kind, interval_us = payload
         now = self.engine.clock_us
         self._flood(node, self.protocol.emit(node, kind, now), self.config.ttl)
+        fifo = self._emits[kind]
+        fifo.popleft()  # this emit, the head the heap just gave up
         next_emit = now + interval_us
         if next_emit <= self.end_us:
-            self.engine.schedule(next_emit, CONTROL_EMIT, (node, kind, interval_us))
+            # Its seq is taken after the flood's, where schedule() would take it.
+            fifo.append((next_emit, self._next_seq(), CONTROL_EMIT, payload))
+        if fifo:  # keyed after this emit, so after the clock
+            self._push(fifo[0])
 
     def _on_stream_send(self, idx: int) -> None:
         spec = self.streams[idx]

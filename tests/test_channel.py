@@ -670,3 +670,58 @@ def test_medium_equals_brute_force_reference_across_a_topology_change(case):
     assert not h.engine._heap
     assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(
         positions, schedule, h.starts, move)
+
+
+# -- each transmission's clean receivers ---------------------------------------
+# Four nodes in a row, 50 m apart: A reaches R, R reaches A and B, B reaches R
+# and C, C reaches B. A and B are hidden from each other, as are R and C.
+ROW = [(0.0, 0.0, 0.0), (50.0, 0.0, 0.0), (100.0, 0.0, 0.0), (150.0, 0.0, 0.0)]
+A, R, B, C = range(4)
+
+
+@pytest.mark.parametrize("attempt_first", [True, False])
+def test_a_start_on_the_microsecond_a_reception_ends_reaches_that_receiver(attempt_first):
+    # A's frame reaches R until T_FULL. B defers on C's frame of the same
+    # length and starts at T_FULL, the microsecond A's arrival runs at R, with
+    # its attempt ordered before or after that arrival by the order in which
+    # the three first attempts were queued.
+    h = Harness(ROW, config=NO_JITTER)
+    frames = {node: broadcast_frame(node, size=1460) for node in (A, B, C)}
+    for node in ((C, B, A) if attempt_first else (A, C, B)):
+        h.send(node, frames[node])
+    at_t_full = []
+
+    def recording(kind, handler):
+        def step(payload):
+            if h.engine.clock_us == T_FULL:
+                at_t_full.append((kind, payload if kind is EventKind.TX_ATTEMPT else payload[0]))
+            handler(payload)
+        return step
+
+    h.engine._handlers = {kind: recording(kind, handler)
+                          for kind, handler in h.engine._handlers.items()}
+    h.run()
+    attempt, arrival = (EventKind.TX_ATTEMPT, B), (EventKind.PACKET_ARRIVAL, A)
+    assert (at_t_full.index(attempt) < at_t_full.index(arrival)) == attempt_first
+    assert sorted((id(f), r) for r, f in h.deliveries) == sorted(
+        [(id(frames[A]), [R]), (id(frames[C]), [B]), (id(frames[B]), [R, C])])
+    assert h.lost == []
+
+
+def test_an_overlap_deletes_exactly_the_hit_receiver_from_the_earlier_frame():
+    # R broadcasts to A and B. C, hidden from R, starts mid-airtime and hits
+    # B alone: R's clean receivers lose B and keep A, and C's frame reaches
+    # no one cleanly.
+    schedule = [(0, R, broadcast_frame(R, size=1460)), (T_FULL // 2, C, broadcast_frame(C))]
+    for packet_id, (_, _, frame) in enumerate(schedule):
+        frame.packet_id = packet_id
+    h = checked_harness(ROW, schedule)
+    h.engine.run_until(T_FULL // 2 - 1)
+    [(_, _, _, (sender, receivers, clean))] = [
+        entry for entry in h.engine._heap if entry[2] is EventKind.PACKET_ARRIVAL]
+    assert (sender, receivers, list(clean)) == (R, [A, B], [A, B])
+    h.engine.run_until(T_FULL // 2)  # C starts
+    assert list(clean) == [A]
+    h.run(1.0)
+    assert h.calls == [(T_FULL, 0, [A])]
+    assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(ROW, schedule, h.starts)

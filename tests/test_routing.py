@@ -54,7 +54,7 @@ def pathscore_link(
     weight_scale: int = 8,
 ) -> float:
     """Single-link score mixing current and predicted normalized distances: the
-    per-copy form of what BatmobileProtocol.score_all computes for a frame."""
+    per-copy form of the raw score BatmobileProtocol.advance computes for a frame."""
     d_now = distance(own_pos, neighbor_pos)
     s_now = min(1.0, max(0.0, 1.0 - d_now / comm_range_m))
     d_pred = distance(own_predicted, neighbor_predicted)
@@ -184,20 +184,26 @@ def trend_protocol():
                 ranking_expiry_s=3.0)
 
 
+def admit(protocol, raw, now_us):
+    """Admit node 0's raw score for (dest 1, neighbour 2); return the value its buffer took."""
+    protocol.admit([0], 1, 2, [raw], now_us)
+    values, _ = protocol.trends[(1, 2)][0]
+    return values[-1]
+
+
 def test_trend_clamp_bounds_single_update():
     protocol = trend_protocol()
-    assert protocol.admit([0], 1, 2, [0.5], 0) == [pytest.approx(0.5)]
+    assert admit(protocol, 0.5, 0) == pytest.approx(0.5)
     # A raw jump to 1.0 is admitted only 0.1 above the flat trend.
-    assert protocol.admit([0], 1, 2, [1.0], 500_000) == [pytest.approx(0.6)]
+    assert admit(protocol, 1.0, 500_000) == pytest.approx(0.6)
     # And a crash to 0.0 only 0.1 below the (rising) trend.
-    [admitted] = protocol.admit([0], 1, 2, [0.0], 1_000_000)
-    assert admitted == pytest.approx(0.6, abs=0.1 + 1e-9)
+    assert admit(protocol, 0.0, 1_000_000) == pytest.approx(0.6, abs=0.1 + 1e-9)
 
 
 def test_trend_clamp_resets_after_expiry_gap():
     protocol = trend_protocol()
-    protocol.admit([0], 1, 2, [0.9], 0)
-    assert protocol.admit([0], 1, 2, [0.1], 10_000_000) == [pytest.approx(0.1)]
+    admit(protocol, 0.9, 0)
+    assert admit(protocol, 0.1, 10_000_000) == pytest.approx(0.1)
 
 
 def test_index_sum_sq_memo_equals_the_sum():
@@ -518,6 +524,75 @@ def test_receive_keeping_some_destinations_equals_keeping_every_node(name, dests
         for node in nodes:
             for dest in dests:
                 assert kept.live(node, dest, now) == full.live(node, dest, now)
+
+
+def scored_receivers(protocol):
+    """Record the receiver list of each of protocol's score_all calls."""
+    calls, score_all = [], protocol.score_all
+
+    def recording(receivers, msg, prev_hop, now_us):
+        calls.append(list(receivers))
+        return score_all(receivers, msg, prev_hop, now_us)
+
+    protocol.score_all = recording
+    return calls
+
+
+def test_an_unkept_copy_of_an_unflooded_kind_is_not_scored():
+    protocol = make("golsr", SPOT)
+    protocol.destinations = {4}
+    calls = scored_receivers(protocol)
+
+    def hello(originator):
+        return ControlMessage(kind=ControlKind.HELLO, originator=originator, seq=0,
+                              sender_position=SPOT[originator],
+                              originator_position=SPOT[originator])
+
+    before = copy.deepcopy((node_tables(protocol), protocol.versions))
+    assert protocol.receive([0, 1, 3], hello(2), 2, 1000) == []
+    assert calls == []
+    assert (node_tables(protocol), protocol.versions) == before
+    # A HELLO from a kept destination is scored and still stores its ranking.
+    assert protocol.receive([0, 3], hello(4), 4, 2000) == []
+    assert calls == [[0, 3]]
+    assert protocol.live(0, 4, 2000) == {4: pytest.approx(1.0)}
+    assert protocol.live(3, 4, 2000) == {4: pytest.approx(1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(FLOODERS))
+def test_an_unkept_flooded_copy_is_scored_only_where_it_may_be_rebroadcast(name):
+    overrides, kinds = FLOODERS[name]
+    kind = kinds[-1]  # the flooded one
+    protocol = make(name, SPOT, **overrides)
+    protocol.destinations = set()
+    if protocol.predicted is not None:
+        protocol.predicted[:] = SPOT_PRED
+    calls = scored_receivers(protocol)
+
+    def copy_from(prev_hop, seq):
+        return ControlMessage(kind=kind, originator=prev_hop, seq=seq,
+                              sender_position=SPOT[prev_hop], originator_position=SPOT[prev_hop],
+                              sender_predicted=(protocol.predicted or SPOT)[prev_hop])
+
+    # Node 2's own copy reaches 4 first, which gives batman's 4 a window over 2.
+    protocol.receive([4], copy_from(2, 0), 2, 500)
+    calls.clear()
+    # The originator's own copy reaches 1, 2 and 3, which all flood it: every
+    # metric scores a neighbour's own message above zero.
+    first = protocol.receive([1, 2, 3], copy_from(0, 0), 0, 1000)
+    assert [node for node, _ in first] == [1, 2, 3]
+    # Node 2's rebroadcast reaches 1 and 3 again, and fresh node 4: only 4 is
+    # scored, and its echo at the originator is dropped.
+    [relayed] = [out for node, out in first if node == 2]
+    again = protocol.receive([0, 1, 3, 4], relayed, 2, 2000)
+    assert calls == [[1, 2, 3], [4]]
+    assert [node for node, _ in again] == [4]
+    # A copy that every receiver has flooded is not scored at all.
+    assert protocol.receive([1, 3], relayed, 2, 3000) == []
+    assert calls == [[1, 2, 3], [4]]
+    # A newer seq is scored again at every receiver.
+    protocol.receive([1, 2, 3], copy_from(0, 1), 0, 4000)
+    assert calls[-1] == [1, 2, 3]
 
 
 # -- receive against the per-copy reference ----------------------------------

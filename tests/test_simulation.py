@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pinned_runs import node_tables, production_differences, traced_pair
+from seed_oracle import observed
 
 from manetsim import mobility, simulation
 from manetsim.balancer import DropReason
 from manetsim.channel import Frame
 from manetsim.config import PROTOCOLS, ScenarioConfig, validate
-from manetsim.engine import us_from_s
+from manetsim.engine import CONTROL_EMIT, us_from_s
+from manetsim.routing import PROTOCOLS as PROTOCOLS_BY_NAME
 from manetsim.routing import ControlKind, ControlMessage
 from manetsim.simulation import Simulation, simulate
 from manetsim.traffic import StreamSpec
@@ -423,12 +425,13 @@ def test_a_finished_simulation_is_freed_without_a_gc_pass(protocol, monkeypatch)
     assert result.conservation_ok and result.sent > 0
 
 
-def test_pushed_events_never_lie_before_the_clock():
-    # crowd50's scenario at 2 s. The medium and the stream sends push their
-    # events without Engine.schedule's past check; after every event, the
-    # earliest entry must still lie at or after the clock.
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_pushed_events_never_lie_before_the_clock(protocol):
+    # crowd50's scenario at 2 s. The medium, the stream sends and the emit
+    # heads push their events without Engine.schedule's past check; after
+    # every event, the earliest entry must still lie at or after the clock.
     config = ScenarioConfig(area_x=150.0, area_y=150.0, nodes=50, streams=3, sim_time_s=2.0,
-                            stream_start_s=1.0)
+                            stream_start_s=1.0, protocol=protocol)
     sim = Simulation(config, 1)
     engine, heap = sim.engine, sim.engine._heap
     checked = []
@@ -443,3 +446,98 @@ def test_pushed_events_never_lie_before_the_clock():
     engine._handlers = {kind: checking(handler) for kind, handler in engine._handlers.items()}
     result = sim.run()
     assert len(checked) == result.events_processed == simulate(config, 1).events_processed
+
+
+# -- control emits: FIFO heads on the heap against every emit on it -------------
+
+class ScheduledEmits(Simulation):
+    """Every control emit on the heap from the moment it is keyed, each
+    scheduled through Engine.schedule, as the simulator did before its emits
+    waited in one FIFO per emission-plan entry."""
+
+    def _schedule_emits(self, control_rng):
+        for node in range(self.config.nodes):
+            for kind, interval_us in self.protocol.emission_plan:
+                phase = control_rng.randrange(interval_us)
+                self.engine.schedule(phase, CONTROL_EMIT, (node, kind, interval_us))
+
+    def _on_control_emit(self, payload):
+        node, kind, interval_us = payload
+        now = self.engine.clock_us
+        self._flood(node, self.protocol.emit(node, kind, now), self.config.ttl)
+        next_emit = now + interval_us
+        if next_emit <= self.end_us:
+            self.engine.schedule(next_emit, CONTROL_EMIT, (node, kind, interval_us))
+
+
+def dispatch_log(cls, config, seed):
+    """Run cls(config, seed); return its (clock_us, kind, payload) per dispatched
+    event, its (state_hash, CSV-row sha256), and the most control emits the
+    heap held at once."""
+    sim = cls(config, seed)
+    engine, heap = sim.engine, sim.engine._heap
+    log, most = [], [0]
+
+    def logging(kind, handler):
+        def step(payload):
+            log.append((engine.clock_us, kind, repr(payload)))
+            handler(payload)
+            most[0] = max(most[0], sum(entry[2] is CONTROL_EMIT for entry in heap))
+        return step
+
+    engine._handlers = {kind: logging(kind, handler) for kind, handler in engine._handlers.items()}
+    result = sim.run()
+    return log, observed(config, result), most[0]
+
+
+@st.composite
+def emit_configs(draw):
+    """Small runs whose emission intervals go down to 1 us, so that emits of
+    several nodes, golsr's HELLOs and TCs, and the attempts a flood pushes
+    often share a microsecond, and the run often ends on an emit."""
+    interval = st.sampled_from([1, 2, 3, 5]) | st.integers(1, 400)
+    ogm_us, hello_us, tc_us = draw(interval), draw(interval), draw(interval)
+    nodes = draw(st.integers(2, 8))
+    return ScenarioConfig(
+        nodes=nodes,
+        streams=draw(st.integers(1, nodes // 2)),
+        area_x=draw(st.sampled_from([40.0, 150.0])),
+        area_y=60.0,
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        ogm_interval_s=ogm_us / 1e6,
+        hello_interval_s=hello_us / 1e6,
+        tc_interval_s=tc_us / 1e6,
+        # About 30 of the longest interval at most, so a run stays small.
+        sim_time_s=draw(st.integers(1, 30 * max(ogm_us, hello_us, tc_us))) / 1e6,
+        stream_start_s=0.0,
+        mobility_update_s=draw(st.sampled_from([0.25, 200e-6])),
+        # A jitter as short as an interval puts a flood's first attempt on the
+        # microsecond of the node's next emit.
+        mac_jitter_us=draw(st.sampled_from([0, 1, 3, 200])),
+        ttl=draw(st.integers(1, 4)),
+    )
+
+
+@given(emit_configs(), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_emit_fifos_dispatch_every_event_as_the_heap_alone_does(config, seed):
+    validate(config)
+    log, observed_row, most = dispatch_log(Simulation, config, seed)
+    want_log, want_row, _ = dispatch_log(ScheduledEmits, config, seed)
+    assert log == want_log
+    assert observed_row == want_row
+    assert most <= len(PROTOCOLS_BY_NAME[config.protocol](config, [(0.0, 0.0, 0.0)]).emission_plan)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_emit_fifos_keep_same_microsecond_emits_and_the_last_one(protocol):
+    # 1 and 2 us intervals over 6 nodes: every microsecond has emits of several
+    # nodes (and golsr's two kinds), and the last one falls on end_us. A 1 us
+    # jitter puts attempts on the microsecond of the next emits.
+    config = ScenarioConfig(nodes=6, streams=1, area_x=40.0, area_y=40.0, protocol=protocol,
+                            ogm_interval_s=1e-6, hello_interval_s=1e-6, tc_interval_s=2e-6,
+                            sim_time_s=300e-6, stream_start_s=0.0, ttl=2, mac_jitter_us=1)
+    log, observed_row, _ = dispatch_log(Simulation, config, 3)
+    assert (log, observed_row) == dispatch_log(ScheduledEmits, config, 3)[:2]
+    emit_times = [t_us for t_us, kind, _ in log if kind is CONTROL_EMIT]
+    assert emit_times.count(0) > 1 and emit_times[-1] == us_from_s(config.sim_time_s)
