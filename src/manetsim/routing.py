@@ -111,16 +111,16 @@ def _index_sum_sq(n: int) -> float:
 class Route(dict):
     """A node's live ``{neighbor: score}`` map for one destination, with the balancer's
     memoised argmax (``best``) and schedulable sets (``sets``, per excluded previous hop
-    and likelihood); ``deadline_us`` and ``version`` bound its reuse by ``live``."""
+    and likelihood); ``live`` reuses it until ``deadline_us``, and ``receive`` drops it
+    at the next copy for its destination."""
 
-    __slots__ = ("best", "sets", "deadline_us", "version")
+    __slots__ = ("best", "sets", "deadline_us")
 
-    def __init__(self, scores, deadline_us: int = -1, version: int | None = None):
+    def __init__(self, scores, deadline_us: int = -1):
         super().__init__(scores)
         self.best: int | None = None
         self.sets: dict = {}
         self.deadline_us = deadline_us
-        self.version = version
 
 
 class FloodingProtocol:
@@ -133,26 +133,27 @@ class FloodingProtocol:
     for dest, or None, which the balancer reads through ``live``;
     ``forwarded[(kind, originator)][n]`` is the highest seq node n has
     flooded, -1 when none. A node's slot for its own messages is also its
-    latest sequence number. ``routes[n]`` is node n's ``dest -> Route`` cache
-    of what ``live`` last returned, and ``versions`` holds one counter per
-    destination that ``receive`` bumps once per call, so a route built at an
-    older count is rebuilt. It runs the rebroadcast dedup, the own-echo check,
-    the ranking update and the rebroadcast stamp. A metric reads its own
-    parameters from the config, keeps any further per-node state itself, and
-    supplies ``score_all``, one score per receiver it is given, a pure read.
-    It may override ``advance``, which steps that per-node state at every
-    receiver of every copy before any score is read (batman's TQ windows,
-    batmobile's trend buffers); ``emission_plan``, the (kind, interval_us)
-    pairs every node emits on (one OGM per interval by default);
+    latest sequence number. ``routes[dest]`` is the ``node -> Route`` cache of
+    what ``live`` last returned for dest; ``receive`` drops it at every call
+    for dest, so a route outlives no copy for its destination. It runs the
+    rebroadcast dedup, the own-echo check, the ranking update and the
+    rebroadcast stamp. A metric reads its own parameters from the config,
+    keeps any further per-node state itself, and supplies ``score_all``, one
+    score per receiver it is given, a pure read. A metric with per-node state
+    that every copy steps at every receiver before any score is read
+    (batman's TQ windows, batmobile's trend buffers) sets ``advance`` to a
+    method that steps it; it is None, and not called, on a metric without
+    (golsr). A metric may also override ``emission_plan``, the (kind,
+    interval_us) pairs every node emits on (one OGM per interval by default);
     ``flooded_kinds``, the kinds a receiver rebroadcasts (OGMs); and
     ``hop_penalty``, the factor a forwarder applies to a carried score.
 
-    ``destinations`` holds the originators whose rankings and versions are
-    kept, or is None to keep every originator's. ``Simulation`` narrows it to
-    its streams' destinations, the only ones ``live`` is asked for. A copy
-    from any other originator stores no ranking entry, so its score is read
-    only by the rebroadcast test: it is scored at the receivers that have not
-    flooded it yet, and not at all when its kind is not flooded.
+    ``destinations`` holds the originators whose rankings and cached routes
+    are kept, or is None to keep every originator's. ``Simulation`` narrows
+    it to its streams' destinations, the only ones ``live`` is asked for. A
+    copy from any other originator stores no ranking entry, so its score is
+    read only by the rebroadcast test: it is scored at the receivers that
+    have not flooded it yet, and not at all when its kind is not flooded.
 
     ``positions`` is the run's position list, updated in place by the
     mobility tick. ``predicted`` is None unless the metric predicts; then the
@@ -161,6 +162,7 @@ class FloodingProtocol:
 
     flooded_kinds = frozenset({ControlKind.OGM})
     hop_penalty = 1.0
+    advance = None
     predicted: list[Position] | None = None
 
     def __init__(self, config: ScenarioConfig, positions: list[Position]):
@@ -169,8 +171,7 @@ class FloodingProtocol:
         self.expiry_us = us_from_s(config.ranking_expiry_s)
         self.destinations: Container[int] | None = None
         self.rankings: dict[int, list[dict[int, tuple[float, int]] | None]] = {}
-        self.routes: list[dict[int, Route]] = [{} for _ in positions]
-        self.versions: dict[int, int] = {}
+        self.routes: dict[int, dict[int, Route]] = {}
         self.forwarded: dict[tuple[ControlKind, int], list[int]] = {}
 
     def _new_column(self, table: dict, key, empty=None) -> list:
@@ -195,17 +196,18 @@ class FloodingProtocol:
         """Purge node's entries for dest not refreshed within ``expiry_us``, then return
         {neighbor: score}. This rule alone decides which forwarders are live.
 
-        A nonempty result is a ``Route``, returned again while no ``receive`` has run
-        for dest and ``now_us`` is at most its oldest entry's ``last_us + expiry_us``:
-        until then the purge would delete nothing and give equal scores in order."""
+        A nonempty result is a ``Route``, returned again until ``receive`` drops dest's
+        routes or ``now_us`` passes its oldest entry's ``last_us + expiry_us``: until
+        then the purge would delete nothing and give equal scores in order."""
         column = self.rankings.get(dest)
         entries = None if column is None else column[node]
         if not entries:
             return {}
-        route = self.routes[node].get(dest)
+        # setdefault: a ranking may be stored without a receive, as tests do.
+        cached = self.routes.setdefault(dest, {})
+        route = cached.get(node)
         # ``<`` would be exact too: at the deadline a rebuild deletes nothing.
-        if (route is not None and now_us <= route.deadline_us
-                and route.version == self.versions.get(dest)):
+        if route is not None and now_us <= route.deadline_us:
             return route
         live: dict[int, float] = {}
         expiry_us = self.expiry_us
@@ -221,12 +223,8 @@ class FloodingProtocol:
                 del entries[n]
             if not live:
                 return live
-        route = self.routes[node][dest] = Route(live, oldest + expiry_us, self.versions.get(dest))
+        route = cached[node] = Route(live, oldest + expiry_us)
         return route
-
-    def advance(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
-                now_us: int) -> None:
-        """Step each receiver's per-copy metric state for this copy; none by default."""
 
     def receive(self, receivers: list[int], msg: ControlMessage, prev_hop: int,
                 now_us: int) -> list[tuple[int, ControlMessage]]:
@@ -242,14 +240,15 @@ class FloodingProtocol:
         kind, originator, seq = msg.kind, msg.originator, msg.seq
         if originator in receivers:
             receivers = [node for node in receivers if node != originator]
-        self.advance(receivers, msg, prev_hop, now_us)
+        if self.advance is not None:
+            self.advance(receivers, msg, prev_hop, now_us)
         flooded = kind in self.flooded_kinds
         key, forwarded = (kind, originator), self.forwarded
         seen = forwarded.get(key)  # created at the first copy a receiver forwards
         destinations = self.destinations
         if destinations is None or originator in destinations:
             # Any copy may store or pop an entry for originator: every route to it is stale.
-            self.versions[originator] = self.versions.get(originator, 0) + 1
+            self.routes[originator] = {}
             scores = self.score_all(receivers, msg, prev_hop, now_us)
             rankings = self.rankings
             column = rankings.get(originator)  # created at its first store
@@ -352,7 +351,7 @@ class GeoOlsrProtocol(FloodingProtocol):
 class BatmobileProtocol(FloodingProtocol):
     """Originator-message flooding scored by current plus predicted link distances.
 
-    Each node admits its raw scores through the trend clamp, ``admit``, over
+    ``advance`` admits each receiver's raw score through the trend clamp, over
     its own slot of ``trends[(dest, neighbor)]``: ``(values, last_us)``, or
     None. A key's column is created with its first buffer.
     """
@@ -367,18 +366,32 @@ class BatmobileProtocol(FloodingProtocol):
         self.predicted = list(positions)
         self.trends: dict[tuple[int, int], list[tuple[list[float], int] | None]] = {}
 
-    def admit(self, nodes: list[int], dest: int, neighbor: int, raws: list[float],
-              now_us: int) -> None:
-        """Buffer each node's raw score for (dest, neighbor), admitted only within +/- clamp
-        of its buffered trend's next value, which damps single-sample jumps either
-        way. A buffer resets after a gap longer than ``expiry_us``. Each clamp is the
-        conditional CPython's two-argument max or min computes (``max(a, b)`` is ``b if
-        b > a else a``), which agrees with it on every float, NaN and signed zeros too."""
-        key, expiry_us, clamp = (dest, neighbor), self.expiry_us, self.clamp
+    def advance(self, receivers, msg, prev_hop, now_us) -> None:
+        """Buffer each receiver's raw score for (originator, prev_hop), its link score
+        times the carried score, admitted only within +/- clamp of its buffered trend's
+        next value, which damps single-sample jumps either way. A buffer resets after
+        a gap longer than ``expiry_us``. The link score weighs the current and
+        predicted distances to the sender, each in ``mobility.distance``'s expression
+        and clamped to [0, 1] as the admitted score is, over buffer_len. Each clamp is
+        the conditional CPython's two-argument max or min computes (``max(a, b)`` is
+        ``b if b > a else a``), which agrees with it on every float, NaN and signed
+        zeros too."""
+        sx, sy, sz = msg.sender_position
+        px, py, pz = msg.sender_predicted
+        positions, predicted, carried = self.positions, self.predicted, msg.carried_score
+        comm_range_m, weight, scale = self.comm_range_m, self.prediction_weight, self.buffer_len
+        key, expiry_us, clamp = (msg.originator, prev_hop), self.expiry_us, self.clamp
         column = self.trends.get(key)
-        if column is None and nodes:
+        if column is None and receivers:
             column = self._new_column(self.trends, key)
-        for node, raw in zip(nodes, raws):
+        for node in receivers:
+            x, y, z = positions[node]
+            s_now = 1.0 - sqrt((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2) / comm_range_m
+            s_now = (s_now if s_now < 1.0 else 1.0) if s_now > 0.0 else 0.0
+            x, y, z = predicted[node]
+            s_pred = 1.0 - sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2) / comm_range_m
+            s_pred = (s_pred if s_pred < 1.0 else 1.0) if s_pred > 0.0 else 0.0
+            raw = (weight * s_pred + (scale - weight) * s_now) / scale * carried
             entry = column[node]
             values = [] if entry is None or now_us - entry[1] > expiry_us else entry[0]
             if values:
@@ -396,26 +409,6 @@ class BatmobileProtocol(FloodingProtocol):
             values.append(admitted)
             del values[:-self.buffer_len]  # keep the newest buffer_len
             column[node] = (values, now_us)
-
-    def advance(self, receivers, msg, prev_hop, now_us) -> None:
-        """Admit each receiver's raw score, its link score times the carried score,
-        through its trend clamp. The link score weighs the current and predicted
-        distances to the sender, each in ``mobility.distance``'s expression and
-        clamped as in ``admit``, over buffer_len."""
-        sx, sy, sz = msg.sender_position
-        px, py, pz = msg.sender_predicted
-        positions, predicted, carried = self.positions, self.predicted, msg.carried_score
-        comm_range_m, weight, scale = self.comm_range_m, self.prediction_weight, self.buffer_len
-        raws = []
-        for node in receivers:
-            x, y, z = positions[node]
-            s_now = 1.0 - sqrt((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2) / comm_range_m
-            s_now = (s_now if s_now < 1.0 else 1.0) if s_now > 0.0 else 0.0
-            x, y, z = predicted[node]
-            s_pred = 1.0 - sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2) / comm_range_m
-            s_pred = (s_pred if s_pred < 1.0 else 1.0) if s_pred > 0.0 else 0.0
-            raws.append((weight * s_pred + (scale - weight) * s_now) / scale * carried)
-        self.admit(receivers, msg.originator, prev_hop, raws, now_us)
 
     def score_all(self, receivers, msg, prev_hop, now_us) -> list[float]:
         """The score each receiver's trend admitted last, which ``advance`` did for this copy."""

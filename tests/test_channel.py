@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from linkbudget import path_loss_db, receivable
 
@@ -500,14 +500,17 @@ def test_neighbor_cache_follows_moving_nodes():
 # engine's heap, replays carrier sense for every start with the neighbours in
 # force at that instant, and decides each receiver's outcome by half-open
 # overlap against every other transmission that reached the node. A
-# transmission reaches the sender's neighbours at its start.
+# transmission reaches the sender's neighbours at its start. An attempt senses
+# a transmission that starts in its own microsecond only if that start ran
+# first: the harness records the order in which attempts ran.
 
 
 def checked_harness(positions, schedule, move=None):
     """Harness that enqueues ``schedule``'s (t_us, node, frame) entries, and
     after every event records each transmission that starts and checks the
     pending-attempt invariant: an idle node with a non-empty queue has exactly
-    one attempt pending, and a transmitting node has none. A ``move``, (t_us,
+    one attempt pending, and a transmitting node has none. It also records each
+    attempt as (t_us, node) in the order the attempts ran. A ``move``, (t_us,
     positions), puts the nodes there at t_us, before any attempt or arrival
     at that time, as a mobility tick does."""
     h = Harness(positions, config=NO_JITTER)
@@ -528,6 +531,7 @@ def checked_harness(positions, schedule, move=None):
         (h.engine.clock_us, frame.packet_id, cause))
     heap = h.engine._heap
     h.starts = []  # (node, start_us, end_us) in start order
+    h.attempts = []  # (t_us, node) in the order the attempts ran
     seen = set()
 
     def check():
@@ -545,26 +549,31 @@ def checked_harness(positions, schedule, move=None):
             idle_with_work = not airing[node] and bool(mac.queue)
             assert airing[node] <= 1 and attempts[node] == idle_with_work, (node, h.engine.clock_us)
 
-    def checked(handler):
+    def checked(kind, handler):
         def run(payload):
+            if kind is EventKind.TX_ATTEMPT:
+                h.attempts.append((h.engine.clock_us, payload))
             handler(payload)
             check()
         return run
 
     handlers = h.engine._handlers
     for kind in list(handlers):
-        handlers[kind] = checked(handlers[kind])
+        handlers[kind] = checked(kind, handlers[kind])
     return h
 
 
-def reference_outcomes(positions, schedule, starts, move=None):
-    """What the medium must deliver and lose, given the observed transmissions.
+def reference_outcomes(positions, schedule, starts, attempts, move=None):
+    """What the medium must deliver and lose, given the observed transmissions
+    and the order in which attempts ran.
 
     Checks on the way that each start is the one carrier sense gives: a node's
     k-th frame is ready at its enqueue or at the node's previous end, whichever
     is later, and starts at the first moment after that when no node it hears
-    then is on the air. Returns (end_us, packet_id, receivers) per delivery
-    call and (end_us, packet_id, cause) per lost unicast, sorted.
+    then is on the air. A transmission that starts at that very moment counts
+    only if its attempt ran before the node's own: the medium cannot sense a
+    start that has not run yet. Returns (end_us, packet_id, receivers) per
+    delivery call and (end_us, packet_id, cause) per lost unicast, sorted.
     """
     range2 = max_range_m(NO_JITTER) ** 2
     before = brute_force_neighbors(positions, range2)
@@ -572,6 +581,16 @@ def reference_outcomes(positions, schedule, starts, move=None):
 
     def hears_at(t_us):
         return before if move is None or t_us < move[0] else after
+
+    ran = {attempt: order for order, attempt in enumerate(attempts)}
+
+    def sensed(node, t_us, sender, start, end):
+        if sender not in hears_at(t_us)[node] or not start <= t_us < end:
+            return False
+        if start < t_us:
+            return True
+        assert (t_us, node) in ran, ("no attempt", node, t_us)
+        return ran[(start, sender)] < ran[(t_us, node)]
 
     frames_of = [[] for _ in positions]
     for t_us, node, frame in sorted(schedule, key=lambda entry: entry[0]):
@@ -584,7 +603,7 @@ def reference_outcomes(positions, schedule, starts, move=None):
         for (queued_us, frame), (start, end) in zip(frames, starts_of[node]):
             t = max(queued_us, previous_end)
             while True:
-                busy = [e for n, s, e in starts if n in hears_at(t)[node] and s <= t < e]
+                busy = [e for n, s, e in starts if sensed(node, t, n, s, e)]
                 if not busy:
                     break
                 t = max(busy)
@@ -645,7 +664,8 @@ def test_medium_equals_brute_force_reference(case):
     h = checked_harness(positions, schedule)
     h.run(1.0)
     assert not h.engine._heap
-    assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(positions, schedule, h.starts)
+    assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(
+        positions, schedule, h.starts, h.attempts)
 
 
 @st.composite
@@ -661,15 +681,47 @@ def moving_medium_schedules(draw):
     return positions, schedule, (t_us, moved)
 
 
+def numbered_broadcasts(sends):
+    """Schedule entries for (t_us, node, size) broadcasts, numbered in order."""
+    schedule = []
+    for packet_id, (t_us, node, size) in enumerate(sends):
+        frame = broadcast_frame(node, size)
+        frame.packet_id = packet_id
+        schedule.append((t_us, node, frame))
+    return schedule
+
+
+ORIGIN = (0.0, 0.0, 0.0)
+
+
 @given(moving_medium_schedules())
 @settings(max_examples=200, deadline=None)
+# Two ties in one microsecond, each left unsensed and then out of range: a
+# node's attempt defers on frames it hears while a frame it cannot have
+# sensed starts in the same microsecond, after it; the move then leaves the
+# node hearing no one when it wakes, so it starts before that frame ends.
+# Node 1 defers at 594 us on node 2's frame, not on node 0's, which starts
+# later at 594, and starts at 1016.
+@example((
+    [(0.0, 90.0, 0.0), (0.0, 60.0, 0.0), (0.0, 30.0, 0.0), ORIGIN, ORIGIN, ORIGIN],
+    numbered_broadcasts([(0, 1, 193), (0, 1, 64)] + [(0, 0, 1460)] * 9 + [(508, 2, 1460)]),
+    (600, [ORIGIN, (0.0, 60.0, 0.0), ORIGIN, ORIGIN, ORIGIN, ORIGIN]),
+))
+# Node 3 defers at 564 us on node 6's frame, not on node 2's, which starts
+# later at 564, and starts at 606.
+@example((
+    [ORIGIN, ORIGIN, (30.0, 48.0, 0.0), (56.0, 0.0, 0.0), ORIGIN, ORIGIN, (1.0, 0.0, 0.0)],
+    numbered_broadcasts([(0, 3, 1460), (0, 6, 64), (0, 2, 103), (0, 2, 64), (0, 3, 64),
+                         (0, 6, 100)]),
+    (600, [ORIGIN, ORIGIN, ORIGIN, (56.0, 0.0, 0.0), ORIGIN, ORIGIN, ORIGIN]),
+))
 def test_medium_equals_brute_force_reference_across_a_topology_change(case):
     positions, schedule, move = case
     h = checked_harness(positions, schedule, move)
     h.run(1.0)
     assert not h.engine._heap
     assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(
-        positions, schedule, h.starts, move)
+        positions, schedule, h.starts, h.attempts, move)
 
 
 # -- each transmission's clean receivers ---------------------------------------
@@ -724,4 +776,5 @@ def test_an_overlap_deletes_exactly_the_hit_receiver_from_the_earlier_frame():
     assert list(clean) == [A]
     h.run(1.0)
     assert h.calls == [(T_FULL, 0, [A])]
-    assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(ROW, schedule, h.starts)
+    assert (sorted(h.calls), sorted(h.losses)) == reference_outcomes(
+        ROW, schedule, h.starts, h.attempts)

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -185,8 +186,13 @@ def trend_protocol():
 
 
 def admit(protocol, raw, now_us):
-    """Admit node 0's raw score for (dest 1, neighbour 2); return the value its buffer took."""
-    protocol.admit([0], 1, 2, [raw], now_us)
+    """Admit node 0's raw score for (dest 1, neighbour 2); return the value its buffer took.
+    The sender sits on node 0 now and predicted, so the link score is 1 and the raw
+    score is the carried one."""
+    spot = protocol.positions[0]
+    msg = ControlMessage(kind=ControlKind.OGM, originator=1, seq=0, sender_position=spot,
+                         carried_score=raw, sender_predicted=spot)
+    protocol.advance([0], msg, 2, now_us)
     values, _ = protocol.trends[(1, 2)][0]
     return values[-1]
 
@@ -519,7 +525,7 @@ def test_receive_keeping_some_destinations_equals_keeping_every_node(name, dests
         assert ([snapshot(kept, n)[1:] for n in nodes]
                 == [snapshot(full, n)[1:] for n in nodes])
         assert node_tables(kept)["rankings"] == kept_rankings(full, dests)
-        assert set(kept.rankings) <= dests and set(kept.versions) <= dests
+        assert set(kept.rankings) <= dests and set(kept.routes) <= dests
         # A cached route is rebuilt after every copy for its destination.
         for node in nodes:
             for dest in dests:
@@ -548,10 +554,10 @@ def test_an_unkept_copy_of_an_unflooded_kind_is_not_scored():
                               sender_position=SPOT[originator],
                               originator_position=SPOT[originator])
 
-    before = copy.deepcopy((node_tables(protocol), protocol.versions))
+    before = copy.deepcopy((node_tables(protocol), protocol.routes))
     assert protocol.receive([0, 1, 3], hello(2), 2, 1000) == []
     assert calls == []
-    assert (node_tables(protocol), protocol.versions) == before
+    assert (node_tables(protocol), protocol.routes) == before
     # A HELLO from a kept destination is scored and still stores its ranking.
     assert protocol.receive([0, 3], hello(4), 4, 2000) == []
     assert calls == [[0, 3]]
@@ -593,6 +599,38 @@ def test_an_unkept_flooded_copy_is_scored_only_where_it_may_be_rebroadcast(name)
     # A newer seq is scored again at every receiver.
     protocol.receive([1, 2, 3], copy_from(0, 1), 0, 4000)
     assert calls[-1] == [1, 2, 3]
+
+
+def functions_called(fn):
+    """Call fn(); return the names of the Python functions it called, in order."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_golsr_receive_steps_no_per_copy_state():
+    # golsr keeps no per-copy metric state, so there is no advance to call.
+    assert GeoOlsrProtocol.advance is None
+    overrides, kinds = FLOODERS["golsr"]
+    for kind in kinds:
+        protocol = make("golsr", SPOT, **overrides)
+        msg = ControlMessage(kind=kind, originator=4, seq=0, sender_position=SPOT[4],
+                             originator_position=SPOT[4])
+        called = functions_called(lambda: protocol.receive([3, 5], msg, 4, 1000))
+        assert "score_all" in called and "advance" not in called
+    # The probe does see the call where a metric steps per-copy state.
+    protocol = make("batman", SPOT)
+    called = functions_called(lambda: protocol.receive([3, 5], ogm(4, 0, SPOT[4]), 4, 1000))
+    assert "advance" in called
 
 
 # -- receive against the per-copy reference ----------------------------------
@@ -843,7 +881,7 @@ batmobile_steps = st.tuples(
 
 @given(points, points, st.lists(batmobile_steps, min_size=1, max_size=12))
 # Node 0 is exactly at range now and predicted, so its link score is 0.0 and a
-# negative carried score makes a raw score of -0.0, which admit stores as 0.0.
+# negative carried score makes a raw score of -0.0, which the trend clamp stores as 0.0.
 @example([(RANGE_M, 0.0, 0.0)] + [(0.0, 0.0, 0.0)] * 5,
          [(RANGE_M, 0.0, 0.0)] + [(0.0, 0.0, 0.0)] * 5, [(1, 0, 0, [1, 2], -0.4, 0)])
 @settings(max_examples=150, deadline=None)
